@@ -25,30 +25,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from . import exchange, scattering
-from .errors import CycleFound, GreenfanError, InconsistencyFound, NotRankTwo
+from .errors import BadInput, CycleFound, GreenfanError, InconsistencyFound, NotRankTwo
 from .exchange import key_to_str, validate_fixed_data
-
-_COMMANDS = ("explore", "certify", "consistency", "obstruct", "scatter2", "emit-fan")
-
-
-@dataclass
-class JobSpec:
-    command: str
-    input_path: str | None = None
-    matrix: str | None = None
-    delta: str | None = None
-    symmetrizer: str | None = None
-    level: int = 8
-    max_depth: int = 12
-    max_vertices: int = 100000
-    format: str = "json"
-    out: str | None = None
-    out_json: str | None = None
-    out_dot: str | None = None
-    out_svg: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> JobSpec:
+def parse_args(argv) -> argparse.Namespace:
     parser = _build_parser()
     ns = parser.parse_args(argv)
     if ns.input is None and ns.matrix is None:
@@ -95,26 +75,10 @@ def parse_args(argv) -> JobSpec:
         parser.error("--level must be >= 1")
     if ns.max_depth < 0 or ns.max_vertices < 1:
         parser.error("budgets must be positive")
-    return JobSpec(
-        command=ns.command,
-        input_path=ns.input,
-        matrix=ns.matrix,
-        delta=ns.delta,
-        symmetrizer=ns.symmetrizer,
-        level=ns.level,
-        max_depth=ns.max_depth,
-        max_vertices=ns.max_vertices,
-        format=ns.format,
-        out=ns.out,
-        out_json=ns.out_json,
-        out_dot=ns.out_dot,
-        out_svg=ns.out_svg,
-    )
+    return ns
 
 
-def _load_document(job: JobSpec) -> dict:
-    from .errors import BadInput
-
+def _load_document(job: argparse.Namespace) -> dict:
     if job.matrix is not None:
         try:
             doc = {"B": json.loads(job.matrix), "delta": json.loads(job.delta)}
@@ -124,17 +88,15 @@ def _load_document(job: JobSpec) -> dict:
         except json.JSONDecodeError as exc:
             raise BadInput("inline JSON did not parse: %s" % exc) from exc
     try:
-        with open(job.input_path, "r", encoding="utf-8") as fh:
+        with open(job.input, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise BadInput("cannot read %s: %s" % (job.input_path, exc)) from exc
+        raise BadInput("cannot read %s: %s" % (job.input, exc)) from exc
     except json.JSONDecodeError as exc:
-        raise BadInput("%s is not JSON: %s" % (job.input_path, exc)) from exc
+        raise BadInput("%s is not JSON: %s" % (job.input, exc)) from exc
 
 
 def _fixed_data(doc) -> exchange.FixedData:
-    from .errors import BadInput
-
     if not isinstance(doc, dict) or "B" not in doc or "delta" not in doc:
         raise BadInput('input document needs "B" and "delta" fields')
     return validate_fixed_data(doc["B"], doc["delta"], doc.get("D"))
@@ -152,13 +114,13 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _explored(job: JobSpec, fd) -> exchange.OrientedExchangeGraph:
+def _explored(job: argparse.Namespace, fd) -> exchange.OrientedExchangeGraph:
     return exchange.enumerate_graph(
         fd, max_vertices=job.max_vertices, max_depth=job.max_depth
     )
 
 
-def _graph_artifacts(job: JobSpec, fd, graph) -> int:
+def _graph_artifacts(job: argparse.Namespace, fd, graph) -> int:
     order = None
     if graph.status == "complete":
         order = exchange.certify_acyclic(graph)
@@ -180,7 +142,7 @@ def _graph_artifacts(job: JobSpec, fd, graph) -> int:
     return 0
 
 
-def _run_certify(job: JobSpec, doc) -> int:
+def _run_certify(job: argparse.Namespace, doc) -> int:
     if isinstance(doc, dict) and "vertices" in doc:
         graph = exchange.graph_from_json(doc)
     else:
@@ -196,7 +158,7 @@ def _run_certify(job: JobSpec, doc) -> int:
     return 0
 
 
-def _run_consistency(job: JobSpec, doc) -> int:
+def _run_consistency(job: argparse.Namespace, doc) -> int:
     fd = _fixed_data(doc)
     graph = _explored(job, fd)
     report = scattering.verify_loop_consistency(fd, graph, job.level)
@@ -204,9 +166,7 @@ def _run_consistency(job: JobSpec, doc) -> int:
     return 0
 
 
-def _run_obstruct(job: JobSpec, doc) -> int:
-    from .errors import BadInput
-
+def _run_obstruct(job: argparse.Namespace, doc) -> int:
     fd = _fixed_data(doc)
     if not isinstance(doc.get("crossings"), list):
         raise BadInput('obstruct needs a "crossings" list')
@@ -230,7 +190,7 @@ def _run_obstruct(job: JobSpec, doc) -> int:
     return 0
 
 
-def _run_scatter2(job: JobSpec, doc) -> int:
+def _run_scatter2(job: argparse.Namespace, doc) -> int:
     fd = _fixed_data(doc)
     diagram = scattering.complete_rank2(fd, job.level)
     scattering.verify_rank2_consistency(fd, diagram)
@@ -254,7 +214,7 @@ def _run_scatter2(job: JobSpec, doc) -> int:
     return 0
 
 
-def _run_emit_fan(job: JobSpec, doc) -> int:
+def _run_emit_fan(job: argparse.Namespace, doc) -> int:
     fd = _fixed_data(doc)
     if fd.rank != 2:
         raise NotRankTwo("emit-fan needs a rank-2 input")
@@ -263,7 +223,7 @@ def _run_emit_fan(job: JobSpec, doc) -> int:
     return 0
 
 
-def run(job: JobSpec) -> int:
+def run(job: argparse.Namespace) -> int:
     doc = _load_document(job)
     if job.command == "explore":
         fd = _fixed_data(doc)

@@ -23,6 +23,7 @@ seed rather than assuming.
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -105,8 +106,12 @@ def validate_fixed_data(b, delta, d=None) -> FixedData:
     Raises NotSkewSymmetrizable when no positive skew-symmetrizer exists and
     BadDecomposition when ``diag(delta)^-1 * B`` fails to be skew-symmetric.
     When ``d`` is omitted the minimal positive skew-symmetrizer is computed.
+    A ``B`` that is not a square integer matrix raises BadInput.
     """
-    bm = linalg.as_int_matrix(b)
+    try:
+        bm = linalg.as_int_matrix(b)
+    except (TypeError, ValueError) as exc:
+        raise BadInput("B: %s" % exc) from exc
     r = len(bm)
     delta = tuple(delta)
     if len(delta) != r or any(
@@ -341,8 +346,6 @@ def certify_acyclic(graph: OrientedExchangeGraph) -> tuple[SeedKey, ...]:
     for src, dst, _ in graph.edges:
         out[src].append(dst)
         indegree[dst] += 1
-    import heapq
-
     ready = [index[k] for k in graph.vertices if indegree[k] == 0]
     heapq.heapify(ready)
     keys = list(graph.vertices)
@@ -443,18 +446,28 @@ def graph_to_json(graph: OrientedExchangeGraph, topological_order=None) -> dict:
 
 
 def graph_from_json(doc) -> OrientedExchangeGraph:
+    """Parse a graph document; edges and root must name listed vertices."""
     try:
         vertices = {
             key_from_str(ks): _seed_from_json(sv) for ks, sv in doc["vertices"].items()
         }
-        edges = tuple(
-            (key_from_str(e["source"]), key_from_str(e["target"]), int(e["direction"]))
-            for e in doc["edges"]
-        )
+        edges = []
+        for e in doc["edges"]:
+            src, dst, k = key_from_str(e["source"]), key_from_str(e["target"]), e["direction"]
+            if isinstance(k, bool) or not isinstance(k, int):
+                raise BadInput("edge direction must be an integer, got %r" % (k,))
+            if src not in vertices or dst not in vertices:
+                raise BadInput(
+                    "edge %s -> %s names an unknown vertex" % (e["source"], e["target"])
+                )
+            edges.append((src, dst, k))
+        root = key_from_str(doc["root"])
+        if root not in vertices:
+            raise BadInput("root %s is not a vertex" % doc["root"])
         return OrientedExchangeGraph(
-            root=key_from_str(doc["root"]),
+            root=root,
             vertices=vertices,
-            edges=edges,
+            edges=tuple(edges),
             status=str(doc["status"]),
             depth_reached=int(doc["depth_reached"]),
         )

@@ -89,9 +89,6 @@ class LaurentPoly:
             k >>= 1
         return result
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def __repr__(self):
         if not self.terms:
             return "0"

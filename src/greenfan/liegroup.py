@@ -82,6 +82,17 @@ def delta_exponent(n: Vector, delta) -> Fraction:
     return Fraction(num, den)
 
 
+def dilog_log_terms(n: Vector, c, level: int) -> dict[Vector, Fraction]:
+    """Log of Psi[n]^c up to ``level``: c * sum_j (-1)^(j+1)/j^2 X_{jn}."""
+    c = Fraction(c)
+    if not c:
+        return {}
+    return {
+        vec_scale(j, n): c * Fraction((-1) ** (j + 1), j * j)
+        for j in range(1, level // degree(n) + 1)
+    }
+
+
 class PbwAlgebra:
     """Context object: rank, pairing matrix and truncation level.
 
@@ -226,14 +237,7 @@ class PbwAlgebra:
         n = tuple(n)
         if not is_positive_vector(n) or len(n) != self.rank:
             raise NotLieElement("dilog index must be a nonzero nonnegative vector")
-        c = Fraction(exponent)
-        terms = {}
-        d = degree(n)
-        j = 1
-        while j * d <= self.level and c:
-            terms[vec_scale(j, n)] = c * Fraction((-1) ** (j + 1), j * j)
-            j += 1
-        return self.exp(self.lie_element(terms))
+        return self.exp(self.lie_element(dilog_log_terms(n, exponent, self.level)))
 
     # -- projection ------------------------------------------------------------
 
@@ -371,15 +375,6 @@ class AlgebraElement:
 
     def constant(self) -> Fraction:
         return self.terms.get((), _ZERO)
-
-    def is_lie(self) -> bool:
-        return all(len(m) == 1 for m in self.terms)
-
-    def min_degree(self):
-        """Smallest total degree of a nonzero term, or None for the zero element."""
-        if not self.terms:
-            return None
-        return min(monomial_degree(m) for m in self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))

@@ -127,7 +127,3 @@ def primitive(v):
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(x // g for x in v)
-
-
-def is_nonneg(v):
-    return all(x >= 0 for x in v)

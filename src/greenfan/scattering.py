@@ -44,6 +44,7 @@ from .liegroup import (
     PbwAlgebra,
     degree,
     delta_exponent,
+    dilog_log_terms,
     element_from_json,
     element_to_json,
     letter_key,
@@ -130,6 +131,12 @@ def validate_wall(fd: FixedData, wall: Wall) -> None:
             )
 
 
+def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:
+    """Sign of the c-vector of direction ``k`` and its positive representative."""
+    sign = _column_sign(seed.c, k)
+    return sign, tuple(sign * x for x in seed.c_column(k))
+
+
 def facet_wall(fd: FixedData, seed: TropicalSeed, k: int, level: int) -> Wall:
     """The wall carried by the facet of direction ``k`` at a seed.
 
@@ -138,23 +145,18 @@ def facet_wall(fd: FixedData, seed: TropicalSeed, k: int, level: int) -> Wall:
     support is the facet cone, and the element is the dilogarithm raised to
     the minimal exponent making its index land in the rescaled lattice.
     """
-    col = seed.c_column(k)
-    sign = _column_sign(seed.c, k)
-    normal = tuple(sign * x for x in col)
+    _, normal = _crossing_normal(seed, k)
     if linalg.gcd_vec(normal) != 1:
         raise RuntimeError("c-vector %r is not primitive" % (normal,))
-    for j in range(seed.rank):
-        if j != k and dual_pairing(fd.delta, normal, seed.g_column(j)) != 0:
+    rays = facet_cone(seed, k).rays
+    for ray in rays:
+        if dual_pairing(fd.delta, normal, ray) != 0:
             raise RuntimeError(
-                "facet normal %r not orthogonal to g-vector %d" % (normal, j)
+                "facet normal %r not orthogonal to g-vector %r" % (normal, ray)
             )
     alg = _algebra(fd.omega, level)
     element = alg.dilog(normal, delta_exponent(normal, fd.delta))
-    return Wall(
-        normal=normal,
-        rays=tuple(sorted(seed.g_column(j) for j in range(seed.rank) if j != k)),
-        element=element,
-    )
+    return Wall(normal=normal, rays=rays, element=element)
 
 
 def cluster_fan_diagram(
@@ -223,9 +225,7 @@ def crossing_sequence(fd: FixedData, steps) -> CrossingSequence:
         nxt = mutate_seed(fd, seed, k)
         if i + 1 < len(steps) and not nxt.same_matrices(steps[i + 1][0]):
             raise InvalidWalk("steps %d -> %d do not chain" % (i, i + 1))
-        sign = _column_sign(seed.c, k)
-        col = seed.c_column(k)
-        normal = tuple(sign * x for x in col)
+        sign, normal = _crossing_normal(seed, k)
         crossings.append(
             Crossing(
                 normal=normal,
@@ -241,7 +241,11 @@ def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
     """Build a sequence directly from (normal, sign) pairs (no walk)."""
     crossings = []
     for n, sign in pairs:
-        n = tuple(int(x) for x in n)
+        if not isinstance(n, (list, tuple)) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in n
+        ):
+            raise BadInput("crossing normal must be a list of integers, got %r" % (n,))
+        n = tuple(n)
         if sign not in (1, -1):
             raise BadInput("crossing sign must be +1 or -1, got %r" % (sign,))
         if not all(x >= 0 for x in n) or not any(n):
@@ -334,7 +338,6 @@ def _fundamental_cycles(graph: OrientedExchangeGraph):
     for key in adj:
         adj[key].sort(key=index.get)
     parent: dict[SeedKey, SeedKey | None] = {graph.root: None}
-    order = [graph.root]
     queue = [graph.root]
     tree_edges = set()
     while queue:
@@ -344,7 +347,6 @@ def _fundamental_cycles(graph: OrientedExchangeGraph):
                 parent[v] = u
                 pair = (u, v) if index[u] <= index[v] else (v, u)
                 tree_edges.add(pair)
-                order.append(v)
                 queue.append(v)
     cycles = []
     for u, v in sorted(undirected, key=lambda p: (index[p[0]], index[p[1]])):
@@ -391,12 +393,12 @@ def _walk_key_cycle(fd: FixedData, graph: OrientedExchangeGraph, cycle):
 def verify_loop_consistency(
     fd: FixedData, graph: OrientedExchangeGraph, level: int
 ) -> ConsistencyReport:
-    """Check the path-ordered product of every basis loop at every level <= l.
+    """Check that the path-ordered product of every basis loop is trivial.
 
     Walks each fundamental cycle of the unoriented exchange graph with
     labeled seeds, forms its crossing sequence, and requires the product to
-    be the identity; projections to the coarser levels are checked as well
-    (they are implied, but they are cheap and they pin the convention down).
+    be the identity at level ``l``.  Projection to a coarser level maps the
+    identity to the identity, so every level <= l is covered by this check.
     """
     if graph.status != "complete":
         raise IncompleteGraph("loop consistency needs a complete graph")
@@ -405,13 +407,7 @@ def verify_loop_consistency(
         steps, directions = _walk_key_cycle(fd, graph, cycle)
         cs = crossing_sequence(fd, steps)
         product = path_ordered_product(fd, cs, level)
-        ok = product.is_identity()
-        if ok:
-            for coarser in range(1, level + 1):
-                if not product.project(coarser).is_identity():
-                    ok = False
-                    break
-        if not ok:
+        if not product.is_identity():
             raise InconsistencyFound(cycle, product)
         reports.append(
             LoopReport(
@@ -483,22 +479,16 @@ def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
     return 1 if s < 0 else -1
 
 
-@dataclass(frozen=True)
-class _WallRecord:
-    rays: tuple[Vector, ...]
-    normal: Vector
-    log: dict  # Vector -> Fraction, the lie log of the element
-
-
-def _loop_log_product(fd, records, level, basepoint=(1, 1), clockwise=False):
+def _loop_log_product(fd, walls, level, basepoint=(1, 1), clockwise=False):
     """Path-ordered product of a full sweep around the origin."""
     alg = _algebra(fd.omega, level)
-    crossings = []  # (ray, record)
-    for rec in records:
-        for ray in rec.rays:
-            crossings.append((ray, rec))
+    crossings = []  # (ray, normal, log of the wall element)
+    for wall in walls:
+        log = wall.element.log_terms()
+        for ray in wall.rays:
+            crossings.append((ray, wall.normal, log))
     ray_order = {}
-    for ray in _sort_rays_ccw({ray for ray, _ in crossings}, basepoint):
+    for ray in _sort_rays_ccw({ray for ray, _, _ in crossings}, basepoint):
         ray_order.setdefault(ray, len(ray_order))
     if clockwise:
         n_rays = len(ray_order)
@@ -506,39 +496,17 @@ def _loop_log_product(fd, records, level, basepoint=(1, 1), clockwise=False):
     crossings.sort(
         key=lambda item: (
             ray_order[item[0]],
-            min((degree(n) for n in item[1].log), default=0),
-            item[1].normal,
+            min((degree(n) for n in item[2]), default=0),
+            item[1],
         )
     )
     acc = alg.identity()
-    for ray, rec in crossings:
-        eps = _crossing_sign(fd.delta, ray, rec.normal, clockwise)
-        clipped = {n: c for n, c in rec.log.items() if degree(n) <= level}
-        if eps == -1:
-            clipped = {n: -c for n, c in clipped.items()}
-        factor = alg.exp(alg.lie_element(clipped))
+    for ray, normal, log in crossings:
+        eps = _crossing_sign(fd.delta, ray, normal, clockwise)
+        # lie_element drops the terms above this sweep's level
+        factor = alg.exp(alg.lie_element({n: eps * c for n, c in log.items()}))
         acc = factor * acc
     return acc
-
-
-def _initial_records(fd: FixedData, level: int):
-    records = []
-    for i in range(2):
-        n = tuple(1 if j == i else 0 for j in range(2))
-        direction = _line_direction(fd.delta, n)
-        log = {}
-        j = 1
-        while j <= level:
-            log[linalg.vec_scale(j, n)] = fd.delta[i] * Fraction(
-                (-1) ** (j + 1), j * j
-            )
-            j += 1
-        records.append(
-            _WallRecord(
-                rays=(direction, linalg.vec_neg(direction)), normal=n, log=log
-            )
-        )
-    return records
 
 
 def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
@@ -556,9 +524,20 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     level = int(level)
     if level < 1:
         raise ValueError("level must be >= 1")
-    records = _initial_records(fd, level)
+    alg = _algebra(fd.omega, level)
+    walls = []
+    for i in range(2):
+        n = tuple(1 if j == i else 0 for j in range(2))
+        direction = _line_direction(fd.delta, n)
+        walls.append(
+            Wall(
+                normal=n,
+                rays=(direction, linalg.vec_neg(direction)),
+                element=alg.dilog(n, fd.delta[i]),
+            )
+        )
     for d in range(2, level + 1):
-        defect = _loop_log_product(fd, records, d).log_terms()
+        defect = _loop_log_product(fd, walls, d).log_terms()
         for n in sorted(defect, key=letter_key):
             c = defect[n]
             if degree(n) != d:
@@ -568,17 +547,16 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
             n_pr = linalg.primitive(n)
             ray = _outgoing_ray(fd, n_pr)
             eps = _crossing_sign(fd.delta, ray, n_pr)
-            records.append(
-                _WallRecord(rays=(ray,), normal=n_pr, log={n: -eps * c})
-            )
+            element = alg.exp(alg.lie_element({n: -eps * c}))
+            walls.append(Wall(normal=n_pr, rays=(ray,), element=element))
     # merge scattered walls sharing a support ray and normal
     merged: dict[tuple, dict] = {}
-    for rec in records[2:]:
-        log = merged.setdefault((rec.rays, rec.normal), {})
-        for n, c in rec.log.items():
+    for wall in walls[2:]:
+        log = merged.setdefault((wall.rays, wall.normal), {})
+        for n, c in wall.element.log_terms().items():
             log[n] = log.get(n, Fraction(0)) + c
-    final = records[:2] + [
-        _WallRecord(rays=rays, normal=normal, log={n: c for n, c in log.items() if c})
+    final = walls[:2] + [
+        Wall(normal=normal, rays=rays, element=alg.exp(alg.lie_element(log)))
         for (rays, normal), log in sorted(
             merged.items(),
             key=lambda item: (_ccw_position((1, 1), item[0][0][0]), item[0][0][0], item[0][1]),
@@ -588,12 +566,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     check = _loop_log_product(fd, final, level)
     if not check.is_identity():
         raise InconsistencyFound((), check, "completion failed to cancel all defects")
-    alg = _algebra(fd.omega, level)
-    walls = tuple(
-        Wall(normal=rec.normal, rays=rec.rays, element=alg.exp(alg.lie_element(rec.log)))
-        for rec in final
-    )
-    return ScatteringDiagram(level=level, walls=walls, origin="rank2-completion")
+    return ScatteringDiagram(level=level, walls=tuple(final), origin="rank2-completion")
 
 
 def verify_rank2_consistency(
@@ -607,12 +580,8 @@ def verify_rank2_consistency(
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
     level = diagram.level if level is None else level
-    records = [
-        _WallRecord(rays=w.rays, normal=w.normal, log=w.element.log_terms())
-        for w in diagram.walls
-    ]
     product = _loop_log_product(
-        fd, records, level, basepoint=(-1, -1), clockwise=True
+        fd, diagram.walls, level, basepoint=(-1, -1), clockwise=True
     )
     if not product.is_identity():
         raise InconsistencyFound((), product)
@@ -624,24 +593,12 @@ def factor_dilog_power(fd: FixedData, wall: Wall) -> str | None:
     log = wall.element.log_terms()
     if not log:
         return None
-    level = wall.element.algebra.level
     base = linalg.primitive(next(iter(log)))
-    multiples = {}
-    for n, c in log.items():
-        if linalg.primitive(n) != base:
-            return None
-        multiples[degree(n) // degree(base)] = (n, c)
-    t = min(multiples)
-    m = multiples[t][0]
-    c = multiples[t][1]
-    j = 1
-    while j * degree(m) <= level:
-        expected = c * Fraction((-1) ** (j + 1), j * j)
-        seen = multiples.pop(j * t, (None, Fraction(0)))[1]
-        if seen != expected:
-            return None
-        j += 1
-    if any(entry[1] for entry in multiples.values()):
+    if any(linalg.primitive(n) != base for n in log):
+        return None
+    m = min(log, key=degree)
+    c = log[m]
+    if log != dilog_log_terms(m, c, wall.element.algebra.level):
         return None
     return "Psi[%s]^%s" % (",".join(str(x) for x in m), c)
 
@@ -748,6 +705,16 @@ def _svg_label(v, text, scale=1.12, size=11, color="#333"):
     )
 
 
+def _svg_chamber_labels(graph):
+    """``t<i>`` at the i-th chamber of a complete graph; nothing otherwise."""
+    labels = []
+    if graph is not None and graph.status == "complete":
+        for i, seed in enumerate(graph.vertices.values()):
+            center = linalg.vec_add(seed.g_column(0), seed.g_column(1))
+            labels.append(_svg_label(center, "t%d" % i, scale=0.55, size=10, color="#777"))
+    return labels
+
+
 def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram, graph=None) -> str:
     """Static picture of a rank-2 diagram; deterministic bytes."""
     if fd.rank != 2:
@@ -764,10 +731,7 @@ def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram, graph=None) -> str
             str(x) for x in wall.normal
         )
         parts.append(_svg_label(wall.rays[0], label))
-    if graph is not None and graph.status == "complete":
-        for i, seed in enumerate(graph.vertices.values()):
-            center = linalg.vec_add(seed.g_column(0), seed.g_column(1))
-            parts.append(_svg_label(center, "t%d" % i, scale=0.55, size=10, color="#777"))
+    parts.extend(_svg_chamber_labels(graph))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -790,9 +754,6 @@ def fan_to_svg(fd: FixedData, graph: OrientedExchangeGraph) -> str:
         parts.append(
             _svg_label(ray, "(%s)" % ",".join(str(x) for x in ray), size=10)
         )
-    if graph.status == "complete":
-        for i, seed in enumerate(graph.vertices.values()):
-            center = linalg.vec_add(seed.g_column(0), seed.g_column(1))
-            parts.append(_svg_label(center, "t%d" % i, scale=0.55, size=10, color="#777"))
+    parts.extend(_svg_chamber_labels(graph))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

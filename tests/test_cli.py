@@ -4,10 +4,47 @@ import sys
 
 import pytest
 
+from greenfan import enumerate_graph, graph_to_json, validate_fixed_data
+
 CMD = [sys.executable, "-m", "greenfan"]
 
 A2 = {"B": [[0, 1], [-1, 0]], "delta": [1, 1]}
 KRONECKER = {"B": [[0, 2], [-2, 0]], "delta": [1, 1]}
+
+
+UNKNOWN_KEY = '{"g":[[9,9],[1,0]],"B":[[0,1],[-1,0]]}'
+
+
+def a2_graph_doc(root=None, **first_edge):
+    """Exported A2 graph with the root or fields of the first edge replaced."""
+    doc = graph_to_json(enumerate_graph(validate_fixed_data(A2["B"], A2["delta"])))
+    doc["edges"][0].update(first_edge)
+    if root is not None:
+        doc["root"] = root
+    return doc
+
+
+# (argv before the input path, input document or None, error code)
+DOMAIN_ERRORS = {
+    "not-skew-symmetrizable": (
+        ["explore"], {"B": [[0, 1], [1, 0]], "delta": [1, 1]}, "not_skew_symmetrizable"
+    ),
+    "non-square-B": (
+        ["explore", "--matrix", "[[0,1]]", "--delta", "[1]"], None, "bad_input"
+    ),
+    "non-integer-B": (
+        ["explore", "--matrix", "[[0,1.5],[-1,0]]", "--delta", "[1,1]"], None, "bad_input"
+    ),
+    "string-normal": (
+        ["obstruct"], dict(A2, crossings=[{"normal": "ab", "sign": 1}]), "bad_input"
+    ),
+    "fractional-normal": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [1.5, 0], "sign": 1}]), "bad_input"
+    ),
+    "non-integer-direction": (["certify"], a2_graph_doc(direction="x"), "bad_input"),
+    "unknown-edge-target": (["certify"], a2_graph_doc(target=UNKNOWN_KEY), "bad_input"),
+    "unknown-root": (["certify"], a2_graph_doc(root=UNKNOWN_KEY), "bad_input"),
+}
 
 
 def run_cli(*args, expect=0):
@@ -164,13 +201,17 @@ class TestContract:
         reparsed = json.loads(json.dumps(graph_doc))
         assert reparsed == graph_doc
 
-    def test_domain_error_shape(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"B": [[0, 1], [1, 0]], "delta": [1, 1]}))
-        proc = run_cli("explore", str(path), expect=1)
+    @pytest.mark.parametrize("case", sorted(DOMAIN_ERRORS))
+    def test_domain_error_shape(self, case, tmp_path):
+        argv, doc, code = DOMAIN_ERRORS[case]
+        if doc is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + [str(path)]
+        proc = run_cli(*argv, expect=1)
         err = json.loads(proc.stderr)
-        assert err["error"] == "not_skew_symmetrizable"
-        assert "detail" in err
+        assert set(err) == {"error", "detail"}
+        assert err["error"] == code
         assert proc.stdout == ""
 
     def test_missing_file_is_domain_error(self):

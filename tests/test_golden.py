@@ -1,0 +1,66 @@
+"""Byte-identity of the documented CLI artifacts across versions.
+
+Each case runs one documented command in process and pins the sha256 of
+its stdout.  A refactor that claims identical output must leave every
+digest unchanged; a deliberate change of an output format updates the
+digest here together with the README.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from greenfan import cli
+
+PATTERNS = {
+    "A2": {"B": [[0, 1], [-1, 0]], "delta": [1, 1]},
+    "B2": {"B": [[0, 1], [-2, 0]], "delta": [1, 2]},
+    "G2": {"B": [[0, 1], [-3, 0]], "delta": [1, 3]},
+    "A3": {"B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "delta": [1, 1, 1]},
+    "Kronecker": {"B": [[0, 2], [-2, 0]], "delta": [1, 1]},
+}
+
+GOLDEN = {
+    ("explore", "A3", ()):
+        "b3009cde21976bfaa51d29fd8dfbc8a6dd07e65805b619a483cc11aaa6a33d18",
+    ("explore", "A3", ("--format", "dot")):
+        "44ee6c7adb2b11c320f6a93c5f50e9ccc2973e2d51c9ae9cf1751efc0b84d9ea",
+    ("consistency", "A3", ("--level", "4")):
+        "8ebc1258ee6b978ed1531584f04ef94c10dc58b6e55a88b973b8490a6182106e",
+    ("scatter2", "A2", ("--level", "6")):
+        "9bd8acda7bb2b8d2d552faaeec5ecd45d32fe544faa7e579e15b055c239a1444",
+    ("scatter2", "A2", ("--level", "6", "--format", "svg")):
+        "cdf4cefbcdbb7387636fbcfbc085a5ca9ad75e7dd24c32cbe7854a7f3f029357",
+    ("scatter2", "B2", ("--level", "6")):
+        "0344f3d7ee8e75fe450a1878325045622b40671b930e60f742e5f03154692d3a",
+    ("scatter2", "B2", ("--level", "6", "--format", "svg")):
+        "414b8c9ac4de85e1933afb7f62f2800cdc25b282b677955eb29bcf5b2faf33c5",
+    ("scatter2", "G2", ("--level", "6")):
+        "8fb6c122b21c5c9eaaa298a4995c025e6a0afe179e50ed61901e20bc8eff8529",
+    ("scatter2", "G2", ("--level", "6", "--format", "svg")):
+        "f221176426ea040609acdc6c44f5e5cc94dd8dfab8f3e4d2ca50225cfc488fbb",
+    ("scatter2", "Kronecker", ("--level", "6")):
+        "d09c17d45d41ec54c39b310b4d824c3d4d6760f16700537cfec7ace058fdd30e",
+    ("scatter2", "Kronecker", ("--level", "6", "--format", "svg")):
+        "f5cd963e496615f4562e9216037205050ce530aa98b17b06cf4ab88be8da5fd7",
+    ("emit-fan", "G2", ()):
+        "89089397432ddfa678f287abb306b22f6f7343923beed54728cc2b08f4d9b915",
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(GOLDEN), ids=lambda c: "-".join((c[0], c[1]) + c[2])
+)
+def test_artifact_digest(case, tmp_path):
+    command, pattern, extra = case
+    path = tmp_path / ("%s.json" % pattern)
+    path.write_text(json.dumps(PATTERNS[pattern]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(path)] + list(extra))
+    assert (code, err.getvalue()) == (0, "")
+    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    assert digest == GOLDEN[case]

@@ -18,7 +18,7 @@ from greenfan import (
     group_to_json,
     project,
 )
-from greenfan.liegroup import monomial_degree
+from greenfan.liegroup import dilog_log_terms, monomial_degree
 
 from support import (
     element_words,
@@ -216,6 +216,20 @@ class TestDilog:
         n = (1, 1)
         g1, g2 = a.dilog(n, Fraction(1, 2)), a.dilog((2, 2), 3)
         assert g1 * g2 == g2 * g1
+
+    def test_log_terms_closed_form(self):
+        rng = random.Random(37)
+        for _ in range(25):
+            fd = random_fixed_data(rng)
+            level = rng.randint(1, 6)
+            a = PbwAlgebra(fd.omega, level)
+            n = random_positive_vector(rng, fd.rank)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            g = a.dilog(n, c)
+            want = dilog_log_terms(n, c, level)
+            assert want == g.log_terms()
+            # the log series on the carrier, bypassing the log cached by exp
+            assert want == GroupElement(g.carrier).log_terms()
 
 
 class TestDeltaExponent:

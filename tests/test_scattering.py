@@ -133,6 +133,28 @@ class TestFacetWalls:
             validate_wall(a2, Wall((1, 0), ((0, 1),), alg.dilog((0, 1), 1)))
 
 
+class TestFactorDilogPower:
+    @pytest.mark.parametrize(
+        "log",
+        [
+            {(1, 0): 1, (3, 0): Fraction(1, 9)},
+            {(1, 0): 1, (0, 1): 1},
+            {(1, 0): 1, (2, 0): Fraction(1, 4), (3, 0): Fraction(1, 9)},
+            {},
+        ],
+        ids=["gap", "mixed-bases", "wrong-coefficient", "empty"],
+    )
+    def test_not_a_dilog_power(self, a2, log):
+        alg = PbwAlgebra(a2.omega, 3)
+        wall = Wall((1, 0), ((0, 1),), alg.exp(alg.lie_element(log)))
+        assert factor_dilog_power(a2, wall) is None
+
+    def test_power_of_a_multiple(self, a2):
+        alg = PbwAlgebra(a2.omega, 8)
+        wall = Wall((1, 1), ((1, -1),), alg.dilog((2, 2), Fraction(-3, 2)))
+        assert factor_dilog_power(a2, wall) == "Psi[2,2]^-3/2"
+
+
 class TestCrossingSequences:
     def test_green_walk_has_positive_signs(self, a2):
         steps = walk(a2, root_seed(a2), [0, 1])
