@@ -173,8 +173,8 @@ def _run_obstruct(job: argparse.Namespace, doc) -> int:
     pairs = []
     for rec in doc["crossings"]:
         try:
-            pairs.append((rec["normal"], int(rec["sign"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            pairs.append((rec["normal"], rec["sign"]))
+        except (KeyError, TypeError) as exc:
             raise BadInput("malformed crossing record: %r" % (rec,)) from exc
     cs = scattering.crossing_sequence_from_normals(fd, pairs)
     obstruction = scattering.minimal_degree_obstruction(fd, cs)

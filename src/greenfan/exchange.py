@@ -100,20 +100,27 @@ def _minimal_skew_symmetrizer(b):
     return tuple(ratio)
 
 
+def _int_list(field: str, value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise BadInput("%s must be a list of integers, got %r" % (field, value))
+    return tuple(value)
+
+
 def validate_fixed_data(b, delta, d=None) -> FixedData:
     """Check the root data and return it in canonical form.
 
     Raises NotSkewSymmetrizable when no positive skew-symmetrizer exists and
     BadDecomposition when ``diag(delta)^-1 * B`` fails to be skew-symmetric.
     When ``d`` is omitted the minimal positive skew-symmetrizer is computed.
-    A ``B`` that is not a square integer matrix raises BadInput.
+    A ``B`` that is not a square integer matrix, or a ``delta`` or ``d``
+    that is not a list, raises BadInput.
     """
     try:
         bm = linalg.as_int_matrix(b)
     except (TypeError, ValueError) as exc:
         raise BadInput("B: %s" % exc) from exc
     r = len(bm)
-    delta = tuple(delta)
+    delta = _int_list("delta", delta)
     if len(delta) != r or any(
         isinstance(x, bool) or not isinstance(x, int) or x <= 0 for x in delta
     ):
@@ -124,7 +131,7 @@ def validate_fixed_data(b, delta, d=None) -> FixedData:
     if d is None:
         d = found
     else:
-        d = tuple(d)
+        d = _int_list("D", d)
         if len(d) != r or any(not isinstance(x, int) or x <= 0 for x in d):
             raise NotSkewSymmetrizable("provided D must be positive integers")
         for i in range(r):

@@ -16,6 +16,10 @@ order on index vectors.  An out-of-order adjacent pair rewrites as
 which preserves total degree, so truncation commutes with multiplication.
 
 Coefficients are exact ``fractions.Fraction`` values throughout.
+
+``TorusAction`` carries a group element as its faithful action on one torus
+monomial instead: much cheaper to compose, and the engine of the loop and
+rank-2 checks, which PBW products are tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     NotGrouplike,
     NotLieElement,
 )
-from .linalg import vec_add, vec_scale
+from .linalg import primitive, vec_add, vec_scale
 
 Vector = tuple[int, ...]
 Monomial = tuple[Vector, ...]
@@ -476,6 +480,131 @@ def project(x, new_level: int):
     """Module-level convenience: project an algebra or group element."""
     alg = x.algebra
     return alg.project(x, new_level)
+
+
+# ---------------------------------------------------------------------------
+# torus action
+
+
+def _exact(x):
+    """An integral Fraction as an int, so that integral series stay int."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(s, k: int):
+    if isinstance(s, int) and not s % k:
+        return s // k
+    return _exact(Fraction(s, k))
+
+
+def _binomial_series(x, length: int) -> list:
+    """binom(x, k) for k = 0..length; ints when x is an integer."""
+    x = _exact(x)
+    out = [1]
+    for k in range(1, length + 1):
+        out.append(_quotient(out[-1] * (x - k + 1), k))
+    return out
+
+
+def _exp_series(a: dict, psi, length: int) -> list:
+    """Coefficients e_0..e_length of exp(P(t)), where t P'(t) = psi * sum_j a_j t^j.
+
+    Differentiating E = exp(P) gives k e_k = psi * sum_j a_j e_(k-j).
+    """
+    e = [1]
+    for k in range(1, length + 1):
+        s = sum((a_j * e[k - j] for j, a_j in a.items() if j <= k), 0)
+        e.append(_quotient(psi * s, k))
+    return e
+
+
+class TorusAction:
+    """A truncated group element through its action on one torus monomial.
+
+    ``X_n`` acts on ``z^(a,u)`` by ``(omega(n, a) + <n, u>) z^(a+n, u)``;
+    these derivations satisfy ``[X_n, X_m] = omega(n, m) X_(n+m)`` for any
+    skew ``omega``, so group elements act by ring automorphisms.  With
+    ``u = (1, ..., 1)`` the instance tracks ``series``, the image of
+    ``z^(0,u)`` divided by ``z^(0,u)``: a series in ``y^m = z^(m,0)`` over
+    exponents ``m`` in N^r, truncated above ``level``, with exact int or
+    Fraction coefficients.  It starts at the identity, and each ``apply_*``
+    left-multiplies, as ``path_ordered_product`` does.
+
+    The action is faithful: when the log of the element has lowest-degree
+    part ``sum c_n X_n``, the series is ``1 + sum c_n deg(n) y^n`` plus terms
+    of higher degree.  So the element is the identity exactly when the series
+    is 1, and the lowest log terms read off as ``[y^n] series / deg(n)``.
+    """
+
+    __slots__ = ("omega", "level", "series")
+
+    def __init__(self, omega, level: int):
+        self.omega = tuple(tuple(_exact(Fraction(x)) for x in row) for row in omega)
+        self.level = level
+        self.series: dict[Vector, object] = {(0,) * len(self.omega): 1}
+
+    def apply_dilog(self, n: Vector, c) -> None:
+        """Left-multiply by Psi[n]^c: y^m -> y^m (1 + y^n)^(c * psi)."""
+        c = _exact(Fraction(c))
+        if c:
+            self._apply(tuple(n), lambda psi, length: _binomial_series(c * psi, length))
+
+    def apply_wall(self, log_terms) -> None:
+        """Left-multiply by exp(sum_j c_j X_(jn)), given as ``{jn: c_j}``.
+
+        The terms must lie on multiples of one primitive ``n``, so that they
+        commute; then y^m -> y^m exp(psi * h(y^n)) with h(t) = sum_j j c_j t^j.
+        """
+        if not log_terms:
+            return
+        n = primitive(next(iter(log_terms)))
+        a = {}  # j -> j^2 c_j, the coefficients of t h'(t)
+        for v, c in log_terms.items():
+            j = degree(v) // degree(n)
+            if vec_scale(j, n) != tuple(v):
+                raise ValueError("wall log is not supported on multiples of %r" % (n,))
+            a[j] = _exact(Fraction(c) * j * j)
+        self._apply(n, lambda psi, length: _exp_series(a, psi, length))
+
+    def _apply(self, n: Vector, series) -> None:
+        """y^m -> y^m * F(y^n), F's coefficients from ``series(psi, length)``.
+
+        psi = omega(n, m) + deg(n); it is shared by many m, so each F is
+        built once per call.
+        """
+        dn = degree(n)
+        level = self.level
+        longest = level // dn
+        if not longest:
+            return
+        w = tuple(
+            sum(ni * row[j] for ni, row in zip(n, self.omega) if ni)
+            for j in range(len(self.omega))
+        )
+        factors_by_psi = {}
+        out: dict[Vector, object] = {}
+        for m, coeff in self.series.items():
+            psi = dn + sum(wj * mj for wj, mj in zip(w, m) if mj)
+            factors = factors_by_psi.get(psi)
+            if factors is None:
+                factors = factors_by_psi[psi] = series(psi, longest)
+            target = m
+            for k in range((level - degree(m)) // dn + 1):
+                if factors[k]:
+                    out[target] = out.get(target, 0) + coeff * factors[k]
+                target = vec_add(target, n)
+        self.series = {m: c for m, c in out.items() if c}
+
+    def is_identity(self) -> bool:
+        # the constant term is always 1: every factor fixes it
+        return len(self.series) == 1
+
+    def lowest_log_terms(self) -> dict[Vector, Fraction]:
+        """Lowest-degree part of the log of the element; empty for the identity."""
+        low = min((degree(m) for m in self.series if any(m)), default=0)
+        return {
+            m: Fraction(c, low) for m, c in self.series.items() if low and degree(m) == low
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from .exchange import (
 from .liegroup import (
     GroupElement,
     PbwAlgebra,
+    TorusAction,
     degree,
     delta_exponent,
     dilog_log_terms,
@@ -51,12 +52,6 @@ from .liegroup import (
 )
 
 Vector = tuple[int, ...]
-
-
-@functools.lru_cache(maxsize=None)
-def _algebra(omega, level: int) -> PbwAlgebra:
-    # shared instances keep the straightening memo warm across calls
-    return PbwAlgebra(omega, level)
 
 
 def dual_pairing(delta, n, m) -> Fraction:
@@ -154,8 +149,7 @@ def facet_wall(fd: FixedData, seed: TropicalSeed, k: int, level: int) -> Wall:
             raise RuntimeError(
                 "facet normal %r not orthogonal to g-vector %r" % (normal, ray)
             )
-    alg = _algebra(fd.omega, level)
-    element = alg.dilog(normal, delta_exponent(normal, fd.delta))
+    element = PbwAlgebra(fd.omega, level).dilog(normal, delta_exponent(normal, fd.delta))
     return Wall(normal=normal, rays=rays, element=element)
 
 
@@ -246,8 +240,8 @@ def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
         ):
             raise BadInput("crossing normal must be a list of integers, got %r" % (n,))
         n = tuple(n)
-        if sign not in (1, -1):
-            raise BadInput("crossing sign must be +1 or -1, got %r" % (sign,))
+        if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (1, -1):
+            raise BadInput("crossing sign must be the integer 1 or -1, got %r" % (sign,))
         if not all(x >= 0 for x in n) or not any(n):
             raise BadInput("crossing normal must be positive, got %r" % (n,))
         crossings.append(
@@ -258,7 +252,7 @@ def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
 
 def path_ordered_product(fd: FixedData, cs: CrossingSequence, level: int) -> GroupElement:
     """Compose the crossings right-to-left at the given truncation level."""
-    alg = _algebra(fd.omega, level)
+    alg = PbwAlgebra(fd.omega, level)
     acc = alg.identity()
     for crossing in cs.crossings:
         factor = alg.dilog(crossing.normal, crossing.sign * crossing.exponent)
@@ -296,7 +290,7 @@ def minimal_degree_obstruction(fd: FixedData, cs: CrossingSequence) -> Obstructi
     for c in cs.crossings:
         if degree(c.normal) == level:
             witness[c.normal] = witness.get(c.normal, Fraction(0)) + c.exponent
-    alg = _algebra(fd.omega, level)
+    alg = PbwAlgebra(fd.omega, level)
     expected = alg.exp(alg.lie_element(witness))
     if product != expected:
         raise RuntimeError("minimal-degree projection disagrees with its closed form")
@@ -399,6 +393,8 @@ def verify_loop_consistency(
     labeled seeds, forms its crossing sequence, and requires the product to
     be the identity at level ``l``.  Projection to a coarser level maps the
     identity to the identity, so every level <= l is covered by this check.
+    The product is checked through its faithful torus action; the PBW
+    product is built only for the error of a failing loop.
     """
     if graph.status != "complete":
         raise IncompleteGraph("loop consistency needs a complete graph")
@@ -406,9 +402,11 @@ def verify_loop_consistency(
     for cycle in _fundamental_cycles(graph):
         steps, directions = _walk_key_cycle(fd, graph, cycle)
         cs = crossing_sequence(fd, steps)
-        product = path_ordered_product(fd, cs, level)
-        if not product.is_identity():
-            raise InconsistencyFound(cycle, product)
+        action = TorusAction(fd.omega, level)
+        for crossing in cs.crossings:
+            action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
+        if not action.is_identity():
+            raise InconsistencyFound(cycle, path_ordered_product(fd, cs, level))
         reports.append(
             LoopReport(
                 vertices=tuple(cycle),
@@ -479,9 +477,12 @@ def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
     return 1 if s < 0 else -1
 
 
-def _loop_log_product(fd, walls, level, basepoint=(1, 1), clockwise=False):
-    """Path-ordered product of a full sweep around the origin."""
-    alg = _algebra(fd.omega, level)
+def _sweep_factors(fd, walls, basepoint=(1, 1), clockwise=False):
+    """Signed logs of the wall crossings of a full sweep around the origin.
+
+    Returned in crossing order, first crossed first; the path-ordered
+    product left-multiplies them in this order.
+    """
     crossings = []  # (ray, normal, log of the wall element)
     for wall in walls:
         log = wall.element.log_terms()
@@ -500,13 +501,31 @@ def _loop_log_product(fd, walls, level, basepoint=(1, 1), clockwise=False):
             item[1],
         )
     )
-    acc = alg.identity()
+    factors = []
     for ray, normal, log in crossings:
         eps = _crossing_sign(fd.delta, ray, normal, clockwise)
+        factors.append({n: eps * c for n, c in log.items()})
+    return factors
+
+
+def _sweep_action(fd, factors, level) -> TorusAction:
+    """The sweep's product at ``level`` as a torus action."""
+    action = TorusAction(fd.omega, level)
+    for log in factors:
+        action.apply_wall(log)
+    return action
+
+
+def _require_trivial_sweep(fd, factors, level, *message) -> None:
+    """Raise InconsistencyFound, carrying the PBW product, unless it is 1."""
+    if _sweep_action(fd, factors, level).is_identity():
+        return
+    alg = PbwAlgebra(fd.omega, level)
+    product = alg.identity()
+    for log in factors:
         # lie_element drops the terms above this sweep's level
-        factor = alg.exp(alg.lie_element({n: eps * c for n, c in log.items()}))
-        acc = factor * acc
-    return acc
+        product = alg.exp(alg.lie_element(log)) * product
+    raise InconsistencyFound((), product, *message)
 
 
 def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
@@ -524,7 +543,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     level = int(level)
     if level < 1:
         raise ValueError("level must be >= 1")
-    alg = _algebra(fd.omega, level)
+    alg = PbwAlgebra(fd.omega, level)
     walls = []
     for i in range(2):
         n = tuple(1 if j == i else 0 for j in range(2))
@@ -537,7 +556,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
             )
         )
     for d in range(2, level + 1):
-        defect = _loop_log_product(fd, walls, d).log_terms()
+        defect = _sweep_action(fd, _sweep_factors(fd, walls), d).lowest_log_terms()
         for n in sorted(defect, key=letter_key):
             c = defect[n]
             if degree(n) != d:
@@ -563,9 +582,9 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
         )
         if any(log.values())
     ]
-    check = _loop_log_product(fd, final, level)
-    if not check.is_identity():
-        raise InconsistencyFound((), check, "completion failed to cancel all defects")
+    _require_trivial_sweep(
+        fd, _sweep_factors(fd, final), level, "completion failed to cancel all defects"
+    )
     return ScatteringDiagram(level=level, walls=tuple(final), origin="rank2-completion")
 
 
@@ -580,11 +599,8 @@ def verify_rank2_consistency(
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
     level = diagram.level if level is None else level
-    product = _loop_log_product(
-        fd, diagram.walls, level, basepoint=(-1, -1), clockwise=True
-    )
-    if not product.is_identity():
-        raise InconsistencyFound((), product)
+    factors = _sweep_factors(fd, diagram.walls, basepoint=(-1, -1), clockwise=True)
+    _require_trivial_sweep(fd, factors, level)
     return True
 
 

@@ -1,6 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from greenfan import validate_fixed_data
+
+# the CLI tests run ``python -m greenfan`` in a child process, which must
+# find the package of this checkout as the tests themselves do
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 
 @pytest.fixture

@@ -45,6 +45,9 @@ FIXTURES = {
     "B2": ([[0, 1], [-2, 0]], [1, 2], 6),
     "G2": ([[0, 1], [-3, 0]], [1, 3], 8),
     "A3": ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1], 14),
+    "B3": ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], [1, 1, 2], 20),
+    "A4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], [1, 1, 1, 1], 42),
+    "D4": ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], [1, 1, 1, 1], 50),
 }
 
 
@@ -82,7 +85,8 @@ def test_criterion_1_finite_type_enumeration():
             failures.append("%s root is not the unique source" % name)
         if elapsed >= 1.0:
             failures.append("%s took %.2fs" % (name, elapsed))
-    _report(1, failures, "counts 5/6/8/14, acyclic, root unique source (%s)" % ", ".join(timings))
+    counts = "/".join(str(expected) for _, _, expected in FIXTURES.values())
+    _report(1, failures, "counts %s, acyclic, root unique source (%s)" % (counts, ", ".join(timings)))
 
 
 def test_criterion_2_structural_invariants():

@@ -41,6 +41,17 @@ DOMAIN_ERRORS = {
     "fractional-normal": (
         ["obstruct"], dict(A2, crossings=[{"normal": [1.5, 0], "sign": 1}]), "bad_input"
     ),
+    "scalar-delta": (["explore"], dict(A2, delta=5), "bad_input"),
+    "scalar-D": (["explore"], dict(A2, D=3), "bad_input"),
+    "fractional-sign": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [1, 0], "sign": 1.7}]), "bad_input"
+    ),
+    "boolean-sign": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [1, 0], "sign": True}]), "bad_input"
+    ),
+    "string-sign": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [1, 0], "sign": "1"}]), "bad_input"
+    ),
     "non-integer-direction": (["certify"], a2_graph_doc(direction="x"), "bad_input"),
     "unknown-edge-target": (["certify"], a2_graph_doc(target=UNKNOWN_KEY), "bad_input"),
     "unknown-root": (["certify"], a2_graph_doc(root=UNKNOWN_KEY), "bad_input"),

@@ -5,6 +5,8 @@ import pytest
 
 from greenfan import (
     Cone,
+    CrossingSequence,
+    GroupElement,
     IncompleteGraph,
     InconsistencyFound,
     InvalidWalk,
@@ -36,6 +38,7 @@ from greenfan import (
     verify_rank2_consistency,
     walk,
 )
+from greenfan import scattering as scattering_module
 from greenfan.liegroup import degree
 
 from support import element_words, oracle_multiply
@@ -302,6 +305,18 @@ class TestLoopConsistency:
                 assert loop.identity
                 assert loop.max_degree_checked == 4
 
+    def test_failing_loop_reports_its_pbw_product(self, a2, monkeypatch):
+        def drop_last(fd, steps):
+            cs = crossing_sequence(fd, steps)
+            return CrossingSequence(cs.crossings[:-1], cs.directions[:-1])
+
+        monkeypatch.setattr(scattering_module, "crossing_sequence", drop_last)
+        with pytest.raises(InconsistencyFound) as info:
+            verify_loop_consistency(a2, enumerate_graph(a2), 4)
+        assert info.value.loop
+        assert isinstance(info.value.element, GroupElement)
+        assert not info.value.element.is_identity()
+
     def test_truncated_graph_rejected(self, kronecker):
         graph = enumerate_graph(kronecker, max_depth=4)
         with pytest.raises(IncompleteGraph):
@@ -375,6 +390,12 @@ class TestRankTwoCompletion:
         assert factor_dilog_power(kronecker, central[0]) is None
         log = central[0].element.log_terms()
         assert log[(1, 1)] == 2
+
+    def test_kronecker_central_wall_at_level_20(self, kronecker):
+        diagram = complete_rank2(kronecker, 20)
+        central = [w.element.log_terms() for w in scattered(diagram) if w.normal == (1, 1)]
+        assert central == [{(k, k): Fraction(2, k * k) for k in range(1, 11)}]
+        assert verify_rank2_consistency(kronecker, diagram)
 
     def test_level_refinement_stability(self, b2, kronecker):
         for fd in (b2, kronecker):
