@@ -132,7 +132,9 @@ def validate_fixed_data(b, delta, d=None) -> FixedData:
         d = found
     else:
         d = _int_list("D", d)
-        if len(d) != r or any(not isinstance(x, int) or x <= 0 for x in d):
+        if len(d) != r or any(
+            isinstance(x, bool) or not isinstance(x, int) or x <= 0 for x in d
+        ):
             raise NotSkewSymmetrizable("provided D must be positive integers")
         for i in range(r):
             for j in range(r):

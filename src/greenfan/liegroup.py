@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 from .errors import (
     BadInput,
@@ -592,7 +593,7 @@ class TorusAction:
             for k in range((level - degree(m)) // dn + 1):
                 if factors[k]:
                     out[target] = out.get(target, 0) + coeff * factors[k]
-                target = vec_add(target, n)
+                target = tuple(map(add, target, n))
         self.series = {m: c for m, c in out.items() if c}
 
     def is_identity(self) -> bool:

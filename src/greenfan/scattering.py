@@ -16,6 +16,7 @@ composed right-to-left: the first wall crossed sits rightmost.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .errors import (
     NotAllGreen,
     NotRankTwo,
 )
-from .exchange import (
+from .exchange import (  # noqa: F401 -- perfbench/spans.py wraps canonical_key here
     FixedData,
     OrientedExchangeGraph,
     SeedKey,
@@ -193,6 +194,12 @@ class CrossingSequence:
     directions: tuple[int, ...] = ()
 
 
+def _crossing(fd: FixedData, seed: TropicalSeed, k: int) -> Crossing:
+    """The crossing of the facet of direction ``k`` out of the seed's chamber."""
+    sign, normal = _crossing_normal(seed, k)
+    return Crossing(normal=normal, sign=sign, exponent=delta_exponent(normal, fd.delta))
+
+
 def walk(fd: FixedData, seed: TropicalSeed, directions) -> tuple:
     """Expand a direction list into the (seed, direction) pairs of a walk."""
     steps = []
@@ -219,14 +226,7 @@ def crossing_sequence(fd: FixedData, steps) -> CrossingSequence:
         nxt = mutate_seed(fd, seed, k)
         if i + 1 < len(steps) and not nxt.same_matrices(steps[i + 1][0]):
             raise InvalidWalk("steps %d -> %d do not chain" % (i, i + 1))
-        sign, normal = _crossing_normal(seed, k)
-        crossings.append(
-            Crossing(
-                normal=normal,
-                sign=sign,
-                exponent=delta_exponent(normal, fd.delta),
-            )
-        )
+        crossings.append(_crossing(fd, seed, k))
         directions.append(k)
     return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
 
@@ -332,29 +332,28 @@ def _fundamental_cycles(graph: OrientedExchangeGraph):
     for key in adj:
         adj[key].sort(key=index.get)
     parent: dict[SeedKey, SeedKey | None] = {graph.root: None}
-    queue = [graph.root]
+    queue = deque([graph.root])
     tree_edges = set()
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for v in adj[u]:
             if v not in parent:
                 parent[v] = u
                 pair = (u, v) if index[u] <= index[v] else (v, u)
                 tree_edges.add(pair)
                 queue.append(v)
+
+    def root_path(x):
+        path = [x]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]  # root .. x
+
     cycles = []
     for u, v in sorted(undirected, key=lambda p: (index[p[0]], index[p[1]])):
         if (u, v) in tree_edges:
             continue
-
-        def chain(x):
-            path = [x]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return path  # x .. root
-
-        pu, pv = chain(u), chain(v)
-        ru, rv = list(reversed(pu)), list(reversed(pv))  # root .. x
+        ru, rv = root_path(u), root_path(v)
         common = 0
         while common < min(len(ru), len(rv)) and ru[common] == rv[common]:
             common += 1
@@ -364,24 +363,44 @@ def _fundamental_cycles(graph: OrientedExchangeGraph):
     return cycles
 
 
-def _walk_key_cycle(fd: FixedData, graph: OrientedExchangeGraph, cycle):
-    """Trace a key cycle with labeled seeds, choosing minimal directions."""
-    seed = graph.vertices[cycle[0]]
-    steps = []
+def _crossing_table(fd: FixedData, graph: OrientedExchangeGraph):
+    """Per vertex, the crossing of the facet opposite each g-vector.
+
+    Duality pairs every g-vector of a seed with one c-vector whatever the
+    labels, so the stored seed of a vertex stands for every seed with its key.
+    """
+    table = {}
+    for key, seed in graph.vertices.items():
+        row = {seed.g_column(k): _crossing(fd, seed, k) for k in range(fd.rank)}
+        if tuple(sorted(row)) != key.g_columns:
+            raise InvalidWalk("stored seed does not match its key %s" % key_to_str(key))
+        table[key] = row
+    return table
+
+
+def _cycle_crossings(graph: OrientedExchangeGraph, table, cycle) -> CrossingSequence:
+    """Crossings and directions of a key cycle, read off the graph.
+
+    Tracks the g-vector of each label from the stored seed of ``cycle[0]``:
+    a step mutates the one label whose g-vector the next key lacks, and
+    crosses the facet opposite that g-vector.
+    """
+    labels = list(zip(*graph.vertices[cycle[0]].g))  # the g-vector of each label
+    crossings = []
     directions = []
-    for target in list(cycle[1:]) + [cycle[0]]:
-        for k in range(fd.rank):
-            nxt = mutate_seed(fd, seed, k)
-            if canonical_key(nxt) == target:
-                steps.append((seed, k))
-                directions.append(k)
-                seed = nxt
-                break
-        else:
+    for source, target in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+        kept = set(target.g_columns)
+        gone = [k for k, g in enumerate(labels) if g not in kept]
+        fresh = kept.difference(labels)
+        if len(gone) != 1 or len(fresh) != 1:
             raise InvalidWalk("cycle vertices are not adjacent in the pattern")
-    if canonical_key(seed) != cycle[0]:
+        k = gone[0]
+        crossings.append(table[source][labels[k]])
+        directions.append(k)
+        labels[k] = fresh.pop()
+    if tuple(sorted(labels)) != cycle[0].g_columns:
         raise InvalidWalk("cycle walk did not close up")
-    return steps, tuple(directions)
+    return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
 
 
 def verify_loop_consistency(
@@ -389,19 +408,19 @@ def verify_loop_consistency(
 ) -> ConsistencyReport:
     """Check that the path-ordered product of every basis loop is trivial.
 
-    Walks each fundamental cycle of the unoriented exchange graph with
-    labeled seeds, forms its crossing sequence, and requires the product to
-    be the identity at level ``l``.  Projection to a coarser level maps the
-    identity to the identity, so every level <= l is covered by this check.
-    The product is checked through its faithful torus action; the PBW
+    Reads the crossing sequence of each fundamental cycle of the unoriented
+    exchange graph off its stored seeds, with no mutation, and requires the
+    product to be the identity at level ``l``.  Projection to a coarser level
+    maps the identity to the identity, so every level <= l is covered by this
+    check.  The product is checked through its faithful torus action; the PBW
     product is built only for the error of a failing loop.
     """
     if graph.status != "complete":
         raise IncompleteGraph("loop consistency needs a complete graph")
+    table = _crossing_table(fd, graph)
     reports = []
     for cycle in _fundamental_cycles(graph):
-        steps, directions = _walk_key_cycle(fd, graph, cycle)
-        cs = crossing_sequence(fd, steps)
+        cs = _cycle_crossings(graph, table, cycle)
         action = TorusAction(fd.omega, level)
         for crossing in cs.crossings:
             action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
@@ -410,7 +429,7 @@ def verify_loop_consistency(
         reports.append(
             LoopReport(
                 vertices=tuple(cycle),
-                directions=directions,
+                directions=cs.directions,
                 max_degree_checked=level,
                 identity=True,
             )

@@ -43,6 +43,7 @@ DOMAIN_ERRORS = {
     ),
     "scalar-delta": (["explore"], dict(A2, delta=5), "bad_input"),
     "scalar-D": (["explore"], dict(A2, D=3), "bad_input"),
+    "boolean-D": (["certify"], dict(A2, D=[True, True]), "not_skew_symmetrizable"),
     "fractional-sign": (
         ["obstruct"], dict(A2, crossings=[{"normal": [1, 0], "sign": 1.7}]), "bad_input"
     ),

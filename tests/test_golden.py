@@ -21,6 +21,14 @@ PATTERNS = {
     "G2": {"B": [[0, 1], [-3, 0]], "delta": [1, 3]},
     "A3": {"B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "delta": [1, 1, 1]},
     "Kronecker": {"B": [[0, 2], [-2, 0]], "delta": [1, 1]},
+    "A4": {
+        "B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
+        "delta": [1, 1, 1, 1],
+    },
+    "D4": {
+        "B": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
+        "delta": [1, 1, 1, 1],
+    },
 }
 
 GOLDEN = {
@@ -30,6 +38,10 @@ GOLDEN = {
         "44ee6c7adb2b11c320f6a93c5f50e9ccc2973e2d51c9ae9cf1751efc0b84d9ea",
     ("consistency", "A3", ("--level", "4")):
         "8ebc1258ee6b978ed1531584f04ef94c10dc58b6e55a88b973b8490a6182106e",
+    ("consistency", "A4", ("--level", "4")):
+        "304e15d90d560b2f413d8c7bc20243b844c8062e807e4445cf914200eb17bfd5",
+    ("consistency", "D4", ("--level", "4")):
+        "c2d49eac5771682f5e119a4a24c380074fff3d17feb9dc4779479bdf037d823d",
     ("scatter2", "A2", ("--level", "6")):
         "9bd8acda7bb2b8d2d552faaeec5ecd45d32fe544faa7e579e15b055c239a1444",
     ("scatter2", "A2", ("--level", "6", "--format", "svg")):

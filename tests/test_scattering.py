@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from greenfan import (
     PbwAlgebra,
     ScatteringDiagram,
     Wall,
+    canonical_key,
     cluster_chamber,
     cluster_fan_diagram,
     complete_rank2,
@@ -33,6 +35,7 @@ from greenfan import (
     mutate_seed,
     path_ordered_product,
     root_seed,
+    validate_fixed_data,
     validate_wall,
     verify_loop_consistency,
     verify_rank2_consistency,
@@ -42,6 +45,18 @@ from greenfan import scattering as scattering_module
 from greenfan.liegroup import degree
 
 from support import element_words, oracle_multiply
+
+
+# finite types whose loops the mutation walk replays
+LOOP_PATTERNS = {
+    "A2": ([[0, 1], [-1, 0]], [1, 1]),
+    "B2": ([[0, 1], [-2, 0]], [1, 2]),
+    "G2": ([[0, 1], [-3, 0]], [1, 3]),
+    "A3": ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1]),
+    "B3": ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], [1, 1, 2]),
+    "A4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], [1, 1, 1, 1]),
+    "D4": ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], [1, 1, 1, 1]),
+}
 
 
 def scattered(diagram):
@@ -306,16 +321,53 @@ class TestLoopConsistency:
                 assert loop.max_degree_checked == 4
 
     def test_failing_loop_reports_its_pbw_product(self, a2, monkeypatch):
-        def drop_last(fd, steps):
-            cs = crossing_sequence(fd, steps)
+        cycle_crossings = scattering_module._cycle_crossings
+
+        def drop_last(graph, table, cycle):
+            cs = cycle_crossings(graph, table, cycle)
             return CrossingSequence(cs.crossings[:-1], cs.directions[:-1])
 
-        monkeypatch.setattr(scattering_module, "crossing_sequence", drop_last)
+        monkeypatch.setattr(scattering_module, "_cycle_crossings", drop_last)
         with pytest.raises(InconsistencyFound) as info:
             verify_loop_consistency(a2, enumerate_graph(a2), 4)
         assert info.value.loop
         assert isinstance(info.value.element, GroupElement)
         assert not info.value.element.is_identity()
+
+    @pytest.mark.parametrize("name", sorted(LOOP_PATTERNS))
+    def test_mutation_walk_replays_every_loop(self, name):
+        fd = validate_fixed_data(*LOOP_PATTERNS[name])
+        graph = enumerate_graph(fd)
+        table = scattering_module._crossing_table(fd, graph)
+        report = verify_loop_consistency(fd, graph, 1)
+        assert report.loops
+        for loop in report.loops:
+            steps = walk(fd, graph.vertices[loop.vertices[0]], loop.directions)
+            replayed = crossing_sequence(fd, steps)
+            read = scattering_module._cycle_crossings(graph, table, loop.vertices)
+            assert replayed.crossings == read.crossings
+            assert replayed.directions == read.directions == loop.directions
+            assert tuple(canonical_key(seed) for seed, _ in steps) == loop.vertices
+            last, k = steps[-1]
+            assert canonical_key(mutate_seed(fd, last, k)) == loop.vertices[0]
+
+    def test_edge_between_non_adjacent_vertices_is_invalid_walk(self, a3):
+        graph = enumerate_graph(a3)
+        root = set(graph.root.g_columns)
+        far = next(
+            key for key in graph.vertices if len(root.difference(key.g_columns)) >= 2
+        )
+        bogus = dataclasses.replace(graph, edges=graph.edges + ((graph.root, far, 0),))
+        with pytest.raises(InvalidWalk):
+            verify_loop_consistency(a3, bogus, 2)
+
+    def test_stored_seed_must_match_its_key(self, a3):
+        graph = enumerate_graph(a3)
+        vertices = dict(graph.vertices)
+        last = list(vertices)[-1]
+        vertices[last] = vertices[graph.root]
+        with pytest.raises(InvalidWalk):
+            verify_loop_consistency(a3, dataclasses.replace(graph, vertices=vertices), 2)
 
     def test_truncated_graph_rejected(self, kronecker):
         graph = enumerate_graph(kronecker, max_depth=4)
