@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import linalg
@@ -100,6 +101,10 @@ def _minimal_skew_symmetrizer(b):
     return tuple(ratio)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _int_list(field: str, value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise BadInput("%s must be a list of integers, got %r" % (field, value))
@@ -121,9 +126,7 @@ def validate_fixed_data(b, delta, d=None) -> FixedData:
         raise BadInput("B: %s" % exc) from exc
     r = len(bm)
     delta = _int_list("delta", delta)
-    if len(delta) != r or any(
-        isinstance(x, bool) or not isinstance(x, int) or x <= 0 for x in delta
-    ):
+    if len(delta) != r or not all(_is_int(x) and x > 0 for x in delta):
         raise BadDecomposition("delta must consist of %d positive integers" % r)
     found = _minimal_skew_symmetrizer(bm)
     if found is None:
@@ -132,9 +135,7 @@ def validate_fixed_data(b, delta, d=None) -> FixedData:
         d = found
     else:
         d = _int_list("D", d)
-        if len(d) != r or any(
-            isinstance(x, bool) or not isinstance(x, int) or x <= 0 for x in d
-        ):
+        if len(d) != r or not all(_is_int(x) and x > 0 for x in d):
             raise NotSkewSymmetrizable("provided D must be positive integers")
         for i in range(r):
             for j in range(r):
@@ -185,23 +186,18 @@ def root_seed(fd: FixedData) -> TropicalSeed:
 
 
 def _column_sign(c: Matrix, k: int) -> int:
-    col = [c[i][k] for i in range(len(c))]
-    has_pos = any(x > 0 for x in col)
-    has_neg = any(x < 0 for x in col)
-    if has_pos and has_neg:
+    col = [row[k] for row in c]
+    hi, lo = max(col), min(col)
+    if hi > 0 > lo:
         raise SignIncoherent("c-vector %r mixes signs" % (col,))
-    if not (has_pos or has_neg):
+    if hi == lo == 0:
         raise SignIncoherent("c-vector of direction %d is zero" % k)
-    return 1 if has_pos else -1
+    return 1 if hi > 0 else -1
 
 
 def is_green(seed: TropicalSeed, k: int) -> bool:
     """True when the c-vector of direction ``k`` is positive."""
     return _column_sign(seed.c, k) == 1
-
-
-def _pos(x):
-    return x if x > 0 else 0
 
 
 def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
@@ -211,34 +207,37 @@ def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
         raise IndexError("direction %d out of range for rank %d" % (k, r))
     b, c, g = seed.b, seed.c, seed.g
     eps = _column_sign(c, k)
-    new_b = tuple(
-        tuple(
-            -b[i][j]
-            if i == k or j == k
-            else b[i][j] + _pos(b[i][k]) * _pos(b[k][j]) - _pos(-b[i][k]) * _pos(-b[k][j])
-            for j in range(r)
-        )
-        for i in range(r)
+    bk = b[k]
+    # off row and column k, x_ij of B or C moves by |x_ik| * b_kj where x_ik * b_kj > 0,
+    # so a row with x_ik = 0 is reused; G changes only in column k
+    same_sign = ([j for j, x in enumerate(bk) if x < 0], [j for j, x in enumerate(bk) if x > 0])
+
+    def shear(m):
+        out = []
+        for row in m:
+            x = row[k]
+            if x:
+                row = list(row)
+                row[k] = -x
+                size = x if x > 0 else -x
+                for j in same_sign[x > 0]:
+                    row[j] += size * bk[j]
+                row = tuple(row)
+            out.append(row)
+        return out
+
+    new_b = shear(b)
+    new_b[k] = tuple(-x for x in bk)
+    g_cols = list(zip(*g))
+    g_k = [-x for x in g_cols[k]]
+    for j, row in enumerate(b):
+        w = -eps * row[k]  # pos(-eps * b_jk)
+        if w > 0:
+            g_k = [x + w * y for x, y in zip(g_k, g_cols[j])]
+    g_cols[k] = g_k
+    return TropicalSeed(
+        b=tuple(new_b), c=tuple(shear(c)), g=tuple(zip(*g_cols)), path=seed.path + (k,)
     )
-    new_c = tuple(
-        tuple(
-            -c[i][j]
-            if j == k
-            else c[i][j] + _pos(c[i][k]) * _pos(b[k][j]) - _pos(-c[i][k]) * _pos(-b[k][j])
-            for j in range(r)
-        )
-        for i in range(r)
-    )
-    new_g = tuple(
-        tuple(
-            g[i][j]
-            if j != k
-            else -g[i][k] + sum(_pos(-eps * b[jj][k]) * g[i][jj] for jj in range(r) if jj != k)
-            for j in range(r)
-        )
-        for i in range(r)
-    )
-    return TropicalSeed(b=new_b, c=new_c, g=new_g, path=seed.path + (k,))
 
 
 class SeedKey(NamedTuple):
@@ -256,12 +255,11 @@ class SeedKey(NamedTuple):
 
 
 def canonical_key(seed: TropicalSeed) -> SeedKey:
-    r = seed.rank
-    cols = [seed.g_column(j) for j in range(r)]
-    perm = sorted(range(r), key=lambda j: cols[j])
-    g_sorted = tuple(cols[p] for p in perm)
-    b_perm = tuple(tuple(seed.b[perm[i]][perm[j]] for j in range(r)) for i in range(r))
-    return SeedKey(g_columns=g_sorted, b=b_perm)
+    cols = tuple(zip(*seed.g))
+    if len(cols) < 2:
+        return SeedKey(g_columns=cols, b=tuple(map(tuple, seed.b)))
+    take = itemgetter(*sorted(range(len(cols)), key=cols.__getitem__))
+    return SeedKey(g_columns=take(cols), b=tuple(map(take, take(seed.b))))
 
 
 @dataclass(frozen=True)
@@ -293,7 +291,9 @@ def enumerate_graph(
     Directions are explored in ascending order, which makes vertex discovery
     order (and hence all serialized output) reproducible.  Every edge is
     recorded from its green side relative to the stored representative; on a
-    truncated run frontier vertices may be missing incident edges.
+    truncated run frontier vertices may be missing incident edges.  A vertex
+    skips the direction it was discovered by: the involution leads back to
+    the stored parent, and that edge was recorded at discovery.
     """
     root = root_seed(fd)
     rkey = canonical_key(root)
@@ -312,7 +312,13 @@ def enumerate_graph(
         if depth >= max_depth:
             truncated = True
             continue
+        came_by = seed.path[-1] if seed.path else None
+        # mutate_seed checks each c-vector's sign coherence, so a positive
+        # entry is enough to show that a direction is green
+        green = [max(col) > 0 for col in zip(*seed.c)]
         for k in range(fd.rank):
+            if k == came_by:
+                continue
             neighbor = mutate_seed(fd, seed, k)
             nkey = canonical_key(neighbor)
             if nkey not in vertices:
@@ -322,7 +328,7 @@ def enumerate_graph(
                 vertices[nkey] = neighbor
                 depth_of[nkey] = depth + 1
                 queue.append(nkey)
-            if is_green(seed, k):
+            if green[k]:
                 edge = (key, nkey, k)
             elif vertices[nkey].same_matrices(neighbor):
                 # Red from here means green from the neighbor; direction k is
@@ -408,8 +414,8 @@ def key_to_str(key: SeedKey) -> str:
 def key_from_str(text: str) -> SeedKey:
     try:
         doc = json.loads(text)
-        g = tuple(tuple(int(x) for x in col) for col in doc["g"])
-        b = tuple(tuple(int(x) for x in row) for row in doc["B"])
+        g = linalg.as_int_matrix(doc["g"])
+        b = linalg.as_int_matrix(doc["B"])
     except (ValueError, KeyError, TypeError) as exc:
         raise BadInput("malformed seed key: %s" % exc) from exc
     return SeedKey(g_columns=g, b=b)
@@ -426,59 +432,76 @@ def _seed_to_json(seed: TropicalSeed) -> dict:
 
 def _seed_from_json(doc) -> TropicalSeed:
     try:
+        path = tuple(doc["path"])
+        if not all(map(_is_int, path)):
+            raise ValueError("path entries must be integers, got %r" % (doc["path"],))
         return TropicalSeed(
             b=linalg.as_int_matrix(doc["B"]),
             c=linalg.as_int_matrix(doc["C"]),
             g=linalg.as_int_matrix(doc["G"]),
-            path=tuple(int(k) for k in doc["path"]),
+            path=path,
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise BadInput("malformed seed record: %s" % exc) from exc
 
 
 def graph_to_json(graph: OrientedExchangeGraph, topological_order=None) -> dict:
+    names = {k: key_to_str(k) for k in graph.vertices}  # root and edges name vertices
     doc = {
         "rank": graph.rank,
         "status": graph.status,
         "depth_reached": graph.depth_reached,
-        "root": key_to_str(graph.root),
-        "vertices": {key_to_str(k): _seed_to_json(s) for k, s in graph.vertices.items()},
+        "root": names[graph.root],
+        "vertices": {names[k]: _seed_to_json(s) for k, s in graph.vertices.items()},
         "edges": [
-            {"source": key_to_str(s), "target": key_to_str(t), "direction": k}
+            {"source": names[s], "target": names[t], "direction": k}
             for s, t, k in graph.edges
         ],
         "topological_order": None
         if topological_order is None
-        else [key_to_str(k) for k in topological_order],
+        else [names[k] for k in topological_order],
     }
     return doc
 
 
 def graph_from_json(doc) -> OrientedExchangeGraph:
-    """Parse a graph document; edges and root must name listed vertices."""
+    """Parse a graph document; edges and root must name listed vertices.
+
+    Each key string is parsed once, and no edge may point into the root.
+    """
     try:
-        vertices = {
-            key_from_str(ks): _seed_from_json(sv) for ks, sv in doc["vertices"].items()
-        }
+        keys, vertices = {}, {}
+        for ks, sv in doc["vertices"].items():
+            keys[ks] = key = key_from_str(ks)
+            vertices[key] = _seed_from_json(sv)
+
+        def parse(ks):
+            return keys[ks] if isinstance(ks, str) and ks in keys else key_from_str(ks)
+
+        root = parse(doc["root"])
+        if root not in vertices:
+            raise BadInput("root %s is not a vertex" % doc["root"])
         edges = []
         for e in doc["edges"]:
-            src, dst, k = key_from_str(e["source"]), key_from_str(e["target"]), e["direction"]
-            if isinstance(k, bool) or not isinstance(k, int):
+            src, dst, k = parse(e["source"]), parse(e["target"]), e["direction"]
+            if not _is_int(k):
                 raise BadInput("edge direction must be an integer, got %r" % (k,))
             if src not in vertices or dst not in vertices:
                 raise BadInput(
                     "edge %s -> %s names an unknown vertex" % (e["source"], e["target"])
                 )
+            if dst == root:
+                raise BadInput("edge %s -> %s points into the root" % (e["source"], e["target"]))
             edges.append((src, dst, k))
-        root = key_from_str(doc["root"])
-        if root not in vertices:
-            raise BadInput("root %s is not a vertex" % doc["root"])
+        depth = doc["depth_reached"]
+        if not _is_int(depth):
+            raise BadInput("depth_reached must be an integer, got %r" % (depth,))
         return OrientedExchangeGraph(
             root=root,
             vertices=vertices,
             edges=tuple(edges),
             status=str(doc["status"]),
-            depth_reached=int(doc["depth_reached"]),
+            depth_reached=depth,
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise BadInput("malformed graph document: %s" % exc) from exc

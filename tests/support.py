@@ -11,7 +11,7 @@ the two is a real confluence check rather than the same code run twice.
 from fractions import Fraction
 from math import gcd
 
-from greenfan import TropicalSeed, validate_fixed_data
+from greenfan import SignIncoherent, TropicalSeed, validate_fixed_data
 
 
 def word_key(n):
@@ -71,6 +71,83 @@ def relabel_seed(seed, perm):
     c = tuple(tuple(row[perm[j]] for j in range(r)) for row in seed.c)
     g = tuple(tuple(row[perm[j]] for j in range(r)) for row in seed.g)
     return TropicalSeed(b=b, c=c, g=g, path=())
+
+
+def dense_mutate_seed(fd, seed, k):
+    """Matrix mutation entry by entry from the textbook formulas.
+
+    The engine's ``mutate_seed`` touches only the rows and columns that
+    change; this rebuilds all three matrices densely and is kept as its
+    oracle.
+    """
+    r = fd.rank
+    b, c, g = seed.b, seed.c, seed.g
+    col = [c[i][k] for i in range(r)]
+    if any(x > 0 for x in col) == any(x < 0 for x in col):
+        raise SignIncoherent("c-vector %r is zero or mixes signs" % (col,))
+    eps = 1 if any(x > 0 for x in col) else -1
+
+    def pos(x):
+        return x if x > 0 else 0
+
+    new_b = tuple(
+        tuple(
+            -b[i][j]
+            if i == k or j == k
+            else b[i][j] + pos(b[i][k]) * pos(b[k][j]) - pos(-b[i][k]) * pos(-b[k][j])
+            for j in range(r)
+        )
+        for i in range(r)
+    )
+    new_c = tuple(
+        tuple(
+            -c[i][j]
+            if j == k
+            else c[i][j] + pos(c[i][k]) * pos(b[k][j]) - pos(-c[i][k]) * pos(-b[k][j])
+            for j in range(r)
+        )
+        for i in range(r)
+    )
+    new_g = tuple(
+        tuple(
+            g[i][j]
+            if j != k
+            else -g[i][k] + sum(pos(-eps * b[jj][k]) * g[i][jj] for jj in range(r) if jj != k)
+            for j in range(r)
+        )
+        for i in range(r)
+    )
+    return TropicalSeed(b=new_b, c=new_c, g=new_g, path=seed.path + (k,))
+
+
+def tree_matrix(rank, edges):
+    """Exchange matrix with ``b_ij = x`` and ``b_ji = -y`` for each ``(i, j, x, y)``."""
+    b = [[0] * rank for _ in range(rank)]
+    for i, j, x, y in edges:
+        b[i][j], b[j][i] = x, -y
+    return b
+
+
+def path_edges(rank, last=(1, 1)):
+    """The path 0 - 1 - ... - (rank-1); its last edge carries ``last``."""
+    return [(i, i + 1, 1, 1) for i in range(rank - 2)] + [(rank - 2, rank - 1) + last]
+
+
+# B, delta and the Fomin-Zelevinsky seed count of each finite type checked
+FINITE_TYPES = {
+    "A4": (tree_matrix(4, path_edges(4)), [1] * 4, 42),
+    "A5": (tree_matrix(5, path_edges(5)), [1] * 5, 132),
+    "A6": (tree_matrix(6, path_edges(6)), [1] * 6, 429),
+    "B3": (tree_matrix(3, path_edges(3, (1, 2))), [1, 1, 2], 20),
+    "C3": (tree_matrix(3, path_edges(3, (2, 1))), [2, 2, 1], 20),
+    "B4": (tree_matrix(4, path_edges(4, (1, 2))), [1, 1, 1, 2], 70),
+    "C4": (tree_matrix(4, path_edges(4, (2, 1))), [2, 2, 2, 1], 70),
+    "D4": (tree_matrix(4, path_edges(3) + [(1, 3, 1, 1)]), [1] * 4, 50),
+    "D5": (tree_matrix(5, path_edges(4) + [(2, 4, 1, 1)]), [1] * 5, 182),
+    "F4": (tree_matrix(4, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 1)]), [2, 2, 1, 1], 105),
+    "E6": (tree_matrix(6, path_edges(5) + [(2, 5, 1, 1)]), [1] * 6, 833),
+    "E7": (tree_matrix(7, path_edges(6) + [(2, 6, 1, 1)]), [1] * 7, 4160),
+}
 
 
 def random_fixed_data(rng, rank=None):

@@ -24,6 +24,12 @@ def a2_graph_doc(root=None, **first_edge):
     return doc
 
 
+A2_ROOT = a2_graph_doc()["root"]
+A2_FIRST_TARGET = a2_graph_doc()["edges"][0]["target"]
+FRACTIONAL_ROOT = A2_ROOT.replace('"g":[[0,1]', '"g":[[0,1.5]')
+assert FRACTIONAL_ROOT != A2_ROOT
+
+
 # (argv before the input path, input document or None, error code)
 DOMAIN_ERRORS = {
     "not-skew-symmetrizable": (
@@ -56,6 +62,12 @@ DOMAIN_ERRORS = {
     "non-integer-direction": (["certify"], a2_graph_doc(direction="x"), "bad_input"),
     "unknown-edge-target": (["certify"], a2_graph_doc(target=UNKNOWN_KEY), "bad_input"),
     "unknown-root": (["certify"], a2_graph_doc(root=UNKNOWN_KEY), "bad_input"),
+    "string-depth-reached": (["certify"], dict(a2_graph_doc(), depth_reached="x"), "bad_input"),
+    # int() would truncate this onto the root's key
+    "fractional-key-entry": (["certify"], a2_graph_doc(source=FRACTIONAL_ROOT), "bad_input"),
+    "reversed-root-edge": (
+        ["certify"], a2_graph_doc(source=A2_FIRST_TARGET, target=A2_ROOT), "bad_input"
+    ),
 }
 
 

@@ -1,10 +1,13 @@
+import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from greenfan import (
     BadDecomposition,
+    BadInput,
     CycleFound,
     NotSkewSymmetrizable,
     OrientedExchangeGraph,
@@ -23,7 +26,17 @@ from greenfan import (
 )
 from greenfan.linalg import det, matmul, transpose
 
-from support import relabel_seed
+from support import FINITE_TYPES, dense_mutate_seed, relabel_seed
+
+MARKOV = ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], [1, 1, 1])
+ACYCLIC_222 = ([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]], [1, 1, 1])
+
+
+def _duality_holds(fd, seed):
+    """G^T * D * C = D for the skew-symmetrizer D of the pattern."""
+    d_c_cols = list(zip(*([d * x for x in row] for d, row in zip(fd.d, seed.c))))
+    product = [[sum(map(mul, g_col, col)) for col in d_c_cols] for g_col in zip(*seed.g)]
+    return product == [[d if i == j else 0 for j in range(fd.rank)] for i, d in enumerate(fd.d)]
 
 
 class TestValidation:
@@ -86,6 +99,26 @@ class TestMutation:
                     assert back.same_matrices(seed)
                 seed = mutate_seed(fd, seed, 0)
 
+    @pytest.mark.parametrize(
+        "name", ["B3", "C3", "F4", "D5", "E6", "Markov", "acyclic-222"]
+    )
+    def test_sparse_update_matches_dense_oracle(self, name):
+        # every stored seed in every direction; the infinite types truncated
+        if name in FINITE_TYPES:
+            b, delta, _ = FINITE_TYPES[name]
+            max_depth = 64
+        else:
+            b, delta = MARKOV if name == "Markov" else ACYCLIC_222
+            max_depth = 4
+        fd = validate_fixed_data(b, delta)
+        graph = enumerate_graph(fd, max_depth=max_depth)
+        assert len(graph.vertices) >= 20
+        for seed in graph.vertices.values():
+            for k in range(fd.rank):
+                fast = mutate_seed(fd, seed, k)
+                assert fast == dense_mutate_seed(fd, seed, k)
+                assert mutate_seed(fd, fast, k).same_matrices(seed)
+
     def test_direction_out_of_range(self, a2):
         with pytest.raises(IndexError):
             mutate_seed(a2, root_seed(a2), 2)
@@ -130,6 +163,16 @@ class TestEnumeration:
         assert graph.status == "complete"
         assert len(graph.vertices) == expected
 
+    @pytest.mark.parametrize("name", list(FINITE_TYPES))
+    def test_fomin_zelevinsky_table(self, name):
+        b, delta, expected = FINITE_TYPES[name]
+        fd = validate_fixed_data(b, delta)
+        graph = enumerate_graph(fd, max_depth=64)
+        assert graph.status == "complete"
+        assert len(graph.vertices) == expected
+        assert len(certify_acyclic(graph)) == expected
+        assert all(_duality_holds(fd, seed) for seed in graph.vertices.values())
+
     def test_budget_truncation(self, kronecker):
         graph = enumerate_graph(kronecker, max_depth=6)
         assert graph.status == "truncated"
@@ -169,12 +212,10 @@ class TestStructuralInvariants:
         cases = list(finite_fixtures.values()) + [kronecker]
         for fd in cases:
             graph = enumerate_graph(fd, max_depth=5)
-            d = [[fd.d[i] if i == j else 0 for j in range(fd.rank)] for i in range(fd.rank)]
             for seed in graph.vertices.values():
                 assert det(seed.c) in (1, -1)
                 assert det(seed.g) in (1, -1)
-                gt_d_c = matmul(matmul(transpose(seed.g), d), seed.c)
-                assert gt_d_c == tuple(tuple(row) for row in d)
+                assert _duality_holds(fd, seed)
                 for k in range(fd.rank):
                     col = seed.c_column(k)
                     assert any(col)
@@ -237,6 +278,41 @@ class TestSerialization:
             assert list(back.vertices) == list(graph.vertices)
             for key in graph.vertices:
                 assert back.vertices[key].same_matrices(graph.vertices[key])
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("depth_reached", "x"),
+            ("depth_reached", 1.5),
+            ("depth_reached", True),
+            ("path", [1.5]),
+            ("path", ["1"]),
+            ("path", [True]),
+            ("key", 1.5),
+            ("key", True),
+            ("root-edge", None),
+        ],
+        ids=[
+            "depth-string", "depth-fraction", "depth-bool", "path-fraction", "path-string",
+            "path-bool", "key-fraction", "key-bool", "edge-into-root",
+        ],
+    )
+    def test_malformed_document_is_bad_input(self, a2, field, value):
+        doc = graph_to_json(enumerate_graph(a2))
+        first = doc["edges"][0]
+        if field == "depth_reached":
+            doc[field] = value
+        elif field == "path":
+            doc["vertices"][first["target"]]["path"] = value
+        elif field == "key":
+            # the root's key with one entry replaced; int() maps it back onto the root
+            first["source"] = first["source"].replace('"g":[[0,1]', '"g":[[0,%s]' % (
+                json.dumps(value)
+            ))
+        else:
+            first["source"], first["target"] = first["target"], first["source"]
+        with pytest.raises(BadInput):
+            graph_from_json(json.loads(json.dumps(doc)))
 
     def test_dot_output_shape(self, a2):
         graph = enumerate_graph(a2)

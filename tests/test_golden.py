@@ -25,6 +25,7 @@ PATTERNS = {
         "B": [[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]],
         "delta": [1, 1, 1, 1],
     },
+    "B3": {"B": [[0, 1, 0], [-1, 0, 1], [0, -2, 0]], "delta": [1, 1, 2]},
     "D4": {
         "B": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
         "delta": [1, 1, 1, 1],
@@ -36,6 +37,10 @@ GOLDEN = {
         "b3009cde21976bfaa51d29fd8dfbc8a6dd07e65805b619a483cc11aaa6a33d18",
     ("explore", "A3", ("--format", "dot")):
         "44ee6c7adb2b11c320f6a93c5f50e9ccc2973e2d51c9ae9cf1751efc0b84d9ea",
+    ("explore", "D4", ()):
+        "b1af3f367926e5393b226f519436e6d5ace36fa3a7a008d4482c69d4ba3f35b9",
+    ("explore", "B3", ()):
+        "5a6c95426078578e007ed7cd174ecaaac3693d7afd1fc9c0cdf15b2880f80d23",
     ("consistency", "A3", ("--level", "4")):
         "8ebc1258ee6b978ed1531584f04ef94c10dc58b6e55a88b973b8490a6182106e",
     ("consistency", "A4", ("--level", "4")):
@@ -63,6 +68,18 @@ GOLDEN = {
 }
 
 
+# ``certify`` of the document that ``explore`` writes for D4
+EXPORTED_D4_CERTIFICATE = "305403fde51e5efe4bbd7ed4c5bbdc4398a592f02d1880208affc5cc6401d6ce"
+
+
+def _stdout_digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
 @pytest.mark.parametrize(
     "case", sorted(GOLDEN), ids=lambda c: "-".join((c[0], c[1]) + c[2])
 )
@@ -70,9 +87,11 @@ def test_artifact_digest(case, tmp_path):
     command, pattern, extra = case
     path = tmp_path / ("%s.json" % pattern)
     path.write_text(json.dumps(PATTERNS[pattern]))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command, str(path)] + list(extra))
-    assert (code, err.getvalue()) == (0, "")
-    digest = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
-    assert digest == GOLDEN[case]
+    assert _stdout_digest([command, str(path)] + list(extra)) == GOLDEN[case]
+
+
+def test_certificate_of_exported_graph_digest(tmp_path):
+    pattern, graph = tmp_path / "D4.json", tmp_path / "D4-graph.json"
+    pattern.write_text(json.dumps(PATTERNS["D4"]))
+    _stdout_digest(["explore", str(pattern), "--out", str(graph)])
+    assert _stdout_digest(["certify", str(graph)]) == EXPORTED_D4_CERTIFICATE
