@@ -354,39 +354,41 @@ def certify_acyclic(graph: OrientedExchangeGraph) -> tuple[SeedKey, ...]:
 
     Raises CycleFound carrying an explicit directed cycle when one exists.
     Ties are broken by discovery index, so the certificate is deterministic.
+    Keys are hashed once, into discovery indices; the sort runs on those.
     """
-    index = {key: i for i, key in enumerate(graph.vertices)}
-    indegree = {key: 0 for key in graph.vertices}
-    out: dict[SeedKey, list[SeedKey]] = {key: [] for key in graph.vertices}
-    for src, dst, _ in graph.edges:
+    keys = list(graph.vertices)
+    index = {key: i for i, key in enumerate(keys)}
+    edges = [(index[src], index[dst]) for src, dst, _ in graph.edges]
+    indegree = [0] * len(keys)
+    out: list[list[int]] = [[] for _ in keys]
+    for src, dst in edges:
         out[src].append(dst)
         indegree[dst] += 1
-    ready = [index[k] for k in graph.vertices if indegree[k] == 0]
-    heapq.heapify(ready)
-    keys = list(graph.vertices)
-    order: list[SeedKey] = []
-    remaining = dict(indegree)
+    ready = [i for i, d in enumerate(indegree) if d == 0]  # sorted: a heap already
+    order: list[int] = []
+    remaining = list(indegree)
     while ready:
-        key = keys[heapq.heappop(ready)]
-        order.append(key)
-        for dst in out[key]:
+        i = heapq.heappop(ready)
+        order.append(i)
+        for dst in out[i]:
             remaining[dst] -= 1
             if remaining[dst] == 0:
-                heapq.heappush(ready, index[dst])
-    if len(order) < len(graph.vertices):
-        raise CycleFound(_extract_cycle(graph, remaining))
-    if indegree[graph.root] != 0:
+                heapq.heappush(ready, dst)
+    if len(order) < len(keys):
+        raise CycleFound([keys[i] for i in _extract_cycle(keys, index, edges, remaining)])
+    if indegree[index[graph.root]] != 0:
         raise RuntimeError("root has an incoming green edge; enumeration is broken")
-    return tuple(order)
+    return tuple(keys[i] for i in order)
 
 
-def _extract_cycle(graph, remaining):
-    stuck = {k for k, v in remaining.items() if v > 0}
-    preds: dict[SeedKey, SeedKey] = {}
-    for src, dst, _ in graph.edges:
+def _extract_cycle(keys, index, edges, remaining):
+    stuck = {i for i, v in enumerate(remaining) if v > 0}
+    preds: dict[int, int] = {}
+    for src, dst in edges:
         if src in stuck and dst in stuck and dst not in preds:
             preds[dst] = src
-    start = next(iter(stuck))
+    # start at the first stuck key in set order, which fixes the reported cycle
+    start = index[next(iter({keys[i] for i in sorted(stuck)}))]
     trail = [start]
     seen = {start: 0}
     cur = start

@@ -544,6 +544,15 @@ class TorusAction:
         self.level = level
         self.series: dict[Vector, object] = {(0,) * len(self.omega): 1}
 
+    def copy(self) -> "TorusAction":
+        """An independent action for the same element.
+
+        The series dict is shared: ``_apply`` replaces it and never mutates it.
+        """
+        other = TorusAction.__new__(TorusAction)
+        other.omega, other.level, other.series = self.omega, self.level, self.series
+        return other
+
     def apply_dilog(self, n: Vector, c) -> None:
         """Left-multiply by Psi[n]^c: y^m -> y^m (1 + y^n)^(c * psi)."""
         c = _exact(Fraction(c))

@@ -318,7 +318,10 @@ class ConsistencyReport:
 
 
 def _fundamental_cycles(graph: OrientedExchangeGraph):
-    """Cycle basis of the underlying undirected graph via a BFS tree."""
+    """Cycle basis of the underlying undirected graph via a BFS tree.
+
+    Returns the cycles and the tree's parent map, whose keys are in BFS order.
+    """
     index = {key: i for i, key in enumerate(graph.vertices)}
     adj: dict[SeedKey, list[SeedKey]] = {key: [] for key in graph.vertices}
     undirected = set()
@@ -360,7 +363,7 @@ def _fundamental_cycles(graph: OrientedExchangeGraph):
         # u up to the meeting vertex, then down to v; edge (v, u) closes it
         cycle = list(reversed(ru[common - 1:])) + rv[common:]
         cycles.append(cycle)
-    return cycles
+    return cycles, parent
 
 
 def _crossing_table(fd: FixedData, graph: OrientedExchangeGraph):
@@ -370,8 +373,14 @@ def _crossing_table(fd: FixedData, graph: OrientedExchangeGraph):
     labels, so the stored seed of a vertex stands for every seed with its key.
     """
     table = {}
+    exponents = {}  # many vertices share a normal
     for key, seed in graph.vertices.items():
-        row = {seed.g_column(k): _crossing(fd, seed, k) for k in range(fd.rank)}
+        row = {}
+        for k in range(fd.rank):
+            sign, normal = _crossing_normal(seed, k)
+            if normal not in exponents:
+                exponents[normal] = delta_exponent(normal, fd.delta)
+            row[seed.g_column(k)] = Crossing(normal, sign, exponents[normal])
         if tuple(sorted(row)) != key.g_columns:
             raise InvalidWalk("stored seed does not match its key %s" % key_to_str(key))
         table[key] = row
@@ -412,19 +421,37 @@ def verify_loop_consistency(
     exchange graph off its stored seeds, with no mutation, and requires the
     product to be the identity at level ``l``.  Projection to a coarser level
     maps the identity to the identity, so every level <= l is covered by this
-    check.  The product is checked through its faithful torus action; the PBW
-    product is built only for the error of a failing loop.
+    check.
+
+    Products are checked through their faithful torus action, with one apply
+    per edge.  T_x, the product along the BFS-tree path from the root to x,
+    costs one apply per tree edge.  Crossing an edge backwards inverts its
+    factor, so the cycle u -> ... -> v -> u closed by the crossing E_vu has
+    product E_vu T_v T_u^-1, and it is the identity exactly when E_vu T_v and
+    T_u act alike: g z = h z gives h^-1 g = 1.  The PBW product is built only
+    for the error of a failing loop.
     """
     if graph.status != "complete":
         raise IncompleteGraph("loop consistency needs a complete graph")
     table = _crossing_table(fd, graph)
+    cycles, parent = _fundamental_cycles(graph)
+    tree = {graph.root: TorusAction(fd.omega, level)}  # x -> T_x
+    for x, p in parent.items():
+        if p is None:
+            continue
+        gone = set(p.g_columns).difference(x.g_columns)
+        if len(gone) != 1:
+            raise InvalidWalk("cycle vertices are not adjacent in the pattern")
+        crossing = table[p][gone.pop()]
+        tree[x] = action = tree[p].copy()
+        action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
     reports = []
-    for cycle in _fundamental_cycles(graph):
+    for cycle in cycles:
         cs = _cycle_crossings(graph, table, cycle)
-        action = TorusAction(fd.omega, level)
-        for crossing in cs.crossings:
-            action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
-        if not action.is_identity():
+        closing = cs.crossings[-1]
+        action = tree[cycle[-1]].copy()
+        action.apply_dilog(closing.normal, closing.sign * closing.exponent)
+        if action.series != tree[cycle[0]].series:
             raise InconsistencyFound(cycle, path_ordered_product(fd, cs, level))
         reports.append(
             LoopReport(
@@ -679,12 +706,14 @@ def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
 
 
 def report_to_json(report: ConsistencyReport) -> dict:
+    names = dict.fromkeys(k for loop in report.loops for k in loop.vertices)
+    names = {k: key_to_str(k) for k in names}  # loops share most vertices
     return {
         "level": report.level,
         "loop_count": len(report.loops),
         "loops": [
             {
-                "vertices": [key_to_str(k) for k in loop.vertices],
+                "vertices": [names[k] for k in loop.vertices],
                 "directions": list(loop.directions),
                 "max_degree_checked": loop.max_degree_checked,
                 "identity": loop.identity,

@@ -11,7 +11,18 @@ the two is a real confluence check rather than the same code run twice.
 from fractions import Fraction
 from math import gcd
 
-from greenfan import SignIncoherent, TropicalSeed, validate_fixed_data
+from greenfan import (
+    ConsistencyReport,
+    IncompleteGraph,
+    InconsistencyFound,
+    SignIncoherent,
+    TropicalSeed,
+    path_ordered_product,
+    validate_fixed_data,
+)
+from greenfan import scattering
+from greenfan.liegroup import TorusAction
+from greenfan.scattering import LoopReport
 
 
 def word_key(n):
@@ -120,6 +131,30 @@ def dense_mutate_seed(fd, seed, k):
     return TropicalSeed(b=new_b, c=new_c, g=new_g, path=seed.path + (k,))
 
 
+def per_cycle_loop_consistency(fd, graph, level):
+    """Loop consistency with one fresh torus product per fundamental cycle.
+
+    ``verify_loop_consistency`` applies each edge once and compares products
+    along the BFS tree; this multiplies out every cycle's crossings from the
+    identity and is kept as its oracle.  The scattering internals are looked
+    up at call time, so a test that patches one patches both checks.
+    """
+    if graph.status != "complete":
+        raise IncompleteGraph("loop consistency needs a complete graph")
+    table = scattering._crossing_table(fd, graph)
+    cycles, _ = scattering._fundamental_cycles(graph)
+    reports = []
+    for cycle in cycles:
+        cs = scattering._cycle_crossings(graph, table, cycle)
+        action = TorusAction(fd.omega, level)
+        for crossing in cs.crossings:
+            action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
+        if not action.is_identity():
+            raise InconsistencyFound(cycle, path_ordered_product(fd, cs, level))
+        reports.append(LoopReport(tuple(cycle), cs.directions, level, True))
+    return ConsistencyReport(level=level, loops=tuple(reports))
+
+
 def tree_matrix(rank, edges):
     """Exchange matrix with ``b_ij = x`` and ``b_ji = -y`` for each ``(i, j, x, y)``."""
     b = [[0] * rank for _ in range(rank)]
@@ -147,6 +182,18 @@ FINITE_TYPES = {
     "F4": (tree_matrix(4, [(0, 1, 1, 1), (1, 2, 2, 1), (2, 3, 1, 1)]), [2, 2, 1, 1], 105),
     "E6": (tree_matrix(6, path_edges(5) + [(2, 5, 1, 1)]), [1] * 6, 833),
     "E7": (tree_matrix(7, path_edges(6) + [(2, 6, 1, 1)]), [1] * 7, 4160),
+}
+
+
+# finite types whose loops the mutation walk replays and the oracle checks
+LOOP_PATTERNS = {
+    "A2": ([[0, 1], [-1, 0]], [1, 1]),
+    "B2": ([[0, 1], [-2, 0]], [1, 2]),
+    "G2": ([[0, 1], [-3, 0]], [1, 3]),
+    "A3": ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1]),
+    "B3": ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], [1, 1, 2]),
+    "A4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], [1, 1, 1, 1]),
+    "D4": ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], [1, 1, 1, 1]),
 }
 
 

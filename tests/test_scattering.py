@@ -44,19 +44,13 @@ from greenfan import (
 from greenfan import scattering as scattering_module
 from greenfan.liegroup import degree
 
-from support import element_words, oracle_multiply
-
-
-# finite types whose loops the mutation walk replays
-LOOP_PATTERNS = {
-    "A2": ([[0, 1], [-1, 0]], [1, 1]),
-    "B2": ([[0, 1], [-2, 0]], [1, 2]),
-    "G2": ([[0, 1], [-3, 0]], [1, 3]),
-    "A3": ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1]),
-    "B3": ([[0, 1, 0], [-1, 0, 1], [0, -2, 0]], [1, 1, 2]),
-    "A4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], [1, 1, 1, 1]),
-    "D4": ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], [1, 1, 1, 1]),
-}
+from support import (
+    FINITE_TYPES,
+    LOOP_PATTERNS,
+    element_words,
+    oracle_multiply,
+    per_cycle_loop_consistency,
+)
 
 
 def scattered(diagram):
@@ -350,6 +344,59 @@ class TestLoopConsistency:
             assert tuple(canonical_key(seed) for seed, _ in steps) == loop.vertices
             last, k = steps[-1]
             assert canonical_key(mutate_seed(fd, last, k)) == loop.vertices[0]
+
+    @pytest.mark.parametrize("name", sorted(LOOP_PATTERNS))
+    def test_tree_check_matches_per_cycle_oracle(self, name):
+        fd = validate_fixed_data(*LOOP_PATTERNS[name])
+        graph = enumerate_graph(fd)
+        for level in range(1, 9):
+            report = verify_loop_consistency(fd, graph, level)
+            assert report == per_cycle_loop_consistency(fd, graph, level)
+
+    @pytest.mark.parametrize("edge", ["tree", "closing"])
+    def test_injected_fault_fails_both_checks_alike(self, a3, edge, monkeypatch):
+        graph = enumerate_graph(a3)
+        cycles, parent = scattering_module._fundamental_cycles(graph)
+        if edge == "tree":
+            x = list(parent)[-1]
+            u, v = parent[x], x
+        else:
+            cycle = cycles[len(cycles) // 2]
+            u, v = cycle[-1], cycle[0]
+        crossing_table = scattering_module._crossing_table
+
+        def doubled_on_edge(fd, graph):
+            # both directions of the edge, so they stay inverse to each other
+            table = crossing_table(fd, graph)
+            for a, b in ((u, v), (v, u)):
+                (g,) = set(a.g_columns).difference(b.g_columns)
+                c = table[a][g]
+                table[a][g] = dataclasses.replace(c, exponent=2 * c.exponent)
+            return table
+
+        monkeypatch.setattr(scattering_module, "_crossing_table", doubled_on_edge)
+        with pytest.raises(InconsistencyFound) as tree:
+            verify_loop_consistency(a3, graph, 4)
+        with pytest.raises(InconsistencyFound) as oracle:
+            per_cycle_loop_consistency(a3, graph, 4)
+        assert tree.value.loop == oracle.value.loop
+        assert tree.value.element == oracle.value.element
+        assert not tree.value.element.is_identity()
+        loop = tree.value.loop
+        steps = set(zip(loop, loop[1:] + loop[:1]))
+        assert (u, v) in steps or (v, u) in steps
+        if edge == "closing":
+            assert loop == tuple(cycle)
+
+    def test_e6_loops_at_level_6(self):
+        b, delta, _ = FINITE_TYPES["E6"]
+        fd = validate_fixed_data(b, delta)
+        graph = enumerate_graph(fd)
+        report = verify_loop_consistency(fd, graph, 6)
+        undirected = {frozenset((src, dst)) for src, dst, _ in graph.edges}
+        assert len(report.loops) == 1667
+        assert len(report.loops) == len(undirected) - len(graph.vertices) + 1
+        assert all(loop.identity for loop in report.loops)
 
     def test_edge_between_non_adjacent_vertices_is_invalid_walk(self, a3):
         graph = enumerate_graph(a3)
