@@ -101,10 +101,6 @@ def _minimal_skew_symmetrizer(b):
     return tuple(ratio)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _int_list(field: str, value) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise BadInput("%s must be a list of integers, got %r" % (field, value))
@@ -126,7 +122,7 @@ def validate_fixed_data(b, delta, d=None) -> FixedData:
         raise BadInput("B: %s" % exc) from exc
     r = len(bm)
     delta = _int_list("delta", delta)
-    if len(delta) != r or not all(_is_int(x) and x > 0 for x in delta):
+    if len(delta) != r or not all(linalg.is_int(x) and x > 0 for x in delta):
         raise BadDecomposition("delta must consist of %d positive integers" % r)
     found = _minimal_skew_symmetrizer(bm)
     if found is None:
@@ -135,7 +131,7 @@ def validate_fixed_data(b, delta, d=None) -> FixedData:
         d = found
     else:
         d = _int_list("D", d)
-        if len(d) != r or not all(_is_int(x) and x > 0 for x in d):
+        if len(d) != r or not all(linalg.is_int(x) and x > 0 for x in d):
             raise NotSkewSymmetrizable("provided D must be positive integers")
         for i in range(r):
             for j in range(r):
@@ -435,7 +431,7 @@ def _seed_to_json(seed: TropicalSeed) -> dict:
 def _seed_from_json(doc) -> TropicalSeed:
     try:
         path = tuple(doc["path"])
-        if not all(map(_is_int, path)):
+        if not all(map(linalg.is_int, path)):
             raise ValueError("path entries must be integers, got %r" % (doc["path"],))
         return TropicalSeed(
             b=linalg.as_int_matrix(doc["B"]),
@@ -486,7 +482,7 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         edges = []
         for e in doc["edges"]:
             src, dst, k = parse(e["source"]), parse(e["target"]), e["direction"]
-            if not _is_int(k):
+            if not linalg.is_int(k):
                 raise BadInput("edge direction must be an integer, got %r" % (k,))
             if src not in vertices or dst not in vertices:
                 raise BadInput(
@@ -496,7 +492,7 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
                 raise BadInput("edge %s -> %s points into the root" % (e["source"], e["target"]))
             edges.append((src, dst, k))
         depth = doc["depth_reached"]
-        if not _is_int(depth):
+        if not linalg.is_int(depth):
             raise BadInput("depth_reached must be an integer, got %r" % (depth,))
         return OrientedExchangeGraph(
             root=root,

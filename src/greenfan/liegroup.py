@@ -34,7 +34,7 @@ from .errors import (
     NotGrouplike,
     NotLieElement,
 )
-from .linalg import primitive, vec_add, vec_scale
+from .linalg import is_int, primitive, vec_add, vec_scale
 
 Vector = tuple[int, ...]
 Monomial = tuple[Vector, ...]
@@ -48,7 +48,7 @@ def degree(n: Vector) -> int:
 
 
 def is_positive_vector(n) -> bool:
-    return len(n) > 0 and all(isinstance(x, int) and x >= 0 for x in n) and any(n)
+    return len(n) > 0 and all(is_int(x) and x >= 0 for x in n) and any(n)
 
 
 def letter_key(n: Vector):
@@ -633,11 +633,16 @@ def element_to_json(a: AlgebraElement) -> dict:
 
 def element_from_json(doc, omega) -> AlgebraElement:
     try:
-        alg = PbwAlgebra(omega, int(doc["level"]))
+        if not is_int(doc["level"]):
+            raise BadInput("element level must be an integer, got %r" % (doc["level"],))
+        alg = PbwAlgebra(omega, doc["level"])
         terms: dict[Monomial, Fraction] = {}
         for rec in doc["terms"]:
-            mono = tuple(tuple(int(x) for x in n) for n in rec["monomial"])
-            coeff = Fraction(rec["coeff"])
+            mono = tuple(tuple(n) for n in rec["monomial"])
+            coeff = rec["coeff"]
+            if not (isinstance(coeff, str) or is_int(coeff)):
+                raise BadInput("coefficient must be a string or an integer, got %r" % (coeff,))
+            coeff = Fraction(coeff)
             for n in mono:
                 if not is_positive_vector(n) or len(n) != alg.rank:
                     raise BadInput("bad generator index %r" % (n,))

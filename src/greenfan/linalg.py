@@ -10,17 +10,21 @@ from fractions import Fraction
 from math import gcd
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: JSON ``true`` parses to one.
+
+    The exact-type test comes first because it settles every parsed entry.
+    """
+    return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_int_matrix(rows):
     """Coerce nested sequences to a square tuple-of-tuples of int."""
-    out = []
-    for row in rows:
-        r = []
+    m = tuple(tuple(row) for row in rows)
+    for row in m:
         for x in row:
-            if isinstance(x, bool) or not isinstance(x, int):
+            if not is_int(x):
                 raise ValueError("matrix entries must be integers, got %r" % (x,))
-            r.append(x)
-        out.append(tuple(r))
-    m = tuple(out)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")

@@ -15,7 +15,6 @@ composed right-to-left: the first wall crossed sits rightmost.
 
 from __future__ import annotations
 
-import functools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,7 +140,8 @@ def facet_wall(fd: FixedData, seed: TropicalSeed, k: int, level: int) -> Wall:
     support is the facet cone, and the element is the dilogarithm raised to
     the minimal exponent making its index land in the rescaled lattice.
     """
-    _, normal = _crossing_normal(seed, k)
+    crossing = _crossing(fd, seed, k)
+    normal = crossing.normal
     if linalg.gcd_vec(normal) != 1:
         raise RuntimeError("c-vector %r is not primitive" % (normal,))
     rays = facet_cone(seed, k).rays
@@ -150,7 +150,7 @@ def facet_wall(fd: FixedData, seed: TropicalSeed, k: int, level: int) -> Wall:
             raise RuntimeError(
                 "facet normal %r not orthogonal to g-vector %r" % (normal, ray)
             )
-    element = PbwAlgebra(fd.omega, level).dilog(normal, delta_exponent(normal, fd.delta))
+    element = PbwAlgebra(fd.omega, level).dilog(normal, crossing.exponent)
     return Wall(normal=normal, rays=rays, element=element)
 
 
@@ -231,17 +231,23 @@ def crossing_sequence(fd: FixedData, steps) -> CrossingSequence:
     return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
 
 
+def _int_vector(v, what: str) -> Vector:
+    if not isinstance(v, (list, tuple)) or not all(map(linalg.is_int, v)):
+        raise BadInput("%s must be a list of integers, got %r" % (what, v))
+    return tuple(v)
+
+
 def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
     """Build a sequence directly from (normal, sign) pairs (no walk)."""
     crossings = []
     for n, sign in pairs:
-        if not isinstance(n, (list, tuple)) or any(
-            isinstance(x, bool) or not isinstance(x, int) for x in n
-        ):
-            raise BadInput("crossing normal must be a list of integers, got %r" % (n,))
-        n = tuple(n)
-        if isinstance(sign, bool) or not isinstance(sign, int) or sign not in (1, -1):
+        n = _int_vector(n, "crossing normal")
+        if not linalg.is_int(sign) or sign not in (1, -1):
             raise BadInput("crossing sign must be the integer 1 or -1, got %r" % (sign,))
+        if len(n) != fd.rank:
+            raise BadInput(
+                "crossing normal must have %d entries (the rank), got %r" % (fd.rank, n)
+            )
         if not all(x >= 0 for x in n) or not any(n):
             raise BadInput("crossing normal must be positive, got %r" % (n,))
         crossings.append(
@@ -275,27 +281,23 @@ class Obstruction:
 def minimal_degree_obstruction(fd: FixedData, cs: CrossingSequence) -> Obstruction:
     """Witness that an all-green product cannot be the identity.
 
-    Projected to the minimal degree l of the normals, every factor of degree
-    > l dies and every factor of degree l contributes 1 + exponent * X_n, so
-    the product equals exp of a strictly positive combination -- nonzero.
-    The function checks that identity exactly and returns the combination.
+    Let l be the minimal degree of the normals.  Modulo degree > l a factor
+    of higher degree is 1, a factor of degree l is 1 + exponent * X_n, and
+    every product of two letters vanishes, having degree >= 2l.  So the
+    product projects to 1 + sum_n c_n X_n = exp(sum_n c_n X_n), where c_n
+    sums the positive exponents of the crossings with normal n: not the
+    identity.  l and the c_n are returned with no group arithmetic; the tests
+    hold this closed form against PBW products.
     """
     if not cs.crossings:
         raise ValueError("empty crossing sequence has no minimal degree")
     if any(c.sign != 1 for c in cs.crossings):
         raise NotAllGreen("obstruction requires an all-green sequence")
     level = min(degree(c.normal) for c in cs.crossings)
-    product = path_ordered_product(fd, cs, level)
     witness: dict[Vector, Fraction] = {}
     for c in cs.crossings:
         if degree(c.normal) == level:
             witness[c.normal] = witness.get(c.normal, Fraction(0)) + c.exponent
-    alg = PbwAlgebra(fd.omega, level)
-    expected = alg.exp(alg.lie_element(witness))
-    if product != expected:
-        raise RuntimeError("minimal-degree projection disagrees with its closed form")
-    if expected.is_identity():
-        raise RuntimeError("witness vanished despite positive exponents")
     return Obstruction(min_degree=level, witness=witness)
 
 
@@ -486,30 +488,19 @@ def _outgoing_ray(fd: FixedData, n: Vector) -> Vector:
     return linalg.vec_neg(v) if same_side else v
 
 
-def _ccw_position(u0, v):
-    """Sort key for counterclockwise angle measured from direction u0."""
+def _ccw_key(u0, v):
+    """Sort key for the counterclockwise angle from direction u0 to v.
+
+    The class is 0 left of u0, 1 exactly opposite and 2 right of it; within
+    an open half-plane the cotangent dot/cross falls as the angle grows.
+    """
     cross = u0[0] * v[1] - u0[1] * v[0]
     dot = u0[0] * v[0] + u0[1] * v[1]
     if cross == 0:
         if dot > 0:
             raise ValueError("ray %r passes through the basepoint direction" % (v,))
-        return (1, 0)  # exactly opposite u0
-    return (0, 0) if cross > 0 else (2, 0)
-
-
-def _sort_rays_ccw(rays, u0):
-    def cmp(a, b):
-        pa, pb = _ccw_position(u0, a), _ccw_position(u0, b)
-        if pa != pb:
-            return -1 if pa < pb else 1
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    return sorted(rays, key=functools.cmp_to_key(cmp))
+        return (1, 0)
+    return (0 if cross > 0 else 2, -Fraction(dot, cross))
 
 
 def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
@@ -526,20 +517,13 @@ def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
 def _sweep_factors(fd, walls, basepoint=(1, 1), clockwise=False):
     """Signed logs of the wall crossings of a full sweep around the origin.
 
-    Returned in crossing order, first crossed first; the path-ordered
-    product left-multiplies them in this order.
+    ``walls`` holds one ``(rays, normal, log)`` record per wall.  Returned in
+    crossing order, first crossed first; the path-ordered product
+    left-multiplies them in this order.
     """
-    crossings = []  # (ray, normal, log of the wall element)
-    for wall in walls:
-        log = wall.element.log_terms()
-        for ray in wall.rays:
-            crossings.append((ray, wall.normal, log))
-    ray_order = {}
-    for ray in _sort_rays_ccw({ray for ray, _, _ in crossings}, basepoint):
-        ray_order.setdefault(ray, len(ray_order))
-    if clockwise:
-        n_rays = len(ray_order)
-        ray_order = {ray: n_rays - 1 - i for ray, i in ray_order.items()}
+    crossings = [(ray, normal, log) for rays, normal, log in walls for ray in rays]
+    rays = sorted({ray for ray, _, _ in crossings}, key=lambda v: _ccw_key(basepoint, v))
+    ray_order = {ray: -i if clockwise else i for i, ray in enumerate(rays)}
     crossings.sort(
         key=lambda item: (
             ray_order[item[0]],
@@ -578,33 +562,35 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     """Consistent completion of the two initial walls up to ``level``.
 
     Degree by degree the log of the full counterclockwise loop product is
-    measured; each degree-d defect term c * X_n is canceled by a new wall on
-    the outgoing ray of n-perp whose element is exp(-eps * c * X_n), eps the
-    crossing sign of that ray.  Degree-d insertions commute with everything
-    modulo degree > d, so each stage settles its degree for good.  The result
-    is re-verified before being returned.
+    measured; each degree-d defect term c * X_n is canceled by adding
+    -eps * c * X_n to the log of the wall on the outgoing ray of n-perp, eps
+    the crossing sign of that ray.  Degree-d insertions commute with
+    everything modulo degree > d, so each stage settles its degree for good.
+    The letters on one ray commute, so one wall per ray carries the sum of
+    its terms and each sweep crosses every ray once.  Completion and its
+    closing self-check run on logs alone; PBW builds only the emitted wall
+    elements.
     """
     if fd.rank != 2:
         raise NotRankTwo("completion is implemented for rank 2 only")
     level = int(level)
     if level < 1:
         raise ValueError("level must be >= 1")
-    alg = PbwAlgebra(fd.omega, level)
-    walls = []
+    initial = []  # (rays, normal, log) of the two full lines
     for i in range(2):
         n = tuple(1 if j == i else 0 for j in range(2))
         direction = _line_direction(fd.delta, n)
-        walls.append(
-            Wall(
-                normal=n,
-                rays=(direction, linalg.vec_neg(direction)),
-                element=alg.dilog(n, fd.delta[i]),
-            )
-        )
+        rays = (direction, linalg.vec_neg(direction))
+        initial.append((rays, n, dilog_log_terms(n, fd.delta[i], level)))
+    scattered: dict[tuple, dict] = {}  # (ray, normal) -> log of the wall there
+
+    def sweep():
+        walls = initial + [((ray,), n, log) for (ray, n), log in scattered.items()]
+        return _sweep_factors(fd, walls)
+
     for d in range(2, level + 1):
-        defect = _sweep_action(fd, _sweep_factors(fd, walls), d).lowest_log_terms()
+        defect = _sweep_action(fd, sweep(), d).lowest_log_terms()
         for n in sorted(defect, key=letter_key):
-            c = defect[n]
             if degree(n) != d:
                 raise RuntimeError(
                     "stage %d saw a defect of degree %d" % (d, degree(n))
@@ -612,26 +598,15 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
             n_pr = linalg.primitive(n)
             ray = _outgoing_ray(fd, n_pr)
             eps = _crossing_sign(fd.delta, ray, n_pr)
-            element = alg.exp(alg.lie_element({n: -eps * c}))
-            walls.append(Wall(normal=n_pr, rays=(ray,), element=element))
-    # merge scattered walls sharing a support ray and normal
-    merged: dict[tuple, dict] = {}
-    for wall in walls[2:]:
-        log = merged.setdefault((wall.rays, wall.normal), {})
-        for n, c in wall.element.log_terms().items():
-            log[n] = log.get(n, Fraction(0)) + c
-    final = walls[:2] + [
-        Wall(normal=normal, rays=rays, element=alg.exp(alg.lie_element(log)))
-        for (rays, normal), log in sorted(
-            merged.items(),
-            key=lambda item: (_ccw_position((1, 1), item[0][0][0]), item[0][0][0], item[0][1]),
-        )
-        if any(log.values())
+            scattered.setdefault((ray, n_pr), {})[n] = -eps * defect[n]
+    _require_trivial_sweep(fd, sweep(), level, "completion failed to cancel all defects")
+    order = sorted(scattered, key=lambda key: (_ccw_key((1, 1), key[0])[0],) + key)
+    alg = PbwAlgebra(fd.omega, level)
+    walls = [
+        Wall(normal=n, rays=rays, element=alg.exp(alg.lie_element(log)))
+        for rays, n, log in initial + [((ray,), n, scattered[ray, n]) for ray, n in order]
     ]
-    _require_trivial_sweep(
-        fd, _sweep_factors(fd, final), level, "completion failed to cancel all defects"
-    )
-    return ScatteringDiagram(level=level, walls=tuple(final), origin="rank2-completion")
+    return ScatteringDiagram(level=level, walls=tuple(walls), origin="rank2-completion")
 
 
 def verify_rank2_consistency(
@@ -645,8 +620,10 @@ def verify_rank2_consistency(
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
     level = diagram.level if level is None else level
-    factors = _sweep_factors(fd, diagram.walls, basepoint=(-1, -1), clockwise=True)
-    _require_trivial_sweep(fd, factors, level)
+    walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
+    _require_trivial_sweep(
+        fd, _sweep_factors(fd, walls, basepoint=(-1, -1), clockwise=True), level
+    )
     return True
 
 
@@ -685,14 +662,16 @@ def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
 
 def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
     try:
-        level = int(doc["level"])
+        level = doc["level"]
+        if not linalg.is_int(level):
+            raise BadInput("diagram level must be an integer, got %r" % (level,))
         walls = []
         for rec in doc["walls"]:
             carrier = element_from_json(rec["element"], fd.omega)
             walls.append(
                 Wall(
-                    normal=tuple(int(x) for x in rec["normal"]),
-                    rays=tuple(tuple(int(x) for x in r) for r in rec["rays"]),
+                    normal=_int_vector(rec["normal"], "wall normal"),
+                    rays=tuple(_int_vector(r, "wall ray") for r in rec["rays"]),
                     element=GroupElement(carrier),
                 )
             )

@@ -47,6 +47,12 @@ DOMAIN_ERRORS = {
     "fractional-normal": (
         ["obstruct"], dict(A2, crossings=[{"normal": [1.5, 0], "sign": 1}]), "bad_input"
     ),
+    "too-long-normal": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [1, 0, 0], "sign": 1}]), "bad_input"
+    ),
+    "too-short-normal": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [1], "sign": 1}]), "bad_input"
+    ),
     "scalar-delta": (["explore"], dict(A2, delta=5), "bad_input"),
     "scalar-D": (["explore"], dict(A2, D=3), "bad_input"),
     "boolean-D": (["certify"], dict(A2, D=[True, True]), "not_skew_symmetrizable"),

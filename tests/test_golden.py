@@ -30,7 +30,23 @@ PATTERNS = {
         "B": [[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]],
         "delta": [1, 1, 1, 1],
     },
+    "K33": {"B": [[0, 3], [-3, 0]], "delta": [1, 1]},
 }
+
+
+def _green(normals):
+    return [{"normal": n, "sign": 1} for n in normals]
+
+
+# obstruct inputs: a repeated normal among mixed degrees, and a rescaled
+# lattice whose non-primitive normal has a fractional exponent
+PATTERNS["G2-crossings"] = dict(
+    PATTERNS["G2"], crossings=_green([[1, 0], [1, 1], [0, 1], [1, 2], [1, 0], [0, 1], [2, 3]])
+)
+PATTERNS["B3-crossings"] = dict(
+    PATTERNS["B3"],
+    crossings=_green([[1, 0, 1], [0, 1, 1], [1, 1, 2], [1, 0, 1], [0, 2, 0], [1, 1, 1]]),
+)
 
 GOLDEN = {
     ("explore", "A3", ()):
@@ -65,6 +81,19 @@ GOLDEN = {
         "f5cd963e496615f4562e9216037205050ce530aa98b17b06cf4ab88be8da5fd7",
     ("emit-fan", "G2", ()):
         "89089397432ddfa678f287abb306b22f6f7343923beed54728cc2b08f4d9b915",
+    ("obstruct", "G2-crossings", ()):
+        "ab82e0b0e67f5f8448f32a6b4bbd3c2d9ec92537c026806e57194becb7bcbdf6",
+    ("obstruct", "B3-crossings", ()):
+        "4a9d5679145706b4c53474421dbd8f50eec05960c8c59f532ed3615fd97fcb2c",
+    # level 10: many defect terms share each outgoing ray
+    ("scatter2", "Kronecker", ("--level", "10")):
+        "4443bc54f95e797e85c0981ad2b023394ddcd45529966ba9f7bd42add3692366",
+    ("scatter2", "G2", ("--level", "10")):
+        "8f39910fd04983fe5f6a6d55914ce5160f848bddd094571af91f31511e846a86",
+    ("scatter2", "K33", ("--level", "10")):
+        "bcb9469140a742ed3fd415fc8d98d3842f8228e7bdcf948602397c0ddb87c8f6",
+    ("scatter2", "K33", ("--level", "10", "--format", "svg")):
+        "127d6d1d1480ab58bfd681da40a8a66446b7d48f8651e6073d7af07de8b58c93",
 }
 
 

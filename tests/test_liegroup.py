@@ -338,6 +338,21 @@ class TestSerialization:
         with pytest.raises(BadInput):
             element_from_json(doc, A2_OMEGA)
 
+    def test_rejects_fractional_monomial_entry(self):
+        doc = {"level": 2, "terms": [{"monomial": [[1.7, 0]], "coeff": "1"}]}
+        with pytest.raises(BadInput):
+            element_from_json(doc, A2_OMEGA)
+
+    @pytest.mark.parametrize("coeff", [0.1, 1.0, True])
+    def test_rejects_non_exact_coefficient(self, coeff):
+        doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": coeff}]}
+        with pytest.raises(BadInput):
+            element_from_json(doc, A2_OMEGA)
+
+    def test_accepts_integer_coefficient(self):
+        doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": 3}]}
+        assert element_from_json(doc, A2_OMEGA) == alg(2).generator((1, 0)) * 3
+
     def test_rejects_non_grouplike_document(self):
         a = alg(2)
         fake = a.one() + a.generator((1, 0)) * a.generator((0, 1))

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from greenfan import (
+    BadInput,
     Cone,
     CrossingSequence,
     GroupElement,
@@ -300,7 +302,23 @@ class TestObstruction:
                 if not steps:
                     continue
                 cs = crossing_sequence(fd, steps)
-                assert minimal_degree_obstruction(fd, cs).witness
+                result = minimal_degree_obstruction(fd, cs)
+                # oracle: the PBW product at the minimal degree is exp(witness)
+                level = result.min_degree
+                alg = PbwAlgebra(fd.omega, level)
+                product = path_ordered_product(fd, cs, level)
+                assert product == alg.exp(alg.lie_element(result.witness))
+                assert not product.is_identity()
+
+    def test_needs_no_group_arithmetic(self, g2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the obstruction built a PBW algebra")
+
+        monkeypatch.setattr(scattering_module, "PbwAlgebra", refuse)
+        pairs = [((1, 1), 1), ((0, 1), 1), ((1, 0), 1), ((0, 1), 1)]
+        result = minimal_degree_obstruction(g2, crossing_sequence_from_normals(g2, pairs))
+        assert result.min_degree == 1
+        assert result.witness == {(0, 1): Fraction(6), (1, 0): Fraction(1)}
 
 
 class TestLoopConsistency:
@@ -531,6 +549,18 @@ class TestRankTwoCompletion:
         with pytest.raises(NotRankTwo):
             complete_rank2(a3, 3)
 
+    def test_pbw_builds_only_the_emitted_walls(self, kronecker, monkeypatch):
+        calls = []
+        exp = PbwAlgebra.exp
+
+        def counted(self, a):
+            calls.append(a)
+            return exp(self, a)
+
+        monkeypatch.setattr(PbwAlgebra, "exp", counted)
+        diagram = complete_rank2(kronecker, 7)
+        assert len(calls) == len(diagram.walls)
+
     def test_missing_wall_is_detected(self, a2):
         diagram = complete_rank2(a2, 4)
         broken = ScatteringDiagram(
@@ -547,6 +577,25 @@ class TestDiagramSerialization:
         back = diagram_from_json(doc, b2)
         assert back.level == diagram.level
         assert back.walls == diagram.walls
+
+    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "Kronecker"])
+    def test_json_text_round_trip(self, name, a2, b2, g2, kronecker):
+        fd = {"A2": a2, "B2": b2, "G2": g2, "Kronecker": kronecker}[name]
+        doc = diagram_to_json(fd, complete_rank2(fd, 7))
+        back = diagram_from_json(json.loads(json.dumps(doc)), fd)
+        assert diagram_to_json(fd, back) == doc
+        assert verify_rank2_consistency(fd, back)
+
+    def test_rejects_fractional_level(self, b2):
+        doc = dict(diagram_to_json(b2, complete_rank2(b2, 4)), level=3.9)
+        with pytest.raises(BadInput):
+            diagram_from_json(doc, b2)
+
+    def test_rejects_fractional_normal(self, b2):
+        doc = diagram_to_json(b2, complete_rank2(b2, 4))
+        doc["walls"][0]["normal"] = [1.5, 1]
+        with pytest.raises(BadInput):
+            diagram_from_json(doc, b2)
 
     def test_factored_field_present(self, a2):
         doc = diagram_to_json(a2, complete_rank2(a2, 4))
