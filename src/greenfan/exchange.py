@@ -17,8 +17,8 @@ Conventions used throughout:
 The coefficient matrix mutates by the extended-matrix rule (entrywise, no
 sign assumptions); the degree matrix mutates by the column recurrence driven
 by the sign of the current c-vector.  The two are tied together by the exact
-duality ``G^T * D * C = D``, which the test-suite checks on every enumerated
-seed rather than assuming.
+duality ``G^T * D * C = D``; enumeration relies on it to identify seeds by G,
+and the test-suite checks it on every enumerated seed.
 """
 
 from __future__ import annotations
@@ -225,15 +225,24 @@ def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
     new_b = shear(b)
     new_b[k] = tuple(-x for x in bk)
     g_cols = list(zip(*g))
-    g_k = [-x for x in g_cols[k]]
-    for j, row in enumerate(b):
-        w = -eps * row[k]  # pos(-eps * b_jk)
-        if w > 0:
-            g_k = [x + w * y for x, y in zip(g_k, g_cols[j])]
-    g_cols[k] = g_k
+    g_cols[k] = _mutated_g_column(b, g_cols, k, eps)
     return TropicalSeed(
         b=tuple(new_b), c=tuple(shear(c)), g=tuple(zip(*g_cols)), path=seed.path + (k,)
     )
+
+
+def _mutated_g_column(b: Matrix, g_cols, k: int, eps: int) -> Vector:
+    """Column k of G after mutation in direction k: -g_k + sum_j pos(-eps * b_jk) g_j.
+
+    ``g_cols`` are the columns of G before the mutation and ``eps`` the sign
+    of the c-vector of direction ``k``; the other columns do not change.
+    """
+    g_k = [-x for x in g_cols[k]]
+    for row, g_j in zip(b, g_cols):
+        w = -eps * row[k]
+        if w > 0:
+            g_k = [x + w * y for x, y in zip(g_k, g_j)]
+    return tuple(g_k)
 
 
 class SeedKey(NamedTuple):
@@ -290,56 +299,71 @@ def enumerate_graph(
     truncated run frontier vertices may be missing incident edges.  A vertex
     skips the direction it was discovered by: the involution leads back to
     the stored parent, and that edge was recorded at discovery.
+
+    A neighbour is identified by its g-vectors alone, so each direction costs
+    one new g-column and a lookup of the sorted columns; only a vertex seen
+    for the first time is mutated in full and keyed.  G fixes the rest of a
+    seed: C = D^-1 (G^T)^-1 D by duality and B = G^-1 B_0 C (Nakanishi-
+    Zelevinsky), so equal sorted g-columns mean equal keys, and equal
+    labeled g-columns mean equal labeled seeds.  The sign coherence of every
+    c-vector is checked at each expanded vertex.
     """
     root = root_seed(fd)
-    rkey = canonical_key(root)
-    vertices: dict[SeedKey, TropicalSeed] = {rkey: root}
-    depth_of = {rkey: 0}
-    edges: list[tuple[SeedKey, SeedKey, int]] = []
-    seen_edges: set[tuple[SeedKey, SeedKey, int]] = set()
-    queue = deque([rkey])
+    seeds = [root]  # by vertex id, in discovery order
+    keys = [canonical_key(root)]
+    g_cols = [tuple(zip(*root.g))]  # labeled g-columns
+    depth_of = [0]
+    id_of = {keys[0].g_columns: 0}  # sorted g-columns -> vertex id
+    edges: list[tuple[int, int, int]] = []
+    seen_edges: set[tuple[int, int, int]] = set()
+    queue = deque([0])
     truncated = False
     depth_reached = 0
     while queue:
-        key = queue.popleft()
-        seed = vertices[key]
-        depth = depth_of[key]
+        v = queue.popleft()
+        seed = seeds[v]
+        depth = depth_of[v]
         depth_reached = max(depth_reached, depth)
         if depth >= max_depth:
             truncated = True
             continue
         came_by = seed.path[-1] if seed.path else None
-        # mutate_seed checks each c-vector's sign coherence, so a positive
-        # entry is enough to show that a direction is green
-        green = [max(col) > 0 for col in zip(*seed.c)]
+        cols = g_cols[v]
         for k in range(fd.rank):
+            eps = _column_sign(seed.c, k)
             if k == came_by:
                 continue
-            neighbor = mutate_seed(fd, seed, k)
-            nkey = canonical_key(neighbor)
-            if nkey not in vertices:
-                if len(vertices) >= max_vertices:
+            ncols = cols[:k] + (_mutated_g_column(seed.b, cols, k, eps),) + cols[k + 1 :]
+            u = id_of.get(tuple(sorted(ncols)))
+            if u is None:
+                if len(seeds) >= max_vertices:
                     truncated = True
                     continue
-                vertices[nkey] = neighbor
-                depth_of[nkey] = depth + 1
-                queue.append(nkey)
-            if green[k]:
-                edge = (key, nkey, k)
-            elif vertices[nkey].same_matrices(neighbor):
+                u = len(seeds)
+                neighbor = mutate_seed(fd, seed, k)
+                key = canonical_key(neighbor)
+                id_of[key.g_columns] = u
+                seeds.append(neighbor)
+                keys.append(key)
+                g_cols.append(ncols)
+                depth_of.append(depth + 1)
+                queue.append(u)
+            if eps > 0:
+                edge = (v, u, k)
+            elif g_cols[u] == ncols:
                 # Red from here means green from the neighbor; direction k is
                 # meaningful there only when the stored representative is the
-                # labeled seed we just computed.
-                edge = (nkey, key, k)
+                # labeled seed mutation leads to.
+                edge = (u, v, k)
             else:
                 continue  # the green side will record it when expanded
             if edge not in seen_edges:
                 seen_edges.add(edge)
                 edges.append(edge)
     return OrientedExchangeGraph(
-        root=rkey,
-        vertices=vertices,
-        edges=tuple(edges),
+        root=keys[0],
+        vertices=dict(zip(keys, seeds)),
+        edges=tuple((keys[s], keys[t], k) for s, t, k in edges),
         status="truncated" if truncated else "complete",
         depth_reached=depth_reached,
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .errors import (
     BadInput,
@@ -98,6 +98,13 @@ def dilog_log_terms(n: Vector, c, level: int) -> dict[Vector, Fraction]:
     }
 
 
+def _check_level(level) -> None:
+    if not is_int(level):
+        raise ValueError("level must be an integer, got %r" % (level,))
+    if level < 1:
+        raise ValueError("level must be >= 1")
+
+
 class PbwAlgebra:
     """Context object: rank, pairing matrix and truncation level.
 
@@ -117,9 +124,7 @@ class PbwAlgebra:
             for j in range(self.rank):
                 if self.omega[i][j] != -self.omega[j][i]:
                     raise ValueError("omega must be skew-symmetric")
-        level = int(level)
-        if level < 1:
-            raise ValueError("level must be >= 1")
+        _check_level(level)
         self.level = level
         self._straighten_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
 
@@ -248,7 +253,7 @@ class PbwAlgebra:
 
     def project(self, x, new_level: int):
         """Push an element (algebra or group) down to a coarser truncation."""
-        new_level = int(new_level)
+        _check_level(new_level)
         if new_level > self.level:
             raise LevelMismatch(
                 "cannot project level %d up to %d" % (self.level, new_level)
@@ -594,14 +599,14 @@ class TorusAction:
         factors_by_psi = {}
         out: dict[Vector, object] = {}
         for m, coeff in self.series.items():
-            psi = dn + sum(wj * mj for wj, mj in zip(w, m) if mj)
+            psi = dn + sum(map(mul, w, m))
             factors = factors_by_psi.get(psi)
             if factors is None:
                 factors = factors_by_psi[psi] = series(psi, longest)
             target = m
-            for k in range((level - degree(m)) // dn + 1):
-                if factors[k]:
-                    out[target] = out.get(target, 0) + coeff * factors[k]
+            for f in factors[: (level - degree(m)) // dn + 1]:
+                if f:
+                    out[target] = out.get(target, 0) + coeff * f
                 target = tuple(map(add, target, n))
         self.series = {m: c for m, c in out.items() if c}
 

@@ -7,6 +7,7 @@ is exact -- no floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 
 
@@ -19,10 +20,14 @@ def is_int(x) -> bool:
 
 
 def as_int_matrix(rows):
-    """Coerce nested sequences to a square tuple-of-tuples of int."""
-    m = tuple(tuple(row) for row in rows)
-    for row in m:
-        for x in row:
+    """Coerce nested sequences to a square tuple-of-tuples of int.
+
+    One pass over the entry types accepts a matrix of exact ints; the
+    per-entry test runs only to accept an int subclass or name a bad entry.
+    """
+    m = tuple(map(tuple, rows))
+    if not {int}.issuperset(map(type, chain.from_iterable(m))):
+        for x in chain.from_iterable(m):
             if not is_int(x):
                 raise ValueError("matrix entries must be integers, got %r" % (x,))
     n = len(m)

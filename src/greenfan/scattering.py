@@ -43,6 +43,7 @@ from .liegroup import (
     GroupElement,
     PbwAlgebra,
     TorusAction,
+    _check_level,
     degree,
     delta_exponent,
     dilog_log_terms,
@@ -573,9 +574,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     """
     if fd.rank != 2:
         raise NotRankTwo("completion is implemented for rank 2 only")
-    level = int(level)
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    _check_level(level)
     initial = []  # (rays, normal, log) of the two full lines
     for i in range(2):
         n = tuple(1 if j == i else 0 for j in range(2))
@@ -666,15 +665,18 @@ def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
         if not linalg.is_int(level):
             raise BadInput("diagram level must be an integer, got %r" % (level,))
         walls = []
-        for rec in doc["walls"]:
+        for i, rec in enumerate(doc["walls"]):
             carrier = element_from_json(rec["element"], fd.omega)
-            walls.append(
-                Wall(
-                    normal=_int_vector(rec["normal"], "wall normal"),
-                    rays=tuple(_int_vector(r, "wall ray") for r in rec["rays"]),
-                    element=GroupElement(carrier),
-                )
+            wall = Wall(
+                normal=_int_vector(rec["normal"], "wall normal"),
+                rays=tuple(_int_vector(r, "wall ray") for r in rec["rays"]),
+                element=GroupElement(carrier),
             )
+            try:
+                validate_wall(fd, wall)
+            except ValueError as exc:
+                raise BadInput("wall %d: %s" % (i, exc)) from exc
+            walls.append(wall)
         return ScatteringDiagram(
             level=level,
             walls=tuple(walls),

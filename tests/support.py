@@ -8,6 +8,7 @@ orders at the first descent and caches aggressively, so agreement between
 the two is a real confluence check rather than the same code run twice.
 """
 
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -15,9 +16,13 @@ from greenfan import (
     ConsistencyReport,
     IncompleteGraph,
     InconsistencyFound,
+    OrientedExchangeGraph,
     SignIncoherent,
     TropicalSeed,
+    canonical_key,
+    mutate_seed,
     path_ordered_product,
+    root_seed,
     validate_fixed_data,
 )
 from greenfan import scattering
@@ -129,6 +134,63 @@ def dense_mutate_seed(fd, seed, k):
         for i in range(r)
     )
     return TropicalSeed(b=new_b, c=new_c, g=new_g, path=seed.path + (k,))
+
+
+def full_mutation_enumerate_graph(fd, max_vertices=100000, max_depth=12):
+    """Exchange-graph enumeration that mutates every neighbour in full.
+
+    ``enumerate_graph`` identifies a neighbour by one new g-column and
+    mutates only on discovery; this keys every mutated neighbour and decides
+    a red edge by comparing all three matrices, and is kept as its oracle.
+    """
+    root = root_seed(fd)
+    rkey = canonical_key(root)
+    vertices = {rkey: root}
+    depth_of = {rkey: 0}
+    edges, seen_edges = [], set()
+    queue = deque([rkey])
+    truncated = False
+    depth_reached = 0
+    while queue:
+        key = queue.popleft()
+        seed = vertices[key]
+        depth = depth_of[key]
+        depth_reached = max(depth_reached, depth)
+        if depth >= max_depth:
+            truncated = True
+            continue
+        came_by = seed.path[-1] if seed.path else None
+        # mutate_seed checks each c-vector's sign coherence, so a positive
+        # entry is enough to show that a direction is green
+        green = [max(col) > 0 for col in zip(*seed.c)]
+        for k in range(fd.rank):
+            if k == came_by:
+                continue
+            neighbor = mutate_seed(fd, seed, k)
+            nkey = canonical_key(neighbor)
+            if nkey not in vertices:
+                if len(vertices) >= max_vertices:
+                    truncated = True
+                    continue
+                vertices[nkey] = neighbor
+                depth_of[nkey] = depth + 1
+                queue.append(nkey)
+            if green[k]:
+                edge = (key, nkey, k)
+            elif vertices[nkey].same_matrices(neighbor):
+                edge = (nkey, key, k)
+            else:
+                continue
+            if edge not in seen_edges:
+                seen_edges.add(edge)
+                edges.append(edge)
+    return OrientedExchangeGraph(
+        root=rkey,
+        vertices=vertices,
+        edges=tuple(edges),
+        status="truncated" if truncated else "complete",
+        depth_reached=depth_reached,
+    )
 
 
 def per_cycle_loop_consistency(fd, graph, level):

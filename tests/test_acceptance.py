@@ -31,6 +31,7 @@ from greenfan import (
     verify_rank2_consistency,
 )
 from greenfan.liegroup import degree
+from greenfan.linalg import solve_columns
 
 from support import (
     element_words,
@@ -213,6 +214,21 @@ def test_criterion_5_rank_two_completions():
     )
 
 
+def _c_from_duality(fd, g_columns):
+    """C = D^-1 (G^-1)^T D, from G^T D C = D with G given by its columns.
+
+    Column i of G^-1 solves G x = e_i, so C[i][j] = x_j * d_j / d_i.
+    """
+    r = fd.rank
+    inverse_columns = [
+        solve_columns(g_columns, [int(i == j) for j in range(r)]) for i in range(r)
+    ]
+    return tuple(
+        tuple(inverse_columns[i][j] * Fraction(fd.d[j], fd.d[i]) for j in range(r))
+        for i in range(r)
+    )
+
+
 def test_criterion_6_oracle_equivalence_to_depth_6():
     failures = []
     fingerprint_by_key = {}
@@ -228,9 +244,11 @@ def test_criterion_6_oracle_equivalence_to_depth_6():
                 pairs_checked += 1
                 if extract_c_matrix(symbolic) != tropical.c:
                     failures.append("%s: C mismatch at %r" % (name, tropical.path))
-                for j in range(fd.rank):
-                    if extract_g_vector(symbolic.variables[j], fd) != tropical.g_column(j):
-                        failures.append("%s: G mismatch at %r" % (name, tropical.path))
+                g_sym = [extract_g_vector(x, fd) for x in symbolic.variables]
+                if g_sym != [tropical.g_column(j) for j in range(fd.rank)]:
+                    failures.append("%s: G mismatch at %r" % (name, tropical.path))
+                if _c_from_duality(fd, g_sym) != tropical.c:
+                    failures.append("%s: C is not D^-1 G^-T D at %r" % (name, tropical.path))
                 key = canonical_key(tropical)
                 fp = cluster_fingerprint(symbolic)
                 if fingerprint_by_key.setdefault(key, fp) != fp:
@@ -250,7 +268,8 @@ def test_criterion_6_oracle_equivalence_to_depth_6():
     _report(
         6,
         failures,
-        "tropical C/G equals symbolic extraction on %d seeds to depth 6; "
+        "tropical C/G equals symbolic extraction, and C equals D^-1 G^-T D of the "
+        "symbolic g-vectors, on %d seeds to depth 6; "
         "key equality = cluster equality" % pairs_checked,
     )
 

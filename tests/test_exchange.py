@@ -24,12 +24,36 @@ from greenfan import (
     root_seed,
     validate_fixed_data,
 )
-from greenfan.linalg import det, matmul, transpose
+from greenfan.linalg import as_int_matrix, det, matmul, transpose
 
-from support import FINITE_TYPES, dense_mutate_seed, relabel_seed
+from support import (
+    FINITE_TYPES,
+    LOOP_PATTERNS,
+    dense_mutate_seed,
+    full_mutation_enumerate_graph,
+    relabel_seed,
+)
 
 MARKOV = ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], [1, 1, 1])
 ACYCLIC_222 = ([[0, 2, 2], [-2, 0, 2], [-2, -2, 0]], [1, 1, 1])
+
+# name -> (B, delta, enumerate_graph keyword arguments) for the oracle comparison
+ORACLE_CASES = {
+    **{
+        "FZ-" + name: (b, delta, {"max_depth": 64})
+        for name, (b, delta, _) in FINITE_TYPES.items()
+    },
+    **{
+        "loop-" + name: (b, delta, {"max_depth": 64})
+        for name, (b, delta) in LOOP_PATTERNS.items()
+    },
+    "Markov": MARKOV + ({"max_depth": 5},),
+    "acyclic-222": ACYCLIC_222 + ({"max_depth": 5},),
+    "Kronecker-22": ([[0, 2], [-2, 0]], [1, 1], {}),
+    "Kronecker-33": ([[0, 3], [-3, 0]], [1, 1], {}),
+    "E6-50-vertices": FINITE_TYPES["E6"][:2] + ({"max_vertices": 50},),
+    "D5-depth-3": FINITE_TYPES["D5"][:2] + ({"max_depth": 3},),
+}
 
 
 def _duality_holds(fd, seed):
@@ -201,6 +225,24 @@ class TestEnumeration:
                 assert is_green(seed, k)
                 assert canonical_key(mutate_seed(fd, seed, k)) == dst
 
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_matches_full_mutation_oracle(self, name):
+        b, delta, budget = ORACLE_CASES[name]
+        fd = validate_fixed_data(b, delta)
+        graph = enumerate_graph(fd, **budget)
+        oracle = full_mutation_enumerate_graph(fd, **budget)
+        assert list(graph.vertices) == list(oracle.vertices)
+        for key, seed in oracle.vertices.items():
+            assert graph.vertices[key].same_matrices(seed)
+            assert graph.vertices[key].path == seed.path
+        assert graph.edges == oracle.edges
+        assert graph.root == oracle.root
+        assert graph.status == oracle.status
+        assert graph.depth_reached == oracle.depth_reached
+        # only the finite types close; every other case exercises a budget
+        finite = name.startswith(("FZ-", "loop-"))
+        assert oracle.status == ("complete" if finite else "truncated")
+
     def test_a3_edge_count_matches_flip_count(self, a3):
         # 14 vertices of degree 3 in the unoriented exchange graph: 21 edges
         graph = enumerate_graph(a3)
@@ -264,6 +306,28 @@ class TestAcyclicityCertificate:
         with pytest.raises(CycleFound) as info:
             certify_acyclic(rigged)
         assert set(info.value.cycle) == {a, b}
+
+
+class TestIntMatrix:
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, True], [1, 0]], [[0, 1.0], [1, 0]], [[0, "1"], [1, 0]], [[0, 1], [1]]],
+        ids=["bool", "float", "string", "not-square"],
+    )
+    def test_rejects(self, rows):
+        with pytest.raises(ValueError):
+            as_int_matrix(rows)
+
+    def test_accepts_int_subclass(self):
+        class Tagged(int):
+            pass
+
+        m = as_int_matrix([[Tagged(0), 1], [-1, 0]])
+        assert m == ((0, 1), (-1, 0))
+
+    def test_names_the_bad_entry(self):
+        with pytest.raises(ValueError, match="1.5"):
+            as_int_matrix([[0, 1], [1.5, 0]])
 
 
 class TestSerialization:

@@ -111,6 +111,13 @@ class TestStraightening:
         with pytest.raises(LevelMismatch):
             alg(2).generator((1, 0)) * alg(3).generator((1, 0))
 
+    @pytest.mark.parametrize("level", [3.9, 2.5, True, 0])
+    def test_level_must_be_a_positive_int(self, level):
+        with pytest.raises(ValueError):
+            PbwAlgebra(A2_OMEGA, level)
+        with pytest.raises(ValueError):
+            project(alg(4).generator((1, 0)), level)
+
     def test_mixed_omega_rejected(self):
         other = PbwAlgebra(((0, 2), (-2, 0)), 2)
         with pytest.raises(ValueError):

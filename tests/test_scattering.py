@@ -545,6 +545,11 @@ class TestRankTwoCompletion:
         assert scattered(diagram) == []
         assert verify_rank2_consistency(fd, diagram)
 
+    @pytest.mark.parametrize("level", [3.9, 2.5, True])
+    def test_level_must_be_an_int(self, a2, level):
+        with pytest.raises(ValueError):
+            complete_rank2(a2, level)
+
     def test_rank_three_rejected(self, a3):
         with pytest.raises(NotRankTwo):
             complete_rank2(a3, 3)
@@ -596,6 +601,13 @@ class TestDiagramSerialization:
         doc["walls"][0]["normal"] = [1.5, 1]
         with pytest.raises(BadInput):
             diagram_from_json(doc, b2)
+
+    def test_rejects_ray_off_its_wall(self, a2):
+        doc = diagram_to_json(a2, complete_rank2(a2, 4))
+        assert doc["walls"][2]["normal"] == [1, 1]
+        doc["walls"][2]["rays"] = [[1, 0]]
+        with pytest.raises(BadInput, match="wall 2: ray"):
+            diagram_from_json(doc, a2)
 
     def test_factored_field_present(self, a2):
         doc = diagram_to_json(a2, complete_rank2(a2, 4))
