@@ -124,21 +124,21 @@ def _graph_artifacts(job: argparse.Namespace, fd, graph) -> int:
     order = None
     if graph.status == "complete":
         order = exchange.certify_acyclic(graph)
-    doc = exchange.graph_to_json(graph, topological_order=order)
-    dot = exchange.graph_to_dot(graph)
-    if job.format == "json":
-        primary = _json_text(doc)
-    elif job.format == "dot":
-        primary = dot
-    else:
-        primary = scattering.fan_to_svg(fd, graph)
-    _emit(primary, job.out)
-    if job.out_json:
-        _emit(_json_text(doc), job.out_json)
-    if job.out_dot:
-        _emit(dot, job.out_dot)
-    if job.out_svg:
-        _emit(scattering.fan_to_svg(fd, graph), job.out_svg)
+    renderers = {
+        "json": lambda: _json_text(exchange.graph_to_json(graph, topological_order=order)),
+        "dot": lambda: exchange.graph_to_dot(graph),
+        "svg": lambda: scattering.fan_to_svg(fd, graph),
+    }
+    outputs = [(job.format, job.out)] + [
+        (fmt, path)
+        for fmt, path in (("json", job.out_json), ("dot", job.out_dot), ("svg", job.out_svg))
+        if path
+    ]
+    texts = {}  # each artifact is rendered once, and only when it is written
+    for fmt, path in outputs:
+        if fmt not in texts:
+            texts[fmt] = renderers[fmt]()
+        _emit(texts[fmt], path)
     return 0
 
 

@@ -426,11 +426,11 @@ def _extract_cycle(keys, index, edges, remaining):
 # serialization
 
 
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))  # writes tuples as lists
+
+
 def key_to_str(key: SeedKey) -> str:
-    return json.dumps(
-        {"g": [list(v) for v in key.g_columns], "B": [list(row) for row in key.b]},
-        separators=(",", ":"),
-    )
+    return _KEY_ENCODER.encode({"g": key.g_columns, "B": key.b})
 
 
 def key_from_str(text: str) -> SeedKey:
@@ -457,12 +457,15 @@ def _seed_from_json(doc) -> TropicalSeed:
         path = tuple(doc["path"])
         if not all(map(linalg.is_int, path)):
             raise ValueError("path entries must be integers, got %r" % (doc["path"],))
-        return TropicalSeed(
+        seed = TropicalSeed(
             b=linalg.as_int_matrix(doc["B"]),
             c=linalg.as_int_matrix(doc["C"]),
             g=linalg.as_int_matrix(doc["G"]),
             path=path,
         )
+        if not len(seed.b) == len(seed.c) == len(seed.g):
+            raise ValueError("B, C and G must have one size")
+        return seed
     except (ValueError, KeyError, TypeError) as exc:
         raise BadInput("malformed seed record: %s" % exc) from exc
 
@@ -489,29 +492,32 @@ def graph_to_json(graph: OrientedExchangeGraph, topological_order=None) -> dict:
 def graph_from_json(doc) -> OrientedExchangeGraph:
     """Parse a graph document; edges and root must name listed vertices.
 
-    Each key string is parsed once, and no edge may point into the root.
+    Each vertex's key is derived from its seed and must render to the name
+    the vertex is listed under, so a seed record cannot stand under another
+    vertex's name.  Root and edges are looked up among those names, and no
+    edge may point into the root.
     """
     try:
         keys, vertices = {}, {}
-        for ks, sv in doc["vertices"].items():
-            keys[ks] = key = key_from_str(ks)
-            vertices[key] = _seed_from_json(sv)
-
-        def parse(ks):
-            return keys[ks] if isinstance(ks, str) and ks in keys else key_from_str(ks)
-
-        root = parse(doc["root"])
-        if root not in vertices:
+        for name, record in doc["vertices"].items():
+            seed = _seed_from_json(record)
+            keys[name] = key = canonical_key(seed)
+            if key_to_str(key) != name:
+                raise BadInput("vertex %s holds the seed of %s" % (name, key_to_str(key)))
+            vertices[key] = seed
+        if doc["root"] not in keys:
             raise BadInput("root %s is not a vertex" % doc["root"])
+        root = keys[doc["root"]]
         edges = []
         for e in doc["edges"]:
-            src, dst, k = parse(e["source"]), parse(e["target"]), e["direction"]
+            k = e["direction"]
             if not linalg.is_int(k):
                 raise BadInput("edge direction must be an integer, got %r" % (k,))
-            if src not in vertices or dst not in vertices:
+            if e["source"] not in keys or e["target"] not in keys:
                 raise BadInput(
                     "edge %s -> %s names an unknown vertex" % (e["source"], e["target"])
                 )
+            src, dst = keys[e["source"]], keys[e["target"]]
             if dst == root:
                 raise BadInput("edge %s -> %s points into the root" % (e["source"], e["target"]))
             edges.append((src, dst, k))

@@ -320,111 +320,23 @@ class ConsistencyReport:
     loops: tuple[LoopReport, ...]
 
 
-def _fundamental_cycles(graph: OrientedExchangeGraph):
-    """Cycle basis of the underlying undirected graph via a BFS tree.
-
-    Returns the cycles and the tree's parent map, whose keys are in BFS order.
-    """
-    index = {key: i for i, key in enumerate(graph.vertices)}
-    adj: dict[SeedKey, list[SeedKey]] = {key: [] for key in graph.vertices}
-    undirected = set()
-    for src, dst, _ in graph.edges:
-        pair = (src, dst) if index[src] <= index[dst] else (dst, src)
-        if pair in undirected:
-            continue
-        undirected.add(pair)
-        adj[src].append(dst)
-        adj[dst].append(src)
-    for key in adj:
-        adj[key].sort(key=index.get)
-    parent: dict[SeedKey, SeedKey | None] = {graph.root: None}
-    queue = deque([graph.root])
-    tree_edges = set()
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in parent:
-                parent[v] = u
-                pair = (u, v) if index[u] <= index[v] else (v, u)
-                tree_edges.add(pair)
-                queue.append(v)
-
-    def root_path(x):
-        path = [x]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path[::-1]  # root .. x
-
-    cycles = []
-    for u, v in sorted(undirected, key=lambda p: (index[p[0]], index[p[1]])):
-        if (u, v) in tree_edges:
-            continue
-        ru, rv = root_path(u), root_path(v)
-        common = 0
-        while common < min(len(ru), len(rv)) and ru[common] == rv[common]:
-            common += 1
-        # u up to the meeting vertex, then down to v; edge (v, u) closes it
-        cycle = list(reversed(ru[common - 1:])) + rv[common:]
-        cycles.append(cycle)
-    return cycles, parent
-
-
-def _crossing_table(fd: FixedData, graph: OrientedExchangeGraph):
-    """Per vertex, the crossing of the facet opposite each g-vector.
-
-    Duality pairs every g-vector of a seed with one c-vector whatever the
-    labels, so the stored seed of a vertex stands for every seed with its key.
-    """
-    table = {}
-    exponents = {}  # many vertices share a normal
-    for key, seed in graph.vertices.items():
-        row = {}
-        for k in range(fd.rank):
-            sign, normal = _crossing_normal(seed, k)
-            if normal not in exponents:
-                exponents[normal] = delta_exponent(normal, fd.delta)
-            row[seed.g_column(k)] = Crossing(normal, sign, exponents[normal])
-        if tuple(sorted(row)) != key.g_columns:
-            raise InvalidWalk("stored seed does not match its key %s" % key_to_str(key))
-        table[key] = row
-    return table
-
-
-def _cycle_crossings(graph: OrientedExchangeGraph, table, cycle) -> CrossingSequence:
-    """Crossings and directions of a key cycle, read off the graph.
-
-    Tracks the g-vector of each label from the stored seed of ``cycle[0]``:
-    a step mutates the one label whose g-vector the next key lacks, and
-    crosses the facet opposite that g-vector.
-    """
-    labels = list(zip(*graph.vertices[cycle[0]].g))  # the g-vector of each label
-    crossings = []
-    directions = []
-    for source, target in zip(cycle, list(cycle[1:]) + [cycle[0]]):
-        kept = set(target.g_columns)
-        gone = [k for k, g in enumerate(labels) if g not in kept]
-        fresh = kept.difference(labels)
-        if len(gone) != 1 or len(fresh) != 1:
-            raise InvalidWalk("cycle vertices are not adjacent in the pattern")
-        k = gone[0]
-        crossings.append(table[source][labels[k]])
-        directions.append(k)
-        labels[k] = fresh.pop()
-    if tuple(sorted(labels)) != cycle[0].g_columns:
-        raise InvalidWalk("cycle walk did not close up")
-    return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
-
-
 def verify_loop_consistency(
     fd: FixedData, graph: OrientedExchangeGraph, level: int
 ) -> ConsistencyReport:
     """Check that the path-ordered product of every basis loop is trivial.
 
-    Reads the crossing sequence of each fundamental cycle of the unoriented
-    exchange graph off its stored seeds, with no mutation, and requires the
-    product to be the identity at level ``l``.  Projection to a coarser level
-    maps the identity to the identity, so every level <= l is covered by this
+    Reads the crossings of each fundamental cycle of the unoriented exchange
+    graph off its stored seeds, with no mutation, and requires the product
+    to be the identity at level ``l``.  Projection to a coarser level maps
+    the identity to the identity, so every level <= l is covered by this
     check.
+
+    Everything runs on vertex ids (discovery order).  Each undirected edge is
+    resolved once, into the g-vector each end loses across it; duality pairs
+    that g-vector with one c-vector whatever the labels, so the stored seed
+    of a vertex stands for every seed with its key.  The cycles come from a
+    BFS tree: each non-tree edge (u, v), u before v, closes the cycle from u
+    up to the meeting vertex and down to v.
 
     Products are checked through their faithful torus action, with one apply
     per edge.  T_x, the product along the BFS-tree path from the root to x,
@@ -436,30 +348,83 @@ def verify_loop_consistency(
     """
     if graph.status != "complete":
         raise IncompleteGraph("loop consistency needs a complete graph")
-    table = _crossing_table(fd, graph)
-    cycles, parent = _fundamental_cycles(graph)
-    tree = {graph.root: TorusAction(fd.omega, level)}  # x -> T_x
-    for x, p in parent.items():
-        if p is None:
+    keys = list(graph.vertices)
+    seeds = list(graph.vertices.values())
+    g_cols = [tuple(zip(*seed.g)) for seed in seeds]  # labeled g-vectors by id
+    for key, cols in zip(keys, g_cols):
+        if tuple(sorted(cols)) != key.g_columns:
+            raise InvalidWalk("stored seed does not match its key %s" % key_to_str(key))
+    index = {key: i for i, key in enumerate(keys)}
+    gone = {}  # (a, b) -> the g-vector a loses across the edge to b
+    for src, dst, _ in graph.edges:
+        a, b = index[src], index[dst]
+        if (a, b) in gone:
             continue
-        gone = set(p.g_columns).difference(x.g_columns)
-        if len(gone) != 1:
+        lost = set(src.g_columns).difference(dst.g_columns)
+        if len(lost) != 1:
             raise InvalidWalk("cycle vertices are not adjacent in the pattern")
-        crossing = table[p][gone.pop()]
-        tree[x] = action = tree[p].copy()
-        action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
+        (gone[a, b],) = lost
+        (gone[b, a],) = set(dst.g_columns).difference(src.g_columns)
+    pairs = sorted(pair for pair in gone if pair[0] < pair[1])
+    adj = [[] for _ in keys]
+    for a, b in pairs:  # each list comes out in ascending id order
+        adj[a].append(b)
+        adj[b].append(a)
+    exponents = {}  # many edges share a normal
+
+    def crossing(a, b) -> Crossing:
+        """The crossing out of chamber a into chamber b."""
+        sign, normal = _crossing_normal(seeds[a], g_cols[a].index(gone[a, b]))
+        if normal not in exponents:
+            exponents[normal] = delta_exponent(normal, fd.delta)
+        return Crossing(normal, sign, exponents[normal])
+
+    root = index[graph.root]
+    parent, depth = [None] * len(keys), [None] * len(keys)
+    tree = [None] * len(keys)  # x -> T_x
+    depth[root], tree[root] = 0, TorusAction(fd.omega, level)
+    queue = deque([root])
+    while queue:
+        p = queue.popleft()
+        for x in adj[p]:
+            if depth[x] is None:
+                parent[x], depth[x] = p, depth[p] + 1
+                c = crossing(p, x)
+                tree[x] = action = tree[p].copy()
+                action.apply_dilog(c.normal, c.sign * c.exponent)
+                queue.append(x)
     reports = []
-    for cycle in cycles:
-        cs = _cycle_crossings(graph, table, cycle)
-        closing = cs.crossings[-1]
-        action = tree[cycle[-1]].copy()
+    for u, v in pairs:
+        if parent[v] == u or parent[u] == v:
+            continue
+        up, down = [u], [v]
+        while depth[up[-1]] > depth[down[-1]]:
+            up.append(parent[up[-1]])
+        while depth[down[-1]] > depth[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        cycle = up + down[-2::-1]  # u up to the meeting vertex, then down to v
+        steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+        closing = crossing(v, u)
+        action = tree[v].copy()
         action.apply_dilog(closing.normal, closing.sign * closing.exponent)
-        if action.series != tree[cycle[0]].series:
-            raise InconsistencyFound(cycle, path_ordered_product(fd, cs, level))
+        if action.series != tree[u].series:
+            cs = CrossingSequence(tuple(crossing(a, b) for a, b in steps))
+            raise InconsistencyFound(
+                [keys[i] for i in cycle], path_ordered_product(fd, cs, level)
+            )
+        labels = list(g_cols[u])  # the g-vector of each label along the walk
+        directions = []
+        for a, b in steps:
+            k = labels.index(gone[a, b])
+            labels[k] = gone[b, a]
+            directions.append(k)
         reports.append(
             LoopReport(
-                vertices=tuple(cycle),
-                directions=cs.directions,
+                vertices=tuple(keys[i] for i in cycle),
+                directions=tuple(directions),
                 max_degree_checked=level,
                 identity=True,
             )

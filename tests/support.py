@@ -14,19 +14,25 @@ from math import gcd
 
 from greenfan import (
     ConsistencyReport,
+    Crossing,
+    CrossingSequence,
+    FixedData,
     IncompleteGraph,
     InconsistencyFound,
+    InvalidWalk,
     OrientedExchangeGraph,
+    SeedKey,
     SignIncoherent,
     TropicalSeed,
     canonical_key,
+    key_to_str,
     mutate_seed,
     path_ordered_product,
     root_seed,
     validate_fixed_data,
 )
 from greenfan import scattering
-from greenfan.liegroup import TorusAction
+from greenfan.liegroup import TorusAction, delta_exponent
 from greenfan.scattering import LoopReport
 
 
@@ -193,21 +199,118 @@ def full_mutation_enumerate_graph(fd, max_vertices=100000, max_depth=12):
     )
 
 
+def _fundamental_cycles(graph: OrientedExchangeGraph):
+    """Cycle basis of the underlying undirected graph via a BFS tree.
+
+    Returns the cycles and the tree's parent map, whose keys are in BFS order.
+    """
+    index = {key: i for i, key in enumerate(graph.vertices)}
+    adj: dict[SeedKey, list[SeedKey]] = {key: [] for key in graph.vertices}
+    undirected = set()
+    for src, dst, _ in graph.edges:
+        pair = (src, dst) if index[src] <= index[dst] else (dst, src)
+        if pair in undirected:
+            continue
+        undirected.add(pair)
+        adj[src].append(dst)
+        adj[dst].append(src)
+    for key in adj:
+        adj[key].sort(key=index.get)
+    parent: dict[SeedKey, SeedKey | None] = {graph.root: None}
+    queue = deque([graph.root])
+    tree_edges = set()
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in parent:
+                parent[v] = u
+                pair = (u, v) if index[u] <= index[v] else (v, u)
+                tree_edges.add(pair)
+                queue.append(v)
+
+    def root_path(x):
+        path = [x]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path[::-1]  # root .. x
+
+    cycles = []
+    for u, v in sorted(undirected, key=lambda p: (index[p[0]], index[p[1]])):
+        if (u, v) in tree_edges:
+            continue
+        ru, rv = root_path(u), root_path(v)
+        common = 0
+        while common < min(len(ru), len(rv)) and ru[common] == rv[common]:
+            common += 1
+        # u up to the meeting vertex, then down to v; edge (v, u) closes it
+        cycle = list(reversed(ru[common - 1:])) + rv[common:]
+        cycles.append(cycle)
+    return cycles, parent
+
+
+def _crossing_table(fd: FixedData, graph: OrientedExchangeGraph):
+    """Per vertex, the crossing of the facet opposite each g-vector.
+
+    Duality pairs every g-vector of a seed with one c-vector whatever the
+    labels, so the stored seed of a vertex stands for every seed with its key.
+    """
+    table = {}
+    exponents = {}  # many vertices share a normal
+    for key, seed in graph.vertices.items():
+        row = {}
+        for k in range(fd.rank):
+            sign, normal = scattering._crossing_normal(seed, k)
+            if normal not in exponents:
+                exponents[normal] = delta_exponent(normal, fd.delta)
+            row[seed.g_column(k)] = Crossing(normal, sign, exponents[normal])
+        if tuple(sorted(row)) != key.g_columns:
+            raise InvalidWalk("stored seed does not match its key %s" % key_to_str(key))
+        table[key] = row
+    return table
+
+
+def _cycle_crossings(graph: OrientedExchangeGraph, table, cycle) -> CrossingSequence:
+    """Crossings and directions of a key cycle, read off the graph.
+
+    Tracks the g-vector of each label from the stored seed of ``cycle[0]``:
+    a step mutates the one label whose g-vector the next key lacks, and
+    crosses the facet opposite that g-vector.
+    """
+    labels = list(zip(*graph.vertices[cycle[0]].g))  # the g-vector of each label
+    crossings = []
+    directions = []
+    for source, target in zip(cycle, list(cycle[1:]) + [cycle[0]]):
+        kept = set(target.g_columns)
+        gone = [k for k, g in enumerate(labels) if g not in kept]
+        fresh = kept.difference(labels)
+        if len(gone) != 1 or len(fresh) != 1:
+            raise InvalidWalk("cycle vertices are not adjacent in the pattern")
+        k = gone[0]
+        crossings.append(table[source][labels[k]])
+        directions.append(k)
+        labels[k] = fresh.pop()
+    if tuple(sorted(labels)) != cycle[0].g_columns:
+        raise InvalidWalk("cycle walk did not close up")
+    return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
+
+
 def per_cycle_loop_consistency(fd, graph, level):
     """Loop consistency with one fresh torus product per fundamental cycle.
 
-    ``verify_loop_consistency`` applies each edge once and compares products
-    along the BFS tree; this multiplies out every cycle's crossings from the
-    identity and is kept as its oracle.  The scattering internals are looked
-    up at call time, so a test that patches one patches both checks.
+    ``verify_loop_consistency`` resolves each edge once on vertex ids and
+    compares products along the BFS tree; this builds its own cycle basis on
+    keys, reads every cycle's crossings off a per-vertex table, multiplies
+    them out from the identity and is kept as its oracle.  The crossing
+    reader ``scattering._crossing_normal`` is looked up at call time, so a
+    test that patches it faults both checks.
     """
     if graph.status != "complete":
         raise IncompleteGraph("loop consistency needs a complete graph")
-    table = scattering._crossing_table(fd, graph)
-    cycles, _ = scattering._fundamental_cycles(graph)
+    table = _crossing_table(fd, graph)
+    cycles, _ = _fundamental_cycles(graph)
     reports = []
     for cycle in cycles:
-        cs = scattering._cycle_crossings(graph, table, cycle)
+        cs = _cycle_crossings(graph, table, cycle)
         action = TorusAction(fd.omega, level)
         for crossing in cs.crossings:
             action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)

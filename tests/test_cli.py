@@ -24,6 +24,15 @@ def a2_graph_doc(root=None, **first_edge):
     return doc
 
 
+def a2_swapped_seeds_doc():
+    """Exported A2 graph with the seed records of two vertices swapped."""
+    doc = a2_graph_doc()
+    seeds = doc["vertices"]
+    first, second = list(seeds)[1:3]
+    seeds[first], seeds[second] = seeds[second], seeds[first]
+    return doc
+
+
 A2_ROOT = a2_graph_doc()["root"]
 A2_FIRST_TARGET = a2_graph_doc()["edges"][0]["target"]
 FRACTIONAL_ROOT = A2_ROOT.replace('"g":[[0,1]', '"g":[[0,1.5]')
@@ -71,6 +80,7 @@ DOMAIN_ERRORS = {
     "string-depth-reached": (["certify"], dict(a2_graph_doc(), depth_reached="x"), "bad_input"),
     # int() would truncate this onto the root's key
     "fractional-key-entry": (["certify"], a2_graph_doc(source=FRACTIONAL_ROOT), "bad_input"),
+    "swapped-seeds": (["certify"], a2_swapped_seeds_doc(), "bad_input"),
     "reversed-root-edge": (
         ["certify"], a2_graph_doc(source=A2_FIRST_TARGET, target=A2_ROOT), "bad_input"
     ),

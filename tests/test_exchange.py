@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from operator import mul
 
@@ -355,10 +356,11 @@ class TestSerialization:
             ("key", 1.5),
             ("key", True),
             ("root-edge", None),
+            ("B", [[0]]),
         ],
         ids=[
             "depth-string", "depth-fraction", "depth-bool", "path-fraction", "path-string",
-            "path-bool", "key-fraction", "key-bool", "edge-into-root",
+            "path-bool", "key-fraction", "key-bool", "edge-into-root", "seed-sizes-differ",
         ],
     )
     def test_malformed_document_is_bad_input(self, a2, field, value):
@@ -366,8 +368,8 @@ class TestSerialization:
         first = doc["edges"][0]
         if field == "depth_reached":
             doc[field] = value
-        elif field == "path":
-            doc["vertices"][first["target"]]["path"] = value
+        elif field in ("path", "B"):
+            doc["vertices"][first["target"]][field] = value
         elif field == "key":
             # the root's key with one entry replaced; int() maps it back onto the root
             first["source"] = first["source"].replace('"g":[[0,1]', '"g":[[0,%s]' % (
@@ -376,6 +378,22 @@ class TestSerialization:
         else:
             first["source"], first["target"] = first["target"], first["source"]
         with pytest.raises(BadInput):
+            graph_from_json(json.loads(json.dumps(doc)))
+
+    def test_swapped_seed_records_are_bad_input(self):
+        b, delta, _ = FINITE_TYPES["E6"]
+        doc = graph_to_json(enumerate_graph(validate_fixed_data(b, delta)))
+        seeds = doc["vertices"]
+        first, second = list(seeds)[100], list(seeds)[700]
+        seeds[first], seeds[second] = seeds[second], seeds[first]
+        with pytest.raises(BadInput, match="vertex %s holds" % re.escape(first)):
+            graph_from_json(json.loads(json.dumps(doc)))
+
+    def test_edited_g_entry_is_bad_input(self, a3):
+        doc = graph_to_json(enumerate_graph(a3))
+        name = list(doc["vertices"])[5]
+        doc["vertices"][name]["G"][0][0] += 7
+        with pytest.raises(BadInput, match="vertex %s holds" % re.escape(name)):
             graph_from_json(json.loads(json.dumps(doc)))
 
     def test_dot_output_shape(self, a2):

@@ -63,6 +63,11 @@ GOLDEN = {
         "304e15d90d560b2f413d8c7bc20243b844c8062e807e4445cf914200eb17bfd5",
     ("consistency", "D4", ("--level", "4")):
         "c2d49eac5771682f5e119a4a24c380074fff3d17feb9dc4779479bdf037d823d",
+    # non-simply-laced: crossing exponents other than 1
+    ("consistency", "B3", ("--level", "6")):
+        "a19a2ea5b30c1f452d506f90f119b7816a40474ce554db338cc9710c5548b609",
+    ("consistency", "G2", ("--level", "6")):
+        "b0bd35eb574ae6a5916056c41a16adabdb2aa40d1d9a87f6161ebc15cf950120",
     ("scatter2", "A2", ("--level", "6")):
         "9bd8acda7bb2b8d2d552faaeec5ecd45d32fe544faa7e579e15b055c239a1444",
     ("scatter2", "A2", ("--level", "6", "--format", "svg")):

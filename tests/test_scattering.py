@@ -8,7 +8,6 @@ import pytest
 from greenfan import (
     BadInput,
     Cone,
-    CrossingSequence,
     GroupElement,
     IncompleteGraph,
     InconsistencyFound,
@@ -49,10 +48,33 @@ from greenfan.liegroup import degree
 from support import (
     FINITE_TYPES,
     LOOP_PATTERNS,
+    _crossing_table,
+    _cycle_crossings,
+    _fundamental_cycles,
     element_words,
     oracle_multiply,
     per_cycle_loop_consistency,
 )
+
+
+def invert_edge_crossings(monkeypatch, graph, a, b):
+    """Make ``_crossing_normal`` flip the sign of both crossings of edge a - b.
+
+    Both directions flip, so the two factors stay inverse to each other and
+    every loop through the edge, however it is walked, sees the same fault.
+    """
+    faulty = set()
+    for x, y in ((a, b), (b, a)):
+        (g,) = set(x.g_columns).difference(y.g_columns)
+        seed = graph.vertices[x]
+        faulty.add((seed.g, list(zip(*seed.g)).index(g)))
+    crossing_normal = scattering_module._crossing_normal
+
+    def inverted(seed, k):
+        sign, normal = crossing_normal(seed, k)
+        return (-sign if (seed.g, k) in faulty else sign), normal
+
+    monkeypatch.setattr(scattering_module, "_crossing_normal", inverted)
 
 
 def scattered(diagram):
@@ -333,15 +355,11 @@ class TestLoopConsistency:
                 assert loop.max_degree_checked == 4
 
     def test_failing_loop_reports_its_pbw_product(self, a2, monkeypatch):
-        cycle_crossings = scattering_module._cycle_crossings
-
-        def drop_last(graph, table, cycle):
-            cs = cycle_crossings(graph, table, cycle)
-            return CrossingSequence(cs.crossings[:-1], cs.directions[:-1])
-
-        monkeypatch.setattr(scattering_module, "_cycle_crossings", drop_last)
+        graph = enumerate_graph(a2)
+        src, dst, _ = graph.edges[0]  # the one loop of A2 runs through every edge
+        invert_edge_crossings(monkeypatch, graph, src, dst)
         with pytest.raises(InconsistencyFound) as info:
-            verify_loop_consistency(a2, enumerate_graph(a2), 4)
+            verify_loop_consistency(a2, graph, 4)
         assert info.value.loop
         assert isinstance(info.value.element, GroupElement)
         assert not info.value.element.is_identity()
@@ -350,13 +368,13 @@ class TestLoopConsistency:
     def test_mutation_walk_replays_every_loop(self, name):
         fd = validate_fixed_data(*LOOP_PATTERNS[name])
         graph = enumerate_graph(fd)
-        table = scattering_module._crossing_table(fd, graph)
+        table = _crossing_table(fd, graph)
         report = verify_loop_consistency(fd, graph, 1)
         assert report.loops
         for loop in report.loops:
             steps = walk(fd, graph.vertices[loop.vertices[0]], loop.directions)
             replayed = crossing_sequence(fd, steps)
-            read = scattering_module._cycle_crossings(graph, table, loop.vertices)
+            read = _cycle_crossings(graph, table, loop.vertices)
             assert replayed.crossings == read.crossings
             assert replayed.directions == read.directions == loop.directions
             assert tuple(canonical_key(seed) for seed, _ in steps) == loop.vertices
@@ -374,25 +392,14 @@ class TestLoopConsistency:
     @pytest.mark.parametrize("edge", ["tree", "closing"])
     def test_injected_fault_fails_both_checks_alike(self, a3, edge, monkeypatch):
         graph = enumerate_graph(a3)
-        cycles, parent = scattering_module._fundamental_cycles(graph)
+        cycles, parent = _fundamental_cycles(graph)
         if edge == "tree":
             x = list(parent)[-1]
             u, v = parent[x], x
         else:
             cycle = cycles[len(cycles) // 2]
             u, v = cycle[-1], cycle[0]
-        crossing_table = scattering_module._crossing_table
-
-        def doubled_on_edge(fd, graph):
-            # both directions of the edge, so they stay inverse to each other
-            table = crossing_table(fd, graph)
-            for a, b in ((u, v), (v, u)):
-                (g,) = set(a.g_columns).difference(b.g_columns)
-                c = table[a][g]
-                table[a][g] = dataclasses.replace(c, exponent=2 * c.exponent)
-            return table
-
-        monkeypatch.setattr(scattering_module, "_crossing_table", doubled_on_edge)
+        invert_edge_crossings(monkeypatch, graph, u, v)
         with pytest.raises(InconsistencyFound) as tree:
             verify_loop_consistency(a3, graph, 4)
         with pytest.raises(InconsistencyFound) as oracle:
@@ -415,6 +422,22 @@ class TestLoopConsistency:
         assert len(report.loops) == 1667
         assert len(report.loops) == len(undirected) - len(graph.vertices) + 1
         assert all(loop.identity for loop in report.loops)
+
+    def test_each_edge_is_read_once(self, monkeypatch):
+        b, delta, _ = FINITE_TYPES["E6"]
+        fd = validate_fixed_data(b, delta)
+        graph = enumerate_graph(fd)
+        calls = []
+        crossing_normal = scattering_module._crossing_normal
+
+        def counted(seed, k):
+            calls.append(k)
+            return crossing_normal(seed, k)
+
+        monkeypatch.setattr(scattering_module, "_crossing_normal", counted)
+        verify_loop_consistency(fd, graph, 1)
+        undirected = {frozenset((src, dst)) for src, dst, _ in graph.edges}
+        assert len(calls) == len(undirected) == 2499
 
     def test_edge_between_non_adjacent_vertices_is_invalid_walk(self, a3):
         graph = enumerate_graph(a3)
