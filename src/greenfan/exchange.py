@@ -494,8 +494,9 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
 
     Each vertex's key is derived from its seed and must render to the name
     the vertex is listed under, so a seed record cannot stand under another
-    vertex's name.  Root and edges are looked up among those names, and no
-    edge may point into the root.
+    vertex's name.  Root and edges are looked up among those names, no edge
+    may point into the root, every direction lies in ``range(rank)``, and the
+    status is ``"complete"`` or ``"truncated"``.
     """
     try:
         keys, vertices = {}, {}
@@ -508,11 +509,14 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         if doc["root"] not in keys:
             raise BadInput("root %s is not a vertex" % doc["root"])
         root = keys[doc["root"]]
+        rank = len(root.b)
         edges = []
         for e in doc["edges"]:
             k = e["direction"]
             if not linalg.is_int(k):
                 raise BadInput("edge direction must be an integer, got %r" % (k,))
+            if not 0 <= k < rank:
+                raise BadInput("edge direction %d is outside range(%d)" % (k, rank))
             if e["source"] not in keys or e["target"] not in keys:
                 raise BadInput(
                     "edge %s -> %s names an unknown vertex" % (e["source"], e["target"])
@@ -524,11 +528,14 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         depth = doc["depth_reached"]
         if not linalg.is_int(depth):
             raise BadInput("depth_reached must be an integer, got %r" % (depth,))
+        status = doc["status"]
+        if status not in ("complete", "truncated"):
+            raise BadInput('status must be "complete" or "truncated", got %r' % (status,))
         return OrientedExchangeGraph(
             root=root,
             vertices=vertices,
             edges=tuple(edges),
-            status=str(doc["status"]),
+            status=status,
             depth_reached=depth,
         )
     except (KeyError, TypeError, AttributeError) as exc:

@@ -346,6 +346,7 @@ def verify_loop_consistency(
     T_u act alike: g z = h z gives h^-1 g = 1.  The PBW product is built only
     for the error of a failing loop.
     """
+    _check_level(level)
     if graph.status != "complete":
         raise IncompleteGraph("loop consistency needs a complete graph")
     keys = list(graph.vertices)

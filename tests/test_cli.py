@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from greenfan import enumerate_graph, graph_to_json, validate_fixed_data
+from greenfan import cli, enumerate_graph, graph_to_json, validate_fixed_data
+from greenfan import exchange, scattering
 
 CMD = [sys.executable, "-m", "greenfan"]
 
@@ -84,7 +85,22 @@ DOMAIN_ERRORS = {
     "reversed-root-edge": (
         ["certify"], a2_graph_doc(source=A2_FIRST_TARGET, target=A2_ROOT), "bad_input"
     ),
+    "unknown-status": (["certify"], dict(a2_graph_doc(), status=[1]), "bad_input"),
+    "out-of-range-direction": (["certify"], a2_graph_doc(direction=2), "bad_input"),
+    "negative-direction": (["certify"], a2_graph_doc(direction=-5), "bad_input"),
 }
+
+# (command, a flag it does not take and its value); each used to be accepted
+# and ignored
+FOREIGN_FLAGS = [
+    ("explore", ["--level", "3"]),
+    ("certify", ["--out-json", "c.json"]),
+    ("consistency", ["--format", "dot"]),
+    ("obstruct", ["--max-depth", "3"]),
+    ("scatter2", ["--out-dot", "d.dot"]),
+    ("scatter2", ["--format", "dot"]),
+    ("emit-fan", ["--out-svg", "f.svg"]),
+]
 
 
 def run_cli(*args, expect=0):
@@ -216,6 +232,28 @@ class TestScatter2:
         err = json.loads(run_cli("scatter2", str(path), expect=1).stderr)
         assert err["error"] == "not_rank_two"
 
+    def test_svg_twice_renders_once(self, a2_path, tmp_path, monkeypatch, capsys):
+        calls = {"enumerate": 0, "json": 0}
+        enumerate_graph_, diagram_to_json = exchange.enumerate_graph, scattering.diagram_to_json
+
+        def counted_enumerate(*args, **kwargs):
+            calls["enumerate"] += 1
+            return enumerate_graph_(*args, **kwargs)
+
+        def counted_json(*args, **kwargs):
+            calls["json"] += 1
+            return diagram_to_json(*args, **kwargs)
+
+        monkeypatch.setattr(exchange, "enumerate_graph", counted_enumerate)
+        monkeypatch.setattr(scattering, "diagram_to_json", counted_json)
+        svg = tmp_path / "d.svg"
+        argv = ["scatter2", a2_path, "--level", "4", "--format", "svg", "--out-svg", str(svg)]
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("<svg")
+        assert svg.read_text() == stdout
+        assert calls == {"enumerate": 1, "json": 0}
+
 
 class TestEmitFan:
     def test_svg_output(self, a2_path):
@@ -262,4 +300,37 @@ class TestContract:
         run_cli("explore", expect=2)  # no input at all
         run_cli("frobnicate", expect=2)  # unknown command
         run_cli("explore", "--matrix", "[[0]]", expect=2)  # missing --delta
-        run_cli("explore", "--matrix", "[[0]]", "--delta", "[1]", "--level", "0", expect=2)
+        inline = ["--matrix", "[[0]]", "--delta", "[1]"]
+        run_cli("consistency", *inline, "--level", "0", expect=2)
+        run_cli("explore", *inline, "--max-vertices", "0", expect=2)
+        run_cli("explore", *inline, "--max-depth", "-1", expect=2)
+
+    @pytest.mark.parametrize(
+        "command, flag", FOREIGN_FLAGS, ids=["%s%s" % (c, f[0]) for c, f in FOREIGN_FLAGS]
+    )
+    def test_flag_the_command_does_not_take_exits_two(
+        self, command, flag, a2_path, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, a2_path] + flag)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--out", "--out-dot"])
+    def test_unwritable_path_is_domain_error(self, flag, a2_path, tmp_path):
+        missing = str(tmp_path / "missing" / "artifact")
+        proc = run_cli("explore", a2_path, flag, missing, expect=1)
+        err = json.loads(proc.stderr)
+        assert set(err) == {"error", "detail"}
+        assert err["error"] == "bad_input"
+        assert missing in err["detail"]
+
+    @pytest.mark.parametrize(
+        "content", [b'\xff\xfe{"B"', b"[" * 100000], ids=["not-utf8", "too-deep"]
+    )
+    def test_unparsable_input_is_domain_error(self, content, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        err = json.loads(run_cli("explore", str(path), expect=1).stderr)
+        assert set(err) == {"error", "detail"}
+        assert err["error"] == "bad_input"

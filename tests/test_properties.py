@@ -1,9 +1,21 @@
 """Property tests, run with a fixed derandomized example set."""
 
+import contextlib
+import io
+import json
+import os
+import tempfile
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenfan import enumerate_graph, validate_fixed_data, verify_loop_consistency
+from greenfan import (
+    cli,
+    enumerate_graph,
+    graph_to_json,
+    validate_fixed_data,
+    verify_loop_consistency,
+)
 
 from support import LOOP_PATTERNS, per_cycle_loop_consistency
 
@@ -30,3 +42,98 @@ def test_tree_loop_check_matches_per_cycle_oracle(fd, level):
     assert verify_loop_consistency(fd, graph, level) == per_cycle_loop_consistency(
         fd, graph, level
     )
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract: exit 0, exit 1 with {"error", "detail"}, or usage exit 2
+
+
+A2 = {"B": [[0, 1], [-1, 0]], "delta": [1, 1]}
+
+
+def _a2_graph(**fields):
+    doc = graph_to_json(enumerate_graph(validate_fixed_data(A2["B"], A2["delta"])))
+    return dict(doc, **fields)
+
+
+def _a2_graph_edge(**fields):
+    doc = _a2_graph()
+    doc["edges"][0] = dict(doc["edges"][0], **fields)
+    return doc
+
+
+# small documents, rank at most 3, and malformed shapes; none holds a
+# directed cycle, so no failure carries a "cycle" or "loop" field
+DOCUMENTS = {
+    "A2": A2,
+    "G2": {"B": [[0, 1], [-3, 0]], "delta": [1, 3]},
+    "Kronecker": {"B": [[0, 2], [-2, 0]], "delta": [1, 1]},
+    "A3": {"B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "delta": [1, 1, 1]},
+    "A2-crossings": dict(
+        A2, crossings=[{"normal": [1, 0], "sign": 1}, {"normal": [1, 1], "sign": 1}]
+    ),
+    "red-crossing": dict(A2, crossings=[{"normal": [1, 0], "sign": -1}]),
+    "bad-crossing": dict(A2, crossings=[{"normal": "ab"}, 5]),
+    "scalar-delta": dict(A2, delta=5),
+    "not-skew": {"B": [[0, 1], [1, 0]], "delta": [1, 1]},
+    "no-B": {"delta": [1, 1]},
+    "list-document": [1, 2],
+    "A2-graph": _a2_graph(),
+    "list-vertices": _a2_graph(vertices=[]),
+    "bad-status": _a2_graph(status=[1]),
+    "bad-direction": _a2_graph_edge(direction=2),
+    "string-depth": _a2_graph(depth_reached="x"),
+}
+
+COMMANDS = ["certify", "consistency", "emit-fan", "explore", "obstruct", "scatter2"]
+
+# every option of every command but --out, with good and bad values; OUT
+# and MISSING stand for a writable path and one in a missing directory
+OUT, MISSING = "{tmp}/artifact", "{tmp}/missing/artifact"
+FLAG_VALUES = {
+    "--matrix": ["[[0,1],[-1,0]]", "[[0]]", "[[0,1.5],[-1,0]]", "{", "5"],
+    "--delta": ["[1,1]", "[1]", "5", "x"],
+    "--symmetrizer": ["[1,1]", "3", "[true,true]"],
+    "--level": ["1", "4", "0", "-2", "x"],
+    "--max-depth": ["0", "3", "-1"],
+    "--max-vertices": ["1", "20", "0"],
+    "--format": ["json", "dot", "svg", "png"],
+    "--out-json": [OUT, MISSING],
+    "--out-dot": [OUT, MISSING],
+    "--out-svg": [OUT, MISSING],
+}
+
+
+@st.composite
+def invocations(draw):
+    argv = [draw(st.sampled_from(COMMANDS))]
+    document = draw(st.sampled_from([None] + sorted(DOCUMENTS)))
+    if document is not None:
+        argv.append(document)
+    for flag in draw(st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3, unique=True)):
+        argv += [flag, draw(st.sampled_from(FLAG_VALUES[flag]))]
+    out = draw(st.sampled_from([None, OUT, MISSING]))
+    return argv if out is None else argv + ["--out", out]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(argv=invocations())
+def test_cli_outcome_is_success_payload_or_usage(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in DOCUMENTS.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        argv = [
+            os.path.join(tmp, arg) if arg in DOCUMENTS else arg.replace("{tmp}", tmp)
+            for arg in argv
+        ]
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1), argv
+    if code == 1:
+        assert set(json.loads(err.getvalue())) == {"error", "detail"}, argv

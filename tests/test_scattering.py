@@ -462,6 +462,12 @@ class TestLoopConsistency:
         with pytest.raises(IncompleteGraph):
             verify_loop_consistency(kronecker, graph, 2)
 
+    # a report at level 0 or below would certify degrees it never checked
+    @pytest.mark.parametrize("level", [0, -1, True, 2.5])
+    def test_level_must_be_a_positive_int(self, a2, level):
+        with pytest.raises(ValueError):
+            verify_loop_consistency(a2, enumerate_graph(a2), level)
+
 
 class TestRankTwoCompletion:
     def test_a2_single_scattered_wall(self, a2):
