@@ -23,8 +23,8 @@ once: ``--format`` (to ``--out`` or stdout) first, then ``--out-json``,
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
-stderr; a path that cannot be written is ``bad_input``), and 2 on a usage
-error.
+stderr; a path that cannot be written is ``bad_input``, and running out of
+memory is ``out_of_memory``), and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -34,7 +34,14 @@ import json
 import sys
 
 from . import exchange, scattering
-from .errors import BadInput, CycleFound, GreenfanError, InconsistencyFound, NotRankTwo
+from .errors import (
+    BadInput,
+    CycleFound,
+    GreenfanError,
+    InconsistencyFound,
+    NotRankTwo,
+    OutOfMemory,
+)
 from .exchange import key_to_str, validate_fixed_data
 
 
@@ -107,6 +114,11 @@ def _consistency(job: argparse.Namespace, doc) -> dict:
     return {"json": lambda: _json_text(scattering.report_to_json(report))}
 
 
+def _terms_json(terms) -> list:
+    """Log terms ``{vector: coeff}`` as records, in vector order."""
+    return [{"vector": list(n), "coeff": str(c)} for n, c in sorted(terms.items())]
+
+
 def _obstruct(job: argparse.Namespace, doc) -> dict:
     """minimal-degree witness for an all-green crossing sequence"""
     fd = _fixed_data(doc)
@@ -122,10 +134,7 @@ def _obstruct(job: argparse.Namespace, doc) -> dict:
     obstruction = scattering.minimal_degree_obstruction(fd, cs)
     out = {
         "min_degree": obstruction.min_degree,
-        "witness": [
-            {"vector": list(n), "coeff": str(c)}
-            for n, c in sorted(obstruction.witness.items())
-        ],
+        "witness": _terms_json(obstruction.witness),
         "pretty": obstruction.pretty(),
     }
     return {"json": lambda: _json_text(out)}
@@ -242,8 +251,12 @@ def _error_payload(exc: GreenfanError) -> dict:
     payload = {"error": exc.code, "detail": str(exc)}
     if isinstance(exc, CycleFound):
         payload["cycle"] = [key_to_str(k) for k in exc.cycle]
-    if isinstance(exc, InconsistencyFound) and exc.loop:
-        payload["loop"] = [key_to_str(k) for k in exc.loop]
+    if isinstance(exc, InconsistencyFound):
+        if exc.loop:
+            payload["loop"] = [key_to_str(k) for k in exc.loop]
+        if exc.lowest:
+            payload["min_degree"] = sum(next(iter(exc.lowest)))
+            payload["terms"] = _terms_json(exc.lowest)
     return payload
 
 
@@ -252,8 +265,11 @@ def main(argv=None) -> int:
     try:
         return run(job)
     except GreenfanError as exc:
-        sys.stderr.write(json.dumps(_error_payload(exc)) + "\n")
-        return 1
+        error = exc
+    except MemoryError:
+        error = OutOfMemory("out of memory; lower --level or the budgets")
+    sys.stderr.write(json.dumps(_error_payload(error)) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

@@ -79,14 +79,19 @@ class NotAllGreen(GreenfanError):
 
 
 class InconsistencyFound(GreenfanError):
-    """A loop's path-ordered product is not the identity."""
+    """A loop's path-ordered product is not the identity.
+
+    ``lowest`` maps each generator index of the lowest-degree part of the
+    product's log to its coefficient: the defect that witnesses the failure.
+    """
 
     code = "inconsistency_found"
 
-    def __init__(self, loop, element, message="loop product is not the identity"):
+    def __init__(self, loop, element, message="loop product is not the identity", lowest=None):
         super().__init__(message)
         self.loop = tuple(loop)
         self.element = element
+        self.lowest = dict(lowest or {})
 
 
 class NotRankTwo(GreenfanError):
@@ -109,6 +114,18 @@ class Inhomogeneous(GreenfanError):
     """A Laurent polynomial is not homogeneous for the principal grading."""
 
     code = "inhomogeneous"
+
+
+class InternalError(GreenfanError, RuntimeError):
+    """An invariant the engine itself guarantees failed: a bug, not the input."""
+
+    code = "internal_error"
+
+
+class OutOfMemory(GreenfanError):
+    """The run exhausted memory; the CLI reports a ``MemoryError`` as this."""
+
+    code = "out_of_memory"
 
 
 class BadInput(GreenfanError):

@@ -37,6 +37,7 @@ from .errors import (
     BadDecomposition,
     BadInput,
     CycleFound,
+    InternalError,
     NotSkewSymmetrizable,
     SignIncoherent,
 )
@@ -397,7 +398,7 @@ def certify_acyclic(graph: OrientedExchangeGraph) -> tuple[SeedKey, ...]:
     if len(order) < len(keys):
         raise CycleFound([keys[i] for i in _extract_cycle(keys, index, edges, remaining)])
     if indegree[index[graph.root]] != 0:
-        raise RuntimeError("root has an incoming green edge; enumeration is broken")
+        raise InternalError("root has an incoming green edge; enumeration is broken")
     return tuple(keys[i] for i in order)
 
 

@@ -219,9 +219,23 @@ class PbwAlgebra:
         return GroupElement(self.one(), {})
 
     def exp(self, a: "AlgebraElement") -> "GroupElement":
-        """Exponential of a Lie element (combination of single generators)."""
+        """Exponential of a Lie element (combination of single generators).
+
+        When every letter is a multiple ``X_(v_k)``, ``v_k = j_k n``, of one
+        primitive ``n``, the letters commute and
+
+            exp(sum_k c_k X_(v_k)) = sum prod_k c_k^(m_k) / m_k!  v_1^(m_1) v_2^(m_2) ...
+
+        over the multiplicities (m_k) with sum_k m_k deg(v_k) <= level, the
+        letters sorted by degree.  Each such word is already in PBW normal
+        form, so the one-ray path straightens nothing; every wall element is
+        built this way.  Off one ray the power series sum_k a^k / k! is
+        multiplied out.  Either way the log is kept.
+        """
         self._check_member(a)
         log_terms = _require_lie(a)
+        if len({primitive(n) for n in log_terms}) <= 1:
+            return GroupElement(AlgebraElement(self, self._ray_exp(log_terms)), log_terms)
         result = self.one()
         power = self.one()
         factorial = 1
@@ -232,6 +246,24 @@ class PbwAlgebra:
             factorial *= k
             result = result + power * Fraction(1, factorial)
         return GroupElement(result, log_terms)
+
+    def _ray_exp(self, log_terms) -> dict[Monomial, Fraction]:
+        """The carrier of exp on one ray, word by word (see ``exp``)."""
+        words = [((), _ONE, 0)]  # (sorted word, coefficient, degree)
+        for v in sorted(log_terms, key=degree):
+            d, c = degree(v), log_terms[v]
+            if not c:
+                continue
+            powers = [_ONE]  # c^m / m!
+            for m in range(1, self.level // d + 1):
+                powers.append(powers[-1] * c / m)
+            grown = []
+            for word, coeff, used in words:
+                for m in range(1, (self.level - used) // d + 1):
+                    word += (v,)
+                    grown.append((word, coeff * powers[m], used + m * d))
+            words += grown
+        return {word: coeff for word, coeff, _ in words}
 
     def log(self, g: "GroupElement") -> "AlgebraElement":
         """Inverse of exp; raises NotGrouplike when the series is not Lie."""
@@ -540,22 +572,31 @@ class TorusAction:
     part ``sum c_n X_n``, the series is ``1 + sum c_n deg(n) y^n`` plus terms
     of higher degree.  So the element is the identity exactly when the series
     is 1, and the lowest log terms read off as ``[y^n] series / deg(n)``.
+
+    ``steps[n][m]`` holds what an apply along ``n`` needs of the exponent
+    ``m`` and nothing else: psi = deg(n) + omega(n, m) and the chain
+    ``m, m + n, m + 2n, ...`` of targets of degree <= level.  It is filled on
+    first use and belongs to this action and its copies, so it holds at most
+    one entry per normal applied and monomial of degree <= level.
     """
 
-    __slots__ = ("omega", "level", "series")
+    __slots__ = ("omega", "level", "series", "steps")
 
     def __init__(self, omega, level: int):
         self.omega = tuple(tuple(_exact(Fraction(x)) for x in row) for row in omega)
         self.level = level
         self.series: dict[Vector, object] = {(0,) * len(self.omega): 1}
+        self.steps: dict[Vector, dict[Vector, tuple]] = {}
 
     def copy(self) -> "TorusAction":
         """An independent action for the same element.
 
-        The series dict is shared: ``_apply`` replaces it and never mutates it.
+        The series dict is shared: ``_apply`` replaces it and never mutates
+        it.  So is the step table, whose entries never change once made.
         """
         other = TorusAction.__new__(TorusAction)
-        other.omega, other.level, other.series = self.omega, self.level, self.series
+        other.omega, other.level = self.omega, self.level
+        other.series, other.steps = self.series, self.steps
         return other
 
     def apply_dilog(self, n: Vector, c) -> None:
@@ -584,30 +625,36 @@ class TorusAction:
     def _apply(self, n: Vector, series) -> None:
         """y^m -> y^m * F(y^n), F's coefficients from ``series(psi, length)``.
 
-        psi = omega(n, m) + deg(n); it is shared by many m, so each F is
-        built once per call.
+        psi and the chain of m come from ``steps``; psi is shared by many m,
+        so each F is built once per call.
         """
         dn = degree(n)
         level = self.level
-        longest = level // dn
-        if not longest:
+        if dn > level:
             return
-        w = tuple(
-            sum(ni * row[j] for ni, row in zip(n, self.omega) if ni)
-            for j in range(len(self.omega))
-        )
+        table = self.steps.setdefault(n, {})
+        w = None  # omega(n, -), needed only to fill the table
         factors_by_psi = {}
         out: dict[Vector, object] = {}
         for m, coeff in self.series.items():
-            psi = dn + sum(map(mul, w, m))
+            step = table.get(m)
+            if step is None:
+                if w is None:
+                    w = tuple(
+                        sum(ni * row[j] for ni, row in zip(n, self.omega) if ni)
+                        for j in range(len(self.omega))
+                    )
+                chain = [m]
+                for _ in range((level - degree(m)) // dn):
+                    chain.append(tuple(map(add, chain[-1], n)))
+                step = table[m] = (dn + sum(map(mul, w, m)), chain)
+            psi, chain = step
             factors = factors_by_psi.get(psi)
             if factors is None:
-                factors = factors_by_psi[psi] = series(psi, longest)
-            target = m
-            for f in factors[: (level - degree(m)) // dn + 1]:
+                factors = factors_by_psi[psi] = series(psi, level // dn)
+            for f, target in zip(factors, chain):
                 if f:
                     out[target] = out.get(target, 0) + coeff * f
-                target = tuple(map(add, target, n))
         self.series = {m: c for m, c in out.items() if c}
 
     def is_identity(self) -> bool:

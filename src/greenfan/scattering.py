@@ -25,6 +25,7 @@ from .errors import (
     DefectNotParallel,
     IncompleteGraph,
     InconsistencyFound,
+    InternalError,
     InvalidWalk,
     NotAllGreen,
     NotRankTwo,
@@ -144,11 +145,11 @@ def facet_wall(fd: FixedData, seed: TropicalSeed, k: int, level: int) -> Wall:
     crossing = _crossing(fd, seed, k)
     normal = crossing.normal
     if linalg.gcd_vec(normal) != 1:
-        raise RuntimeError("c-vector %r is not primitive" % (normal,))
+        raise InternalError("c-vector %r is not primitive" % (normal,))
     rays = facet_cone(seed, k).rays
     for ray in rays:
         if dual_pairing(fd.delta, normal, ray) != 0:
-            raise RuntimeError(
+            raise InternalError(
                 "facet normal %r not orthogonal to g-vector %r" % (normal, ray)
             )
     element = PbwAlgebra(fd.omega, level).dilog(normal, crossing.exponent)
@@ -413,8 +414,13 @@ def verify_loop_consistency(
         action.apply_dilog(closing.normal, closing.sign * closing.exponent)
         if action.series != tree[u].series:
             cs = CrossingSequence(tuple(crossing(a, b) for a, b in steps))
+            action = TorusAction(fd.omega, level)
+            for c in cs.crossings:
+                action.apply_dilog(c.normal, c.sign * c.exponent)
             raise InconsistencyFound(
-                [keys[i] for i in cycle], path_ordered_product(fd, cs, level)
+                [keys[i] for i in cycle],
+                path_ordered_product(fd, cs, level),
+                lowest=action.lowest_log_terms(),
             )
         labels = list(g_cols[u])  # the g-vector of each label along the walk
         directions = []
@@ -515,14 +521,15 @@ def _sweep_action(fd, factors, level) -> TorusAction:
 
 def _require_trivial_sweep(fd, factors, level, *message) -> None:
     """Raise InconsistencyFound, carrying the PBW product, unless it is 1."""
-    if _sweep_action(fd, factors, level).is_identity():
+    action = _sweep_action(fd, factors, level)
+    if action.is_identity():
         return
     alg = PbwAlgebra(fd.omega, level)
     product = alg.identity()
     for log in factors:
         # lie_element drops the terms above this sweep's level
         product = alg.exp(alg.lie_element(log)) * product
-    raise InconsistencyFound((), product, *message)
+    raise InconsistencyFound((), product, *message, lowest=action.lowest_log_terms())
 
 
 def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
@@ -536,7 +543,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     The letters on one ray commute, so one wall per ray carries the sum of
     its terms and each sweep crosses every ray once.  Completion and its
     closing self-check run on logs alone; PBW builds only the emitted wall
-    elements.
+    elements, each by the one-ray ``exp``, which straightens nothing.
     """
     if fd.rank != 2:
         raise NotRankTwo("completion is implemented for rank 2 only")
@@ -557,7 +564,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
         defect = _sweep_action(fd, sweep(), d).lowest_log_terms()
         for n in sorted(defect, key=letter_key):
             if degree(n) != d:
-                raise RuntimeError(
+                raise InternalError(
                     "stage %d saw a defect of degree %d" % (d, degree(n))
                 )
             n_pr = linalg.primitive(n)

@@ -86,6 +86,22 @@ def oracle_multiply(a_terms, b_terms, omega, level):
     return out
 
 
+def power_series_exp(alg, a):
+    """exp(a) as the power series sum_k a^k / k!, multiplied out in PBW.
+
+    ``PbwAlgebra.exp`` sums this series only off one ray; on one ray it
+    writes the sorted words of a partition formula instead, with no
+    products, and is held against this oracle.
+    """
+    result = power = alg.one()
+    for k in range(1, alg.level + 1):
+        power = power * a * Fraction(1, k)
+        if not power.terms:
+            break
+        result = result + power
+    return result
+
+
 def relabel_seed(seed, perm):
     """Apply a direction relabeling: conjugate B, permute C/G columns."""
     r = seed.rank

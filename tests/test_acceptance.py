@@ -214,6 +214,30 @@ def test_criterion_5_rank_two_completions():
     )
 
 
+def test_criterion_5_rank_two_completions_at_level_20():
+    """Completion plus re-verification at l=20, each pattern under 1 s."""
+    failures = []
+    timings = []
+    patterns = {
+        "Kronecker": ([[0, 2], [-2, 0]], [1, 1]),
+        "G2": ([[0, 1], [-3, 0]], [1, 3]),
+        "(3,3)": ([[0, 3], [-3, 0]], [1, 1]),
+    }
+    for name, (b, delta) in patterns.items():
+        fd = validate_fixed_data(b, delta)
+        start = time.perf_counter()
+        diagram = complete_rank2(fd, 20)
+        try:
+            verify_rank2_consistency(fd, diagram)
+        except Exception as exc:  # noqa: BLE001 - reported as a failure
+            failures.append("%s re-verification: %s" % (name, exc))
+        elapsed = time.perf_counter() - start
+        timings.append("%s %.3fs" % (name, elapsed))
+        if elapsed >= 1.0:
+            failures.append("%s took %.2fs" % (name, elapsed))
+    _report(5, failures, "l=20 completions re-verified (%s)" % ", ".join(timings))
+
+
 def _c_from_duality(fd, g_columns):
     """C = D^-1 (G^-1)^T D, from G^T D C = D with G given by its columns.
 

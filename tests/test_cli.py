@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -324,6 +325,24 @@ class TestContract:
         assert set(err) == {"error", "detail"}
         assert err["error"] == "bad_input"
         assert missing in err["detail"]
+
+    def test_memory_exhaustion_is_domain_error(self):
+        """A child under its own 64 MB address-space limit reports the payload."""
+        limit = 64 * 2**20
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        argv = ["scatter2", "--matrix", "[[0,1],[-1,0]]", "--delta", "[1,1]"]
+        proc = subprocess.run(
+            CMD + argv + ["--level", "100000000"],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        )
+        assert proc.returncode == 1, proc.stderr
+        err = json.loads(proc.stderr)
+        assert set(err) == {"error", "detail"}
+        assert err["error"] == "out_of_memory"
+        assert proc.stdout == ""
 
     @pytest.mark.parametrize(
         "content", [b'\xff\xfe{"B"', b"[" * 100000], ids=["not-utf8", "too-deep"]

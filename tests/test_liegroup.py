@@ -7,6 +7,7 @@ import pytest
 from greenfan import (
     GroupElement,
     BadInput,
+    complete_rank2,
     LevelMismatch,
     NotGrouplike,
     NotLieElement,
@@ -17,13 +18,15 @@ from greenfan import (
     group_from_json,
     group_to_json,
     project,
+    validate_fixed_data,
 )
-from greenfan.liegroup import dilog_log_terms, monomial_degree
+from greenfan.liegroup import TorusAction, degree, dilog_log_terms, monomial_degree
 
 from support import (
     element_words,
     oracle_multiply,
     oracle_straighten,
+    power_series_exp,
     random_algebra_element,
     random_fixed_data,
     random_positive_vector,
@@ -184,6 +187,123 @@ class TestExpLog:
             )
             assert (g * g.inverse()).is_identity()
             assert (g.inverse() * g).is_identity()
+
+
+# rank-2 patterns whose completions emit walls of many shapes
+WALL_PATTERNS = {
+    "Kronecker": ([[0, 2], [-2, 0]], [1, 1]),
+    "G2": ([[0, 1], [-3, 0]], [1, 3]),
+    "K3": ([[0, 3], [-3, 0]], [1, 1]),
+}
+
+
+def random_ray_log(rng, rank, level):
+    """A random log on the multiples of one primitive vector, keys shuffled."""
+    n = random_positive_vector(rng, rank, max_entry=2, primitive=True)
+    multiples = list(range(1, level // degree(n) + 1))
+    chosen = rng.sample(multiples, rng.randint(1, len(multiples))) if multiples else []
+    log = {}
+    for j in chosen:
+        coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+        log[tuple(j * x for x in n)] = coeff
+    return log
+
+
+class TestOneRayExp:
+    """``exp`` on one ray is the partition formula, held against the power series."""
+
+    @pytest.mark.parametrize("name", sorted(WALL_PATTERNS))
+    def test_emitted_walls_match_power_series(self, name):
+        fd = validate_fixed_data(*WALL_PATTERNS[name])
+        a = PbwAlgebra(fd.omega, 16)
+        diagram = complete_rank2(fd, 16)
+        for wall in diagram.walls:
+            log = a.lie_element(wall.element.log_terms())
+            assert wall.element.carrier == power_series_exp(a, log), wall.normal
+            assert a.exp(log) == wall.element
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["indices", "reversed-indices"])
+    def test_random_logs_match_power_series(self, reverse):
+        rng = random.Random("one-ray-exp")  # the same draws in both index orders
+        for trial in range(40):
+            fd = random_fixed_data(rng)
+            level = rng.randint(1, 9)
+            log = random_ray_log(rng, fd.rank, level)
+            omega = fd.omega
+            if reverse:
+                omega = tuple(row[::-1] for row in omega[::-1])
+                log = {v[::-1]: c for v, c in log.items()}
+            a = PbwAlgebra(omega, level)
+            x = a.lie_element(log)
+            g = a.exp(x)
+            assert g.carrier == power_series_exp(a, x), trial
+            assert g.log_terms() == log
+            assert GroupElement(g.carrier).log_terms() == log
+
+    @pytest.mark.parametrize("name", sorted(WALL_PATTERNS))
+    def test_completion_never_straightens(self, name, monkeypatch):
+        def refuse(self, word):
+            raise AssertionError("straightened %r" % (word,))
+
+        monkeypatch.setattr(PbwAlgebra, "_straighten", refuse)
+        fd = validate_fixed_data(*WALL_PATTERNS[name])
+        diagram = complete_rank2(fd, 12)
+        assert diagram.walls
+
+
+def apply_sequence(action, rng, level):
+    """Seeded dilogs and one-ray walls applied to ``action``."""
+    rank = len(action.omega)
+    for _ in range(8):
+        if rng.random() < 0.5:
+            n = random_positive_vector(rng, rank, max_entry=2)
+            action.apply_dilog(n, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        else:
+            action.apply_wall(random_ray_log(rng, rank, level))
+
+
+class TestTorusSteps:
+    def test_warm_shared_table_gives_the_fresh_series(self):
+        rng = random.Random("torus-steps")
+        for trial in range(20):
+            fd = random_fixed_data(rng)
+            level = rng.randint(1, 6)
+            seed = rng.random()
+            fresh = TorusAction(fd.omega, level)
+            apply_sequence(fresh, random.Random(seed), level)
+            root = TorusAction(fd.omega, level)
+            apply_sequence(root.copy(), random.Random(seed), level)  # warms root.steps
+            warm = root.copy()
+            assert warm.steps is root.steps and warm.steps
+            apply_sequence(warm, random.Random(seed), level)
+            assert warm.series == fresh.series, trial
+            assert root.series == {(0,) * fd.rank: 1}
+
+    def test_table_is_bounded_by_normals_and_monomials(self):
+        rng = random.Random("torus-steps-bound")
+        fd = random_fixed_data(rng, rank=3)
+        action = TorusAction(fd.omega, 5)
+        apply_sequence(action, rng, 5)
+        for n, table in action.steps.items():
+            for m, (psi, chain) in table.items():
+                assert degree(m) <= 5
+                assert chain[0] == m and all(degree(t) <= 5 for t in chain)
+                assert degree(m) + len(chain) * degree(n) > 5  # the chain is complete
+                omega_nm = sum(n[i] * fd.omega[i][j] * m[j] for i in range(3) for j in range(3))
+                assert psi == degree(n) + omega_nm
+
+    def test_copy_leaves_the_original_unchanged(self):
+        rng = random.Random("torus-copy")
+        for trial in range(20):
+            fd = random_fixed_data(rng)
+            level = rng.randint(2, 6)
+            action = TorusAction(fd.omega, level)
+            apply_sequence(action, rng, level)
+            before = dict(action.series)
+            other = action.copy()
+            other.apply_dilog((1,) + (0,) * (fd.rank - 1), 1)
+            assert action.series == before, trial
+            assert other.series != before, trial
 
 
 class TestDilog:

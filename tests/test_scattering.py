@@ -8,9 +8,11 @@ import pytest
 from greenfan import (
     BadInput,
     Cone,
+    GreenfanError,
     GroupElement,
     IncompleteGraph,
     InconsistencyFound,
+    InternalError,
     InvalidWalk,
     NotAllGreen,
     NotRankTwo,
@@ -18,6 +20,7 @@ from greenfan import (
     ScatteringDiagram,
     Wall,
     canonical_key,
+    certify_acyclic,
     cluster_chamber,
     cluster_fan_diagram,
     complete_rank2,
@@ -42,8 +45,9 @@ from greenfan import (
     verify_rank2_consistency,
     walk,
 )
+from greenfan import cli, exchange
 from greenfan import scattering as scattering_module
-from greenfan.liegroup import degree
+from greenfan.liegroup import TorusAction, degree
 
 from support import (
     FINITE_TYPES,
@@ -652,3 +656,93 @@ class TestDiagramSerialization:
         assert fan == fan_to_svg(a2, enumerate_graph(a2))
         kg = enumerate_graph(kronecker, max_depth=5)
         assert fan_to_svg(kronecker, kg).startswith("<svg")
+
+
+A2_INLINE = ["--matrix", "[[0,1],[-1,0]]", "--delta", "[1,1]"]
+
+
+def cli_error(argv, capsys):
+    """Run ``cli.main`` in process; the exit status must be 1, return the payload."""
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
+
+
+def lowest_log_part(element):
+    """The lowest-degree part of a PBW element's log, read off PBW alone."""
+    log = {n: c for n, c in element.log_terms().items() if c}
+    low = min(map(degree, log))
+    return {n: c for n, c in log.items() if degree(n) == low}
+
+
+def witness_terms(terms):
+    return [{"vector": list(n), "coeff": str(c)} for n, c in sorted(terms.items())]
+
+
+class TestInternalErrors:
+    """A broken invariant is ``internal_error`` with exit 1, never a traceback."""
+
+    def check(self, exc):
+        assert isinstance(exc, GreenfanError) and isinstance(exc, RuntimeError)
+        assert exc.code == "internal_error"
+        assert cli._error_payload(exc) == {"error": "internal_error", "detail": str(exc)}
+
+    def test_completion_stage_check(self, a2, monkeypatch, capsys):
+        # a defect of degree 2 at every stage: stage 3 must refuse it
+        monkeypatch.setattr(TorusAction, "lowest_log_terms", lambda self: {(1, 1): Fraction(1)})
+        with pytest.raises(InternalError, match="stage 3") as info:
+            complete_rank2(a2, 4)
+        self.check(info.value)
+        err = cli_error(["scatter2"] + A2_INLINE + ["--level", "4"], capsys)
+        assert err["error"] == "internal_error"
+
+    @pytest.mark.parametrize(
+        "normal, message", [((2, 0), "not primitive"), ((1, 1), "not orthogonal")]
+    )
+    def test_facet_wall_checks(self, a2, normal, message, monkeypatch):
+        monkeypatch.setattr(scattering_module, "_crossing_normal", lambda seed, k: (1, normal))
+        with pytest.raises(InternalError, match=message) as info:
+            facet_wall(a2, root_seed(a2), 0, 2)
+        self.check(info.value)
+
+    def test_certify_root_check(self, a2, monkeypatch, capsys):
+        graph = enumerate_graph(a2)
+        rerooted = dataclasses.replace(graph, root=list(graph.vertices)[1])
+        with pytest.raises(InternalError, match="root") as info:
+            certify_acyclic(rerooted)
+        self.check(info.value)
+        monkeypatch.setattr(exchange, "enumerate_graph", lambda fd, **budgets: rerooted)
+        err = cli_error(["certify"] + A2_INLINE, capsys)
+        assert err["error"] == "internal_error"
+
+
+class TestFailureWitness:
+    """A failed loop or sweep names its lowest-degree defect in the payload."""
+
+    def test_failing_loop(self, a2, monkeypatch, capsys):
+        graph = enumerate_graph(a2)
+        src, dst, _ = graph.edges[0]
+        invert_edge_crossings(monkeypatch, graph, src, dst)
+        with pytest.raises(InconsistencyFound) as info:
+            verify_loop_consistency(a2, graph, 4)
+        lowest = lowest_log_part(info.value.element)
+        assert info.value.lowest == lowest
+        err = cli_error(["consistency"] + A2_INLINE + ["--level", "4"], capsys)
+        assert err["error"] == "inconsistency_found"
+        assert err["loop"]
+        assert err["min_degree"] == degree(next(iter(lowest)))
+        assert err["terms"] == witness_terms(lowest)
+
+    def test_failing_sweep(self, a2, monkeypatch, capsys):
+        complete = complete_rank2(a2, 4)
+        broken = ScatteringDiagram(level=4, walls=complete.walls[:-1], origin=complete.origin)
+        with pytest.raises(InconsistencyFound) as info:
+            verify_rank2_consistency(a2, broken)
+        lowest = lowest_log_part(info.value.element)
+        assert info.value.lowest == lowest
+        monkeypatch.setattr(scattering_module, "complete_rank2", lambda fd, level: broken)
+        err = cli_error(["scatter2"] + A2_INLINE + ["--level", "4"], capsys)
+        assert set(err) == {"error", "detail", "min_degree", "terms"}
+        assert err["min_degree"] == degree(next(iter(lowest)))
+        assert err["terms"] == witness_terms(lowest)
