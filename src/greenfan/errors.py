@@ -81,17 +81,17 @@ class NotAllGreen(GreenfanError):
 class InconsistencyFound(GreenfanError):
     """A loop's path-ordered product is not the identity.
 
-    ``lowest`` maps each generator index of the lowest-degree part of the
+    ``loop`` holds the keys of the failing cycle (empty for a rank-2 sweep),
+    and ``lowest`` maps each generator index of the lowest-degree part of the
     product's log to its coefficient: the defect that witnesses the failure.
     """
 
     code = "inconsistency_found"
 
-    def __init__(self, loop, element, message="loop product is not the identity", lowest=None):
+    def __init__(self, loop, lowest, message="loop product is not the identity"):
         super().__init__(message)
         self.loop = tuple(loop)
-        self.element = element
-        self.lowest = dict(lowest or {})
+        self.lowest = dict(lowest)
 
 
 class NotRankTwo(GreenfanError):

@@ -396,20 +396,21 @@ def certify_acyclic(graph: OrientedExchangeGraph) -> tuple[SeedKey, ...]:
             if remaining[dst] == 0:
                 heapq.heappush(ready, dst)
     if len(order) < len(keys):
-        raise CycleFound([keys[i] for i in _extract_cycle(keys, index, edges, remaining)])
+        raise CycleFound([keys[i] for i in _extract_cycle(edges, remaining)])
     if indegree[index[graph.root]] != 0:
         raise InternalError("root has an incoming green edge; enumeration is broken")
     return tuple(keys[i] for i in order)
 
 
-def _extract_cycle(keys, index, edges, remaining):
+def _extract_cycle(edges, remaining):
     stuck = {i for i, v in enumerate(remaining) if v > 0}
     preds: dict[int, int] = {}
     for src, dst in edges:
         if src in stuck and dst in stuck and dst not in preds:
             preds[dst] = src
-    # start at the first stuck key in set order, which fixes the reported cycle
-    start = index[next(iter({keys[i] for i in sorted(stuck)}))]
+    # every stuck vertex has a stuck predecessor, so the walk back from the
+    # first stuck vertex in discovery order closes up
+    start = min(stuck)
     trail = [start]
     seen = {start: 0}
     cur = start

@@ -344,8 +344,9 @@ def verify_loop_consistency(
     costs one apply per tree edge.  Crossing an edge backwards inverts its
     factor, so the cycle u -> ... -> v -> u closed by the crossing E_vu has
     product E_vu T_v T_u^-1, and it is the identity exactly when E_vu T_v and
-    T_u act alike: g z = h z gives h^-1 g = 1.  The PBW product is built only
-    for the error of a failing loop.
+    T_u act alike: g z = h z gives h^-1 g = 1.  A failing loop's crossings
+    are applied again, in walk order, to one fresh action, and the error
+    carries that product's lowest-degree log terms; no PBW product is built.
     """
     _check_level(level)
     if graph.status != "complete":
@@ -413,15 +414,11 @@ def verify_loop_consistency(
         action = tree[v].copy()
         action.apply_dilog(closing.normal, closing.sign * closing.exponent)
         if action.series != tree[u].series:
-            cs = CrossingSequence(tuple(crossing(a, b) for a, b in steps))
             action = TorusAction(fd.omega, level)
-            for c in cs.crossings:
+            for a, b in steps:
+                c = crossing(a, b)
                 action.apply_dilog(c.normal, c.sign * c.exponent)
-            raise InconsistencyFound(
-                [keys[i] for i in cycle],
-                path_ordered_product(fd, cs, level),
-                lowest=action.lowest_log_terms(),
-            )
+            raise InconsistencyFound([keys[i] for i in cycle], action.lowest_log_terms())
         labels = list(g_cols[u])  # the g-vector of each label along the walk
         directions = []
         for a, b in steps:
@@ -520,16 +517,14 @@ def _sweep_action(fd, factors, level) -> TorusAction:
 
 
 def _require_trivial_sweep(fd, factors, level, *message) -> None:
-    """Raise InconsistencyFound, carrying the PBW product, unless it is 1."""
+    """Raise InconsistencyFound unless the sweep's product is 1 at ``level``.
+
+    The error carries the lowest-degree log terms of the product, read off
+    its torus action; no PBW product is built.
+    """
     action = _sweep_action(fd, factors, level)
-    if action.is_identity():
-        return
-    alg = PbwAlgebra(fd.omega, level)
-    product = alg.identity()
-    for log in factors:
-        # lie_element drops the terms above this sweep's level
-        product = alg.exp(alg.lie_element(log)) * product
-    raise InconsistencyFound((), product, *message, lowest=action.lowest_log_terms())
+    if not action.is_identity():
+        raise InconsistencyFound((), action.lowest_log_terms(), *message)
 
 
 def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:

@@ -21,13 +21,15 @@ from greenfan import (
     InconsistencyFound,
     InvalidWalk,
     OrientedExchangeGraph,
+    PbwAlgebra,
     SeedKey,
     SignIncoherent,
     TropicalSeed,
     canonical_key,
+    enumerate_graph,
+    graph_to_json,
     key_to_str,
     mutate_seed,
-    path_ordered_product,
     root_seed,
     validate_fixed_data,
 )
@@ -331,9 +333,23 @@ def per_cycle_loop_consistency(fd, graph, level):
         for crossing in cs.crossings:
             action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
         if not action.is_identity():
-            raise InconsistencyFound(cycle, path_ordered_product(fd, cs, level))
+            raise InconsistencyFound(cycle, action.lowest_log_terms())
         reports.append(LoopReport(tuple(cycle), cs.directions, level, True))
     return ConsistencyReport(level=level, loops=tuple(reports))
+
+
+def pbw_sweep_product(fd, factors, level):
+    """The PBW product of a sweep's signed wall logs, first crossed rightmost.
+
+    ``scattering._require_trivial_sweep`` checks the same product through
+    its torus action; this builds it in PBW and is kept as its oracle.
+    """
+    alg = PbwAlgebra(fd.omega, level)
+    product = alg.identity()
+    for log in factors:
+        # lie_element drops the terms above this sweep's level
+        product = alg.exp(alg.lie_element(log)) * product
+    return product
 
 
 def tree_matrix(rank, edges):
@@ -376,6 +392,18 @@ LOOP_PATTERNS = {
     "A4": ([[0, 1, 0, 0], [-1, 0, 1, 0], [0, -1, 0, 1], [0, 0, -1, 0]], [1, 1, 1, 1]),
     "D4": ([[0, 1, 0, 0], [-1, 0, 1, 1], [0, -1, 0, 0], [0, -1, 0, 0]], [1, 1, 1, 1]),
 }
+
+
+def d4_cycle_graph_doc():
+    """Exported D4 graph with a reversed copy of edge 16 (vertex 5 -> 8) added.
+
+    The two edges form a directed 2-cycle away from the root, so ``certify``
+    of this document fails with ``cycle_found``.
+    """
+    doc = graph_to_json(enumerate_graph(validate_fixed_data(*LOOP_PATTERNS["D4"])))
+    edge = doc["edges"][16]
+    doc["edges"].append(dict(edge, source=edge["target"], target=edge["source"]))
+    return doc
 
 
 def random_fixed_data(rng, rank=None):

@@ -8,6 +8,8 @@ import pytest
 from greenfan import cli, enumerate_graph, graph_to_json, validate_fixed_data
 from greenfan import exchange, scattering
 
+from support import d4_cycle_graph_doc
+
 CMD = [sys.executable, "-m", "greenfan"]
 
 A2 = {"B": [[0, 1], [-1, 0]], "delta": [1, 1]}
@@ -176,6 +178,18 @@ class TestCertify:
         run_cli("explore", a2_path, "--out", str(exported))
         out = json.loads(run_cli("certify", str(exported)).stdout)
         assert len(out["topological_order"]) == 5
+
+    def test_directed_cycle_is_reported(self, tmp_path):
+        doc = d4_cycle_graph_doc()
+        path = tmp_path / "cycle.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("certify", str(path), expect=1)
+        err = json.loads(proc.stderr)
+        added = doc["edges"][-1]
+        assert set(err) == {"error", "detail", "cycle"}
+        assert err["error"] == "cycle_found"
+        assert err["cycle"] == [added["source"], added["target"]]
+        assert proc.stdout == ""
 
 
 class TestConsistency:

@@ -30,6 +30,7 @@ from greenfan.linalg import as_int_matrix, det, matmul, transpose
 from support import (
     FINITE_TYPES,
     LOOP_PATTERNS,
+    d4_cycle_graph_doc,
     dense_mutate_seed,
     full_mutation_enumerate_graph,
     relabel_seed,
@@ -307,6 +308,14 @@ class TestAcyclicityCertificate:
         with pytest.raises(CycleFound) as info:
             certify_acyclic(rigged)
         assert set(info.value.cycle) == {a, b}
+
+    def test_cycle_walks_back_from_first_stuck_vertex(self):
+        doc = d4_cycle_graph_doc()
+        with pytest.raises(CycleFound) as info:
+            certify_acyclic(graph_from_json(doc))
+        # vertex 5 is the first stuck one; walking back from it closes 8 -> 5
+        added = doc["edges"][-1]
+        assert [key_to_str(k) for k in info.value.cycle] == [added["source"], added["target"]]
 
 
 class TestIntMatrix:

@@ -6,7 +6,7 @@ import json
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenfan import (
@@ -17,7 +17,7 @@ from greenfan import (
     verify_loop_consistency,
 )
 
-from support import LOOP_PATTERNS, per_cycle_loop_consistency
+from support import LOOP_PATTERNS, d4_cycle_graph_doc, per_cycle_loop_consistency
 
 
 @st.composite
@@ -62,8 +62,8 @@ def _a2_graph_edge(**fields):
     return doc
 
 
-# small documents, rank at most 3, and malformed shapes; none holds a
-# directed cycle, so no failure carries a "cycle" or "loop" field
+# small documents and malformed shapes; only the D4 graph holds a directed
+# cycle, so only a cycle_found failure carries a "cycle" field and none a "loop"
 DOCUMENTS = {
     "A2": A2,
     "G2": {"B": [[0, 1], [-3, 0]], "delta": [1, 3]},
@@ -83,6 +83,7 @@ DOCUMENTS = {
     "bad-status": _a2_graph(status=[1]),
     "bad-direction": _a2_graph_edge(direction=2),
     "string-depth": _a2_graph(depth_reached="x"),
+    "D4-cycle": d4_cycle_graph_doc(),
 }
 
 COMMANDS = ["certify", "consistency", "emit-fan", "explore", "obstruct", "scatter2"]
@@ -118,6 +119,7 @@ def invocations(draw):
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(argv=invocations())
+@example(argv=["certify", "D4-cycle"])
 def test_cli_outcome_is_success_payload_or_usage(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in DOCUMENTS.items():
@@ -136,4 +138,6 @@ def test_cli_outcome_is_success_payload_or_usage(argv):
             return
     assert code in (0, 1), argv
     if code == 1:
-        assert set(json.loads(err.getvalue())) == {"error", "detail"}, argv
+        payload = json.loads(err.getvalue())
+        cycle = {"cycle"} if payload["error"] == "cycle_found" else set()
+        assert set(payload) == {"error", "detail"} | cycle, argv

@@ -57,6 +57,7 @@ from support import (
     _fundamental_cycles,
     element_words,
     oracle_multiply,
+    pbw_sweep_product,
     per_cycle_loop_consistency,
 )
 
@@ -365,8 +366,9 @@ class TestLoopConsistency:
         with pytest.raises(InconsistencyFound) as info:
             verify_loop_consistency(a2, graph, 4)
         assert info.value.loop
-        assert isinstance(info.value.element, GroupElement)
-        assert not info.value.element.is_identity()
+        product = loop_product(a2, graph, info.value.loop, 4)
+        assert isinstance(product, GroupElement)
+        assert not product.is_identity()
 
     @pytest.mark.parametrize("name", sorted(LOOP_PATTERNS))
     def test_mutation_walk_replays_every_loop(self, name):
@@ -409,8 +411,9 @@ class TestLoopConsistency:
         with pytest.raises(InconsistencyFound) as oracle:
             per_cycle_loop_consistency(a3, graph, 4)
         assert tree.value.loop == oracle.value.loop
-        assert tree.value.element == oracle.value.element
-        assert not tree.value.element.is_identity()
+        product = loop_product(a3, graph, tree.value.loop, 4)
+        assert tree.value.lowest == oracle.value.lowest == lowest_log_part(product)
+        assert not product.is_identity()
         loop = tree.value.loop
         steps = set(zip(loop, loop[1:] + loop[:1]))
         assert (u, v) in steps or (v, u) in steps
@@ -676,6 +679,19 @@ def lowest_log_part(element):
     return {n: c for n, c in log.items() if degree(n) == low}
 
 
+def loop_product(fd, graph, loop, level):
+    """The PBW product of a reported loop, its crossings read off the graph."""
+    cs = _cycle_crossings(graph, _crossing_table(fd, graph), loop)
+    return path_ordered_product(fd, cs, level)
+
+
+def recheck_product(fd, diagram, level):
+    """The PBW product of the sweep ``verify_rank2_consistency`` checks."""
+    walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
+    factors = scattering_module._sweep_factors(fd, walls, basepoint=(-1, -1), clockwise=True)
+    return pbw_sweep_product(fd, factors, level)
+
+
 def witness_terms(terms):
     return [{"vector": list(n), "coeff": str(c)} for n, c in sorted(terms.items())]
 
@@ -726,7 +742,7 @@ class TestFailureWitness:
         invert_edge_crossings(monkeypatch, graph, src, dst)
         with pytest.raises(InconsistencyFound) as info:
             verify_loop_consistency(a2, graph, 4)
-        lowest = lowest_log_part(info.value.element)
+        lowest = lowest_log_part(loop_product(a2, graph, info.value.loop, 4))
         assert info.value.lowest == lowest
         err = cli_error(["consistency"] + A2_INLINE + ["--level", "4"], capsys)
         assert err["error"] == "inconsistency_found"
@@ -739,10 +755,33 @@ class TestFailureWitness:
         broken = ScatteringDiagram(level=4, walls=complete.walls[:-1], origin=complete.origin)
         with pytest.raises(InconsistencyFound) as info:
             verify_rank2_consistency(a2, broken)
-        lowest = lowest_log_part(info.value.element)
+        lowest = lowest_log_part(recheck_product(a2, broken, 4))
         assert info.value.lowest == lowest
         monkeypatch.setattr(scattering_module, "complete_rank2", lambda fd, level: broken)
         err = cli_error(["scatter2"] + A2_INLINE + ["--level", "4"], capsys)
         assert set(err) == {"error", "detail", "min_degree", "terms"}
         assert err["min_degree"] == degree(next(iter(lowest)))
         assert err["terms"] == witness_terms(lowest)
+
+    def test_failing_checks_do_no_pbw_arithmetic(self, a2, kronecker, monkeypatch):
+        graph = enumerate_graph(a2)
+        src, dst, _ = graph.edges[0]
+        invert_edge_crossings(monkeypatch, graph, src, dst)
+        complete = complete_rank2(kronecker, 12)
+        broken = ScatteringDiagram(level=12, walls=complete.walls[:-1], origin=complete.origin)
+
+        def refuse(*args):
+            raise AssertionError("a failing check did PBW arithmetic")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(PbwAlgebra, "_straighten", refuse)
+            patch.setattr(PbwAlgebra, "exp", refuse)
+            patch.setattr(GroupElement, "__mul__", refuse)
+            with pytest.raises(InconsistencyFound) as loop:
+                verify_loop_consistency(a2, graph, 4)
+            with pytest.raises(InconsistencyFound) as sweep:
+                verify_rank2_consistency(kronecker, broken)
+        assert loop.value.lowest == lowest_log_part(loop_product(a2, graph, loop.value.loop, 4))
+        # the defect has degree 3, so the oracle's level-4 product has the same lowest part
+        assert sweep.value.lowest == {(2, 1): Fraction(1)}
+        assert sweep.value.lowest == lowest_log_part(recheck_product(kronecker, broken, 4))
