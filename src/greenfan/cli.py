@@ -17,9 +17,12 @@ exported graph document (recognized by its ``"vertices"`` key).
 
 ``COMMANDS`` is the only table of what each subcommand takes and writes;
 a flag a command does not take is a usage error.  Each handler returns a
-``{format: render}`` map, and ``_write`` renders each requested artifact
-once: ``--format`` (to ``--out`` or stdout) first, then ``--out-json``,
-``--out-dot`` and ``--out-svg``.
+``{format: render}`` map, and ``_write`` renders every requested artifact
+once before it writes any: the ``--out`` file first, then ``--out-json``,
+``--out-dot`` and ``--out-svg``, and stdout last, so a failed run leaves
+stdout empty.  Only the handlers that need the scattering layer import it,
+so ``explore``, ``certify`` and ``emit-fan`` load neither it nor the
+structure group.
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
@@ -33,7 +36,7 @@ import argparse
 import json
 import sys
 
-from . import exchange, scattering
+from . import exchange
 from .errors import (
     BadInput,
     CycleFound,
@@ -87,7 +90,7 @@ def _explore(job: argparse.Namespace, doc) -> dict:
     return {
         "json": lambda: _json_text(exchange.graph_to_json(graph, topological_order=order)),
         "dot": lambda: exchange.graph_to_dot(graph),
-        "svg": lambda: scattering.fan_to_svg(fd, graph),
+        "svg": lambda: exchange.fan_to_svg(fd, graph),
     }
 
 
@@ -109,6 +112,8 @@ def _certify(job: argparse.Namespace, doc) -> dict:
 
 def _consistency(job: argparse.Namespace, doc) -> dict:
     """check loop products over a complete graph"""
+    from . import scattering
+
     fd = _fixed_data(doc)
     report = scattering.verify_loop_consistency(fd, _explored(job, fd), job.level)
     return {"json": lambda: _json_text(scattering.report_to_json(report))}
@@ -121,9 +126,11 @@ def _terms_json(terms) -> list:
 
 def _obstruct(job: argparse.Namespace, doc) -> dict:
     """minimal-degree witness for an all-green crossing sequence"""
+    from . import scattering
+
     fd = _fixed_data(doc)
-    if not isinstance(doc.get("crossings"), list):
-        raise BadInput('obstruct needs a "crossings" list')
+    if not isinstance(doc.get("crossings"), list) or not doc["crossings"]:
+        raise BadInput('obstruct needs a non-empty "crossings" list')
     pairs = []
     for rec in doc["crossings"]:
         try:
@@ -142,6 +149,8 @@ def _obstruct(job: argparse.Namespace, doc) -> dict:
 
 def _scatter2(job: argparse.Namespace, doc) -> dict:
     """complete the rank-2 scattering diagram"""
+    from . import scattering
+
     fd = _fixed_data(doc)
     diagram = scattering.complete_rank2(fd, job.level)
     scattering.verify_rank2_consistency(fd, diagram)
@@ -165,7 +174,7 @@ def _emit_fan(job: argparse.Namespace, doc) -> dict:
     if fd.rank != 2:
         raise NotRankTwo("emit-fan needs a rank-2 input")
     graph = _explored(job, fd)
-    return {"svg": lambda: scattering.fan_to_svg(fd, graph)}
+    return {"svg": lambda: exchange.fan_to_svg(fd, graph)}
 
 
 _DEFAULTS = {"--level": 8, "--max-depth": 12, "--max-vertices": 100000}
@@ -223,22 +232,25 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def _write(job: argparse.Namespace, formats, renderers: dict) -> None:
-    """Write the --format artifact, then each --out-<fmt>, rendering each once."""
+    """Render each requested artifact once, then write the files and stdout last.
+
+    A failed render writes nothing; a failed write keeps the files written
+    before it and leaves stdout empty.
+    """
     outputs = [(job.format, job.out)] + [
         (fmt, path) for fmt in formats if (path := getattr(job, "out_" + fmt, None))
     ]
-    texts = {}
+    texts = {fmt: renderers[fmt]() for fmt in dict.fromkeys(fmt for fmt, _ in outputs)}
     for fmt, path in outputs:
-        if fmt not in texts:
-            texts[fmt] = renderers[fmt]()
         if path is None:
-            sys.stdout.write(texts[fmt])
             continue
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(texts[fmt])
         except OSError as exc:
             raise BadInput("cannot write %s: %s" % (path, exc)) from exc
+    if job.out is None:
+        sys.stdout.write(texts[job.format])
 
 
 def run(job: argparse.Namespace) -> int:

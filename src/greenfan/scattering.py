@@ -30,13 +30,19 @@ from .errors import (
     NotAllGreen,
     NotRankTwo,
 )
-from .exchange import (  # noqa: F401 -- perfbench/spans.py wraps canonical_key here
+# perfbench/spans.py wraps canonical_key here; fan_to_svg is re-exported
+from .exchange import (  # noqa: F401
     FixedData,
     OrientedExchangeGraph,
     SeedKey,
     TropicalSeed,
     _column_sign,
+    _svg_chamber_labels,
+    _svg_label,
+    _svg_open,
+    _svg_ray,
     canonical_key,
+    fan_to_svg,
     key_to_str,
     mutate_seed,
 )
@@ -672,62 +678,6 @@ def report_to_json(report: ConsistencyReport) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# SVG output (rank 2)
-
-
-_SVG_SIZE = 520
-_SVG_SCALE = 180
-
-
-def _svg_point(v):
-    mag = max(abs(x) for x in v)
-    x = Fraction(v[0], mag) * _SVG_SCALE
-    y = -Fraction(v[1], mag) * _SVG_SCALE  # screen y points down
-    return float(x), float(y)
-
-
-def _svg_open():
-    half = _SVG_SIZE // 2
-    return [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="%d %d %d %d">' % (_SVG_SIZE, _SVG_SIZE, -half, -half, _SVG_SIZE, _SVG_SIZE),
-        '<rect x="%d" y="%d" width="%d" height="%d" fill="white"/>'
-        % (-half, -half, _SVG_SIZE, _SVG_SIZE),
-    ]
-
-
-def _svg_ray(v, color, width):
-    x, y = _svg_point(v)
-    return '<line x1="0" y1="0" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="%.1f"/>' % (
-        x,
-        y,
-        color,
-        width,
-    )
-
-
-def _svg_label(v, text, scale=1.12, size=11, color="#333"):
-    x, y = _svg_point(v)
-    return '<text x="%.2f" y="%.2f" font-size="%d" font-family="monospace" fill="%s" text-anchor="middle">%s</text>' % (
-        x * scale,
-        y * scale,
-        size,
-        color,
-        text,
-    )
-
-
-def _svg_chamber_labels(graph):
-    """``t<i>`` at the i-th chamber of a complete graph; nothing otherwise."""
-    labels = []
-    if graph is not None and graph.status == "complete":
-        for i, seed in enumerate(graph.vertices.values()):
-            center = linalg.vec_add(seed.g_column(0), seed.g_column(1))
-            labels.append(_svg_label(center, "t%d" % i, scale=0.55, size=10, color="#777"))
-    return labels
-
-
 def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram, graph=None) -> str:
     """Static picture of a rank-2 diagram; deterministic bytes."""
     if fd.rank != 2:
@@ -744,29 +694,6 @@ def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram, graph=None) -> str
             str(x) for x in wall.normal
         )
         parts.append(_svg_label(wall.rays[0], label))
-    parts.extend(_svg_chamber_labels(graph))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def fan_to_svg(fd: FixedData, graph: OrientedExchangeGraph) -> str:
-    """The rank-2 cluster fan: every g-vector ray, chambers labeled."""
-    if fd.rank != 2:
-        raise NotRankTwo("fan output is rank-2 only")
-    rays = []
-    seen = set()
-    for seed in graph.vertices.values():
-        for j in range(2):
-            ray = seed.g_column(j)
-            if ray not in seen:
-                seen.add(ray)
-                rays.append(ray)
-    parts = _svg_open()
-    for ray in rays:
-        parts.append(_svg_ray(ray, "#111111", 1.5))
-        parts.append(
-            _svg_label(ray, "(%s)" % ",".join(str(x) for x in ray), size=10)
-        )
     parts.extend(_svg_chamber_labels(graph))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -78,6 +78,7 @@ DOMAIN_ERRORS = {
     "string-sign": (
         ["obstruct"], dict(A2, crossings=[{"normal": [1, 0], "sign": "1"}]), "bad_input"
     ),
+    "empty-crossings": (["obstruct"], dict(A2, crossings=[]), "bad_input"),
     "non-integer-direction": (["certify"], a2_graph_doc(direction="x"), "bad_input"),
     "unknown-edge-target": (["certify"], a2_graph_doc(target=UNKNOWN_KEY), "bad_input"),
     "unknown-root": (["certify"], a2_graph_doc(root=UNKNOWN_KEY), "bad_input"),
@@ -339,6 +340,7 @@ class TestContract:
         assert set(err) == {"error", "detail"}
         assert err["error"] == "bad_input"
         assert missing in err["detail"]
+        assert proc.stdout == ""
 
     def test_memory_exhaustion_is_domain_error(self):
         """A child under its own 64 MB address-space limit reports the payload."""
@@ -367,3 +369,96 @@ class TestContract:
         err = json.loads(run_cli("explore", str(path), expect=1).stderr)
         assert set(err) == {"error", "detail"}
         assert err["error"] == "bad_input"
+
+
+# ---------------------------------------------------------------------------
+# cold start: a CLI process imports only the layers its subcommand runs
+
+RUN_MAIN = """
+import contextlib, io, sys
+from greenfan import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(" ".join(m for m in sys.modules if m.startswith("greenfan.")))
+sys.exit(code)
+"""
+
+HEAVY = {"greenfan.laurent", "greenfan.liegroup", "greenfan.scattering"}
+
+# (argv, the layers it must not load); A2, GRAPH and CROSSINGS name documents
+COLD_STARTS = [
+    (["explore", "A2"], HEAVY),
+    (["explore", "A2", "--format", "dot"], HEAVY),
+    (["explore", "A2", "--format", "svg"], HEAVY),
+    (["certify", "A2"], HEAVY),
+    (["certify", "GRAPH"], HEAVY),
+    (["emit-fan", "A2"], HEAVY),
+    (["consistency", "A2", "--level", "4"], {"greenfan.laurent"}),
+    (["obstruct", "CROSSINGS"], {"greenfan.laurent"}),
+    (["scatter2", "A2", "--level", "4"], {"greenfan.laurent"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded", COLD_STARTS, ids=["-".join(a) for a, _ in COLD_STARTS]
+)
+def test_cli_loads_only_its_layers(argv, unloaded, tmp_path):
+    documents = {
+        "A2": A2,
+        "GRAPH": a2_graph_doc(),
+        "CROSSINGS": dict(A2, crossings=[{"normal": [1, 0], "sign": 1}]),
+    }
+    args = []
+    for arg in argv:
+        if arg in documents:
+            path = tmp_path / (arg + ".json")
+            path.write_text(json.dumps(documents[arg]))
+            arg = str(path)
+        args.append(arg)
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_MAIN] + args, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not set(proc.stdout.split()) & unloaded
+
+
+PACKAGE_API = """
+import importlib, json, sys
+import greenfan
+loaded = sorted(m for m in sys.modules if m.startswith("greenfan."))
+foreign = [
+    name for name in greenfan.__all__
+    if getattr(greenfan, name)
+    is not getattr(importlib.import_module(getattr(greenfan, name).__module__), name)
+]
+star = {}
+exec("from greenfan import *", star)
+try:
+    greenfan.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "loaded": loaded,
+    "foreign": foreign,
+    "unbound": sorted(set(greenfan.__all__) - set(star)),
+    "undir": sorted(set(greenfan.__all__) - set(dir(greenfan))),
+    "exchange": greenfan.exchange is importlib.import_module("greenfan.exchange"),
+    "unknown": unknown,
+}))
+"""
+
+
+def test_package_exports_resolve_lazily():
+    proc = subprocess.run(
+        [sys.executable, "-c", PACKAGE_API], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "loaded": [],
+        "foreign": [],
+        "unbound": [],
+        "undir": [],
+        "exchange": True,
+        "unknown": "module 'greenfan' has no attribute 'no_such_name'",
+    }

@@ -74,6 +74,7 @@ DOCUMENTS = {
     ),
     "red-crossing": dict(A2, crossings=[{"normal": [1, 0], "sign": -1}]),
     "bad-crossing": dict(A2, crossings=[{"normal": "ab"}, 5]),
+    "empty-crossings": dict(A2, crossings=[]),
     "scalar-delta": dict(A2, delta=5),
     "not-skew": {"B": [[0, 1], [1, 0]], "delta": [1, 1]},
     "no-B": {"delta": [1, 1]},
@@ -120,6 +121,8 @@ def invocations(draw):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(argv=invocations())
 @example(argv=["certify", "D4-cycle"])
+@example(argv=["obstruct", "empty-crossings"])
+@example(argv=["explore", "A3", "--out-svg", OUT])
 def test_cli_outcome_is_success_payload_or_usage(argv):
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in DOCUMENTS.items():
@@ -138,6 +141,7 @@ def test_cli_outcome_is_success_payload_or_usage(argv):
             return
     assert code in (0, 1), argv
     if code == 1:
+        assert out.getvalue() == "", argv
         payload = json.loads(err.getvalue())
         cycle = {"cycle"} if payload["error"] == "cycle_found" else set()
         assert set(payload) == {"error", "detail"} | cycle, argv
