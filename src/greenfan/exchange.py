@@ -441,7 +441,7 @@ def key_from_str(text: str) -> SeedKey:
         doc = json.loads(text)
         g = linalg.as_int_matrix(doc["g"])
         b = linalg.as_int_matrix(doc["B"])
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise BadInput("malformed seed key: %s" % exc) from exc
     return SeedKey(g_columns=g, b=b)
 

@@ -25,7 +25,7 @@ rank-2 checks, which PBW products are tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from operator import add, mul
 
 from .errors import (
@@ -159,12 +159,7 @@ class PbwAlgebra:
         return AlgebraElement(self, {(): _ONE})
 
     def generator(self, n) -> "AlgebraElement":
-        n = tuple(n)
-        if not is_positive_vector(n) or len(n) != self.rank:
-            raise NotLieElement("generator index must be a nonzero nonnegative vector")
-        if degree(n) > self.level:
-            return self.zero()
-        return AlgebraElement(self, {(n,): _ONE})
+        return self.lie_element({tuple(n): 1})
 
     def lie_element(self, coefficients) -> "AlgebraElement":
         """Linear combination of generators from a {vector: coefficient} map."""
@@ -236,16 +231,8 @@ class PbwAlgebra:
         log_terms = _require_lie(a)
         if len({primitive(n) for n in log_terms}) <= 1:
             return GroupElement(AlgebraElement(self, self._ray_exp(log_terms)), log_terms)
-        result = self.one()
-        power = self.one()
-        factorial = 1
-        for k in range(1, self.level + 1):
-            power = power * a
-            if not power.terms:
-                break
-            factorial *= k
-            result = result + power * Fraction(1, factorial)
-        return GroupElement(result, log_terms)
+        carrier = _series(self.one(), a, lambda k: Fraction(1, factorial(k)))
+        return GroupElement(carrier, log_terms)
 
     def _ray_exp(self, log_terms) -> dict[Monomial, Fraction]:
         """The carrier of exp on one ray, word by word (see ``exp``)."""
@@ -314,6 +301,22 @@ class PbwAlgebra:
             )
 
 
+def _series(start: "AlgebraElement", x: "AlgebraElement", coeff) -> "AlgebraElement":
+    """start + sum_(k >= 1) coeff(k) x^k, up to the first power that truncates to 0.
+
+    Every power of an x without constant term vanishes above the level, so
+    the sum is finite.
+    """
+    result = start
+    power = x.algebra.one()
+    for k in range(1, x.algebra.level + 1):
+        power = power * x
+        if not power.terms:
+            break
+        result = result + power * coeff(k)
+    return result
+
+
 def _require_lie(a: "AlgebraElement") -> dict[Vector, Fraction]:
     terms = {}
     for m, c in a.terms.items():
@@ -349,19 +352,10 @@ class AlgebraElement:
 
     # arithmetic ---------------------------------------------------------------
 
-    def _compat(self, other: "AlgebraElement"):
-        if self.algebra.omega != other.algebra.omega:
-            raise ValueError("elements belong to different algebras")
-        if self.algebra.level != other.algebra.level:
-            raise LevelMismatch(
-                "levels differ: %d vs %d"
-                % (self.algebra.level, other.algebra.level)
-            )
-
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        self._compat(other)
+        self.algebra._check_member(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
             nc = out.get(m, _ZERO) + c
@@ -394,7 +388,7 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def _product(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._compat(other)
+        self.algebra._check_member(other)
         alg = self.algebra
         level = alg.level
         right = [(m, monomial_degree(m), c) for m, c in other.terms.items()]
@@ -466,17 +460,8 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         # geometric series: (1 + u)^-1 = sum_k (-u)^k, finite by truncation
-        alg = self.algebra
-        u = self.carrier - alg.one()
-        result = alg.one()
-        power = alg.one()
-        sign = 1
-        for _ in range(alg.level):
-            power = power * u
-            if not power.terms:
-                break
-            sign = -sign
-            result = result + power * Fraction(sign)
+        one = self.algebra.one()
+        result = _series(one, self.carrier - one, lambda k: (-1) ** k)
         cached = self._log_terms
         if cached is not None:
             cached = {n: -c for n, c in cached.items()}
@@ -487,13 +472,7 @@ class GroupElement:
         if self._log_terms is None:
             alg = self.algebra
             u = self.carrier - alg.one()
-            series = alg.zero()
-            power = alg.one()
-            for k in range(1, alg.level + 1):
-                power = power * u
-                if not power.terms:
-                    break
-                series = series + power * Fraction((-1) ** (k + 1), k)
+            series = _series(alg.zero(), u, lambda k: Fraction((-1) ** (k + 1), k))
             terms = {}
             for m, c in series.terms.items():
                 if len(m) != 1:
@@ -705,9 +684,7 @@ def element_from_json(doc, omega) -> AlgebraElement:
             if coeff:
                 terms[mono] = terms.get(mono, _ZERO) + coeff
         return AlgebraElement(alg, {m: c for m, c in terms.items() if c})
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, BadInput):
-            raise
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BadInput("malformed element document: %s" % exc) from exc
 
 

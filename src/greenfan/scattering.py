@@ -54,8 +54,8 @@ from .liegroup import (
     degree,
     delta_exponent,
     dilog_log_terms,
-    element_from_json,
     element_to_json,
+    group_from_json,
     letter_key,
 )
 
@@ -381,12 +381,14 @@ def verify_loop_consistency(
         adj[b].append(a)
     exponents = {}  # many edges share a normal
 
-    def crossing(a, b) -> Crossing:
-        """The crossing out of chamber a into chamber b."""
+    def cross(action, a, b) -> TorusAction:
+        """Apply the crossing out of chamber a into chamber b to ``action``."""
         sign, normal = _crossing_normal(seeds[a], g_cols[a].index(gone[a, b]))
-        if normal not in exponents:
-            exponents[normal] = delta_exponent(normal, fd.delta)
-        return Crossing(normal, sign, exponents[normal])
+        exponent = exponents.get(normal)
+        if exponent is None:
+            exponent = exponents[normal] = delta_exponent(normal, fd.delta)
+        action.apply_dilog(normal, sign * exponent)
+        return action
 
     root = index[graph.root]
     parent, depth = [None] * len(keys), [None] * len(keys)
@@ -398,9 +400,7 @@ def verify_loop_consistency(
         for x in adj[p]:
             if depth[x] is None:
                 parent[x], depth[x] = p, depth[p] + 1
-                c = crossing(p, x)
-                tree[x] = action = tree[p].copy()
-                action.apply_dilog(c.normal, c.sign * c.exponent)
+                tree[x] = cross(tree[p].copy(), p, x)
                 queue.append(x)
     reports = []
     for u, v in pairs:
@@ -416,14 +416,10 @@ def verify_loop_consistency(
             down.append(parent[down[-1]])
         cycle = up + down[-2::-1]  # u up to the meeting vertex, then down to v
         steps = list(zip(cycle, cycle[1:] + cycle[:1]))
-        closing = crossing(v, u)
-        action = tree[v].copy()
-        action.apply_dilog(closing.normal, closing.sign * closing.exponent)
-        if action.series != tree[u].series:
+        if cross(tree[v].copy(), v, u).series != tree[u].series:
             action = TorusAction(fd.omega, level)
             for a, b in steps:
-                c = crossing(a, b)
-                action.apply_dilog(c.normal, c.sign * c.exponent)
+                cross(action, a, b)
             raise InconsistencyFound([keys[i] for i in cycle], action.lowest_log_terms())
         labels = list(g_cols[u])  # the g-vector of each label along the walk
         directions = []
@@ -593,6 +589,7 @@ def verify_rank2_consistency(
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
     level = diagram.level if level is None else level
+    _check_level(level)
     walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
     _require_trivial_sweep(
         fd, _sweep_factors(fd, walls, basepoint=(-1, -1), clockwise=True), level
@@ -634,17 +631,19 @@ def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
 
 
 def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
+    """Read a diagram document; every wall element must live at its level."""
     try:
         level = doc["level"]
-        if not linalg.is_int(level):
-            raise BadInput("diagram level must be an integer, got %r" % (level,))
+        if not linalg.is_int(level) or level < 1:
+            raise BadInput("diagram level must be an integer >= 1, got %r" % (level,))
         walls = []
         for i, rec in enumerate(doc["walls"]):
-            carrier = element_from_json(rec["element"], fd.omega)
+            if rec["element"]["level"] != level:
+                raise BadInput("wall %d: element is not at the diagram level %d" % (i, level))
             wall = Wall(
                 normal=_int_vector(rec["normal"], "wall normal"),
                 rays=tuple(_int_vector(r, "wall ray") for r in rec["rays"]),
-                element=GroupElement(carrier),
+                element=group_from_json(rec["element"], fd.omega),
             )
             try:
                 validate_wall(fd, wall)

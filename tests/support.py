@@ -104,6 +104,40 @@ def power_series_exp(alg, a):
     return result
 
 
+def transpose(m):
+    return tuple(zip(*m)) if m else ()
+
+
+def matmul(a, b):
+    cols = transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def det(m):
+    """Determinant by exact Gaussian elimination over Fraction."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    sign = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] / a[col][col]
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    out = Fraction(sign)
+    for i in range(n):
+        out *= a[i][i]
+    return out
+
+
 def relabel_seed(seed, perm):
     """Apply a direction relabeling: conjugate B, permute C/G columns."""
     r = seed.rank

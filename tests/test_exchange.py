@@ -25,15 +25,18 @@ from greenfan import (
     root_seed,
     validate_fixed_data,
 )
-from greenfan.linalg import as_int_matrix, det, matmul, transpose
+from greenfan.linalg import as_int_matrix
 
 from support import (
     FINITE_TYPES,
     LOOP_PATTERNS,
     d4_cycle_graph_doc,
     dense_mutate_seed,
+    det,
     full_mutation_enumerate_graph,
+    matmul,
     relabel_seed,
+    transpose,
 )
 
 MARKOV = ([[0, 2, -2], [-2, 0, 2], [2, -2, 0]], [1, 1, 1])
@@ -388,6 +391,10 @@ class TestSerialization:
             first["source"], first["target"] = first["target"], first["source"]
         with pytest.raises(BadInput):
             graph_from_json(json.loads(json.dumps(doc)))
+
+    def test_deeply_nested_key_is_bad_input(self):
+        with pytest.raises(BadInput, match="malformed seed key"):
+            key_from_str("[" * 100000)
 
     def test_swapped_seed_records_are_bad_input(self):
         b, delta, _ = FINITE_TYPES["E6"]

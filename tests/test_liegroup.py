@@ -21,6 +21,7 @@ from greenfan import (
     validate_fixed_data,
 )
 from greenfan.liegroup import TorusAction, degree, dilog_log_terms, monomial_degree
+from greenfan.linalg import primitive
 
 from support import (
     element_words,
@@ -187,6 +188,47 @@ class TestExpLog:
             )
             assert (g * g.inverse()).is_identity()
             assert (g.inverse() * g).is_identity()
+
+
+class TestSeries:
+    """Off one ray, ``exp``, ``log`` and ``inverse`` sum truncated power series."""
+
+    def test_off_ray_exp_matches_power_series(self):
+        rng = random.Random("off-ray-exp")
+        for trial in range(30):
+            fd = random_fixed_data(rng)
+            a = PbwAlgebra(fd.omega, rng.randint(2, 6))
+            x = a.zero()
+            while len({primitive(m[0]) for m in x.terms}) < 2:
+                n = random_positive_vector(rng, fd.rank, max_entry=2)
+                coeff = Fraction(rng.choice((-1, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                x = x + a.lie_element({n: coeff})
+            g = a.exp(x)
+            assert g.carrier == power_series_exp(a, x), trial
+            assert GroupElement(g.carrier).log_terms() == {m[0]: c for m, c in x.terms.items()}
+
+    def test_inverse_is_the_geometric_series_off_the_group(self):
+        rng = random.Random("geometric-inverse")
+        for trial in range(30):
+            fd = random_fixed_data(rng)
+            a = PbwAlgebra(fd.omega, rng.randint(2, 5))
+            while True:  # draw until log refuses, so inverse cannot go through it
+                u = random_algebra_element(a, rng)
+                g = GroupElement(a.one() + u)
+                try:
+                    g.log_terms()
+                except NotGrouplike:
+                    break
+            expected, power = {(): Fraction(1)}, {(): Fraction(1)}
+            minus_u = {w: -c for w, c in element_words(u).items()}
+            for k in range(a.level):
+                power = oracle_multiply(power, minus_u, a.omega, a.level)
+                for w, c in power.items():
+                    expected[w] = expected.get(w, Fraction(0)) + c
+            expected = {w: c for w, c in expected.items() if c}
+            inverse = g.inverse()
+            assert element_words(inverse.carrier) == expected, trial
+            assert (g * inverse).is_identity() and (inverse * g).is_identity()
 
 
 # rank-2 patterns whose completions emit walls of many shapes
@@ -479,6 +521,12 @@ class TestSerialization:
     def test_accepts_integer_coefficient(self):
         doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": 3}]}
         assert element_from_json(doc, A2_OMEGA) == alg(2).generator((1, 0)) * 3
+
+    @pytest.mark.parametrize("read", [element_from_json, group_from_json])
+    def test_rejects_zero_denominator(self, read):
+        doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": "1/0"}]}
+        with pytest.raises(BadInput, match="malformed element"):
+            read(doc, A2_OMEGA)
 
     def test_rejects_non_grouplike_document(self):
         a = alg(2)

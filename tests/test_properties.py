@@ -1,18 +1,32 @@
 """Property tests, run with a fixed derandomized example set."""
 
 import contextlib
+import copy
 import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenfan import (
+    GreenfanError,
+    PbwAlgebra,
     cli,
+    complete_rank2,
+    diagram_from_json,
+    diagram_to_json,
+    element_from_json,
+    element_to_json,
     enumerate_graph,
+    graph_from_json,
     graph_to_json,
+    group_from_json,
+    group_to_json,
+    key_from_str,
+    key_to_str,
     validate_fixed_data,
     verify_loop_consistency,
 )
@@ -145,3 +159,96 @@ def test_cli_outcome_is_success_payload_or_usage(argv):
         payload = json.loads(err.getvalue())
         cycle = {"cycle"} if payload["error"] == "cycle_found" else set()
         assert set(payload) == {"error", "detail"} | cycle, argv
+
+
+# ---------------------------------------------------------------------------
+# the readers: a mutated document reads back or fails with a GreenfanError
+
+
+G2 = validate_fixed_data([[0, 1], [-3, 0]], [1, 3])
+_A2_GRAPH = enumerate_graph(validate_fixed_data(A2["B"], A2["delta"]))
+_G2_DIAGRAM = complete_rank2(G2, 3)
+_G2_ALGEBRA = PbwAlgebra(G2.omega, 3)
+
+
+def _read_diagram(doc):
+    diagram = diagram_from_json(doc, G2)
+    # an accepted diagram is well formed, so its re-check means what it says
+    assert diagram.level >= 1
+    assert all(w.element.algebra.level == diagram.level for w in diagram.walls)
+    return diagram
+
+
+# reader -> (a valid document as parsed JSON, the call that reads it)
+READERS = {
+    "graph": (graph_to_json(_A2_GRAPH), graph_from_json),
+    "diagram": (diagram_to_json(G2, _G2_DIAGRAM), _read_diagram),
+    "element": (
+        element_to_json(
+            _G2_ALGEBRA.generator((1, 0)) * _G2_ALGEBRA.generator((0, 1)) * Fraction(3, 2)
+            + _G2_ALGEBRA.generator((1, 1))
+        ),
+        lambda doc: element_from_json(doc, G2.omega),
+    ),
+    "group": (
+        group_to_json(_G2_DIAGRAM.walls[2].element),
+        lambda doc: group_from_json(doc, G2.omega),
+    ),
+    # the document is the parsed key; a string put in its place is read raw
+    "key": (
+        json.loads(key_to_str(_A2_GRAPH.root)),
+        lambda doc: key_from_str(doc if isinstance(doc, str) else json.dumps(doc)),
+    ),
+}
+
+DELETE = "<delete>"
+# values a mutation writes: wrong types, out-of-range integers, bad
+# fractions, deep nesting, and shapes borrowed from other fields
+VALUES = [
+    DELETE, None, True, 0, 1, -3, 4, 2**70, 1.5, "", "x", "1/0", "0/0", "-1/2",
+    "[" * 100000, [], {}, [0], [[0, 1], [-1, 0]], [[1, 0]], [-1, 1], {"level": 1},
+]
+
+
+def _mutate(doc, path, value):
+    """Write ``value`` at ``path``, or delete the entry there.
+
+    Each step of the path names a key or index; an int step past the end of
+    a container wraps around, and the walk stops early at a leaf.
+    """
+    holder = [copy.deepcopy(doc)]
+    parent, step = holder, 0
+    for want in path:
+        node = parent[step]
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        steps = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, step = node, want if isinstance(want, str) else steps[want % len(steps)]
+    if value == DELETE and parent is not holder:
+        del parent[step]
+    else:
+        parent[step] = copy.deepcopy(value)
+    return holder[0]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    reader=st.sampled_from(sorted(READERS)),
+    mutations=st.lists(
+        st.tuples(st.lists(st.integers(0, 40), max_size=6), st.sampled_from(VALUES)),
+        max_size=3,
+    ),
+)
+@example(reader="element", mutations=[(("terms", 0, "coeff"), "1/0")])
+@example(reader="diagram", mutations=[(("walls", 1, "element", "terms", 1, "coeff"), "1/0")])
+@example(reader="diagram", mutations=[(("level",), -3)])
+@example(reader="diagram", mutations=[(("level",), 4)])
+@example(reader="key", mutations=[((), "[" * 100000)])
+def test_readers_fail_only_with_greenfan_errors(reader, mutations):
+    doc, read = READERS[reader]
+    for path, value in mutations:
+        doc = _mutate(doc, path, value)
+    try:
+        read(doc)
+    except GreenfanError:
+        pass

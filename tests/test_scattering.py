@@ -611,6 +611,15 @@ class TestRankTwoCompletion:
             verify_rank2_consistency(a2, broken)
 
 
+    @pytest.mark.parametrize("level", [0, -3])
+    def test_verify_rejects_level_below_one(self, b2, level):
+        diagram = complete_rank2(b2, 4)
+        with pytest.raises(ValueError):
+            verify_rank2_consistency(b2, dataclasses.replace(diagram, level=level))
+        with pytest.raises(ValueError):
+            verify_rank2_consistency(b2, diagram, level)
+
+
 class TestDiagramSerialization:
     def test_json_round_trip(self, b2):
         diagram = complete_rank2(b2, 6)
@@ -630,6 +639,28 @@ class TestDiagramSerialization:
     def test_rejects_fractional_level(self, b2):
         doc = dict(diagram_to_json(b2, complete_rank2(b2, 4)), level=3.9)
         with pytest.raises(BadInput):
+            diagram_from_json(doc, b2)
+
+    @pytest.mark.parametrize("level", [0, -3])
+    def test_rejects_level_below_one(self, b2, level):
+        doc = dict(diagram_to_json(b2, complete_rank2(b2, 4)), level=level)
+        with pytest.raises(BadInput, match="diagram level"):
+            diagram_from_json(doc, b2)
+
+    def test_rejects_wall_element_at_another_level(self, b2):
+        doc = diagram_to_json(b2, complete_rank2(b2, 4))
+        doc["walls"][0]["element"]["level"] = 5
+        with pytest.raises(BadInput, match="wall 0: element is not at the diagram level 4"):
+            diagram_from_json(doc, b2)
+
+    @pytest.mark.parametrize(
+        "coeff,message", [("1/0", "malformed element"), ("2", "constant term 1")]
+    )
+    def test_rejects_bad_element_coefficient(self, b2, coeff, message):
+        doc = diagram_to_json(b2, complete_rank2(b2, 4))
+        assert doc["walls"][0]["element"]["terms"][0] == {"monomial": [], "coeff": "1"}
+        doc["walls"][0]["element"]["terms"][0]["coeff"] = coeff
+        with pytest.raises(BadInput, match=message):
             diagram_from_json(doc, b2)
 
     def test_rejects_fractional_normal(self, b2):
