@@ -10,10 +10,10 @@ Usage sketch::
     greenfan scatter2 input.json --level 6 --out-svg diagram.svg
     greenfan emit-fan input.json --out fan.svg
 
-Input documents carry ``{"B": [[...]], "delta": [...]}`` with an optional
-``"D"`` skew-symmetrizer; ``obstruct`` additionally takes ``"crossings":
-[{"normal": [...], "sign": 1}]``.  ``certify`` also accepts a previously
-exported graph document (recognized by its ``"vertices"`` key).
+Input documents carry ``{"B": [[...]], "delta": [...]}``; ``obstruct``
+additionally takes ``"crossings": [{"normal": [...], "sign": 1}]``.
+``certify`` also accepts a previously exported graph document (recognized
+by its ``"vertices"`` key).
 
 ``COMMANDS`` is the only table of what each subcommand takes and writes;
 a flag a command does not take is a usage error.  Each handler returns a
@@ -51,10 +51,7 @@ from .exchange import key_to_str, validate_fixed_data
 def _load_document(job: argparse.Namespace) -> dict:
     if job.matrix is not None:
         try:
-            doc = {"B": json.loads(job.matrix), "delta": json.loads(job.delta)}
-            if job.symmetrizer is not None:
-                doc["D"] = json.loads(job.symmetrizer)
-            return doc
+            return {"B": json.loads(job.matrix), "delta": json.loads(job.delta)}
         except (json.JSONDecodeError, RecursionError) as exc:
             raise BadInput("inline JSON did not parse: %s" % exc) from exc
     try:
@@ -69,7 +66,9 @@ def _load_document(job: argparse.Namespace) -> dict:
 def _fixed_data(doc) -> exchange.FixedData:
     if not isinstance(doc, dict) or "B" not in doc or "delta" not in doc:
         raise BadInput('input document needs "B" and "delta" fields')
-    return validate_fixed_data(doc["B"], doc["delta"], doc.get("D"))
+    if "D" in doc:
+        raise BadInput('"D" is not read: B determines its minimal skew-symmetrizer')
+    return validate_fixed_data(doc["B"], doc["delta"])
 
 
 def _json_text(doc) -> str:
@@ -156,8 +155,8 @@ def _scatter2(job: argparse.Namespace, doc) -> dict:
     scattering.verify_rank2_consistency(fd, diagram)
 
     def svg():
-        # label chambers when the pattern is finite and fits the budgets
-        graph = _explored(job, fd)
+        # the default budgets enumerate every finite rank-2 type completely
+        graph = exchange.enumerate_graph(fd)
         return scattering.diagram_to_svg(
             fd, diagram, graph if graph.status == "complete" else None
         )
@@ -187,7 +186,7 @@ COMMANDS = {
     "certify": (_certify, _BUDGETS, ("json",)),
     "consistency": (_consistency, ("--level",) + _BUDGETS, ("json",)),
     "obstruct": (_obstruct, (), ("json",)),
-    "scatter2": (_scatter2, ("--level",) + _BUDGETS, ("json", "svg")),
+    "scatter2": (_scatter2, ("--level",), ("json", "svg")),
     "emit-fan": (_emit_fan, _BUDGETS, ("svg",)),
 }
 
@@ -204,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("input", nargs="?", help="input JSON document")
         p.add_argument("--matrix", help="inline B matrix, JSON list of rows")
         p.add_argument("--delta", help="inline delta vector, JSON list")
-        p.add_argument("--symmetrizer", help="inline D diagonal, JSON list")
         for option in options:
             p.add_argument(option, type=int, default=_DEFAULTS[option])
         p.add_argument("--format", choices=formats, default=formats[0])

@@ -103,42 +103,28 @@ def _minimal_skew_symmetrizer(b):
     return tuple(ratio)
 
 
-def _int_list(field: str, value) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise BadInput("%s must be a list of integers, got %r" % (field, value))
-    return tuple(value)
-
-
-def validate_fixed_data(b, delta, d=None) -> FixedData:
+def validate_fixed_data(b, delta) -> FixedData:
     """Check the root data and return it in canonical form.
 
     Raises NotSkewSymmetrizable when no positive skew-symmetrizer exists and
     BadDecomposition when ``diag(delta)^-1 * B`` fails to be skew-symmetric.
-    When ``d`` is omitted the minimal positive skew-symmetrizer is computed.
-    A ``B`` that is not a square integer matrix, or a ``delta`` or ``d``
-    that is not a list, raises BadInput.
+    ``d`` is the minimal positive skew-symmetrizer, which ``B`` determines.
+    A ``B`` that is not a square integer matrix, or a ``delta`` that is not
+    a list, raises BadInput.
     """
     try:
         bm = linalg.as_int_matrix(b)
     except (TypeError, ValueError) as exc:
         raise BadInput("B: %s" % exc) from exc
     r = len(bm)
-    delta = _int_list("delta", delta)
+    if not isinstance(delta, (list, tuple)):
+        raise BadInput("delta must be a list of integers, got %r" % (delta,))
+    delta = tuple(delta)
     if len(delta) != r or not all(linalg.is_int(x) and x > 0 for x in delta):
         raise BadDecomposition("delta must consist of %d positive integers" % r)
-    found = _minimal_skew_symmetrizer(bm)
-    if found is None:
-        raise NotSkewSymmetrizable("B admits no positive skew-symmetrizer")
+    d = _minimal_skew_symmetrizer(bm)
     if d is None:
-        d = found
-    else:
-        d = _int_list("D", d)
-        if len(d) != r or not all(linalg.is_int(x) and x > 0 for x in d):
-            raise NotSkewSymmetrizable("provided D must be positive integers")
-        for i in range(r):
-            for j in range(r):
-                if d[i] * bm[i][j] != -d[j] * bm[j][i]:
-                    raise NotSkewSymmetrizable("provided D does not skew-symmetrize B")
+        raise NotSkewSymmetrizable("B admits no positive skew-symmetrizer")
     omega = tuple(
         tuple(Fraction(bm[i][j], delta[i]) for j in range(r)) for i in range(r)
     )

@@ -75,8 +75,8 @@ def delta_exponent(n: Vector, delta) -> Fraction:
     the support of ``n``; in particular it takes the value ``delta_i`` on the
     i-th unit vector, and it can be a proper fraction on non-primitive input.
     """
-    if not is_positive_vector(n):
-        raise ValueError("expected a nonzero nonnegative integer vector, got %r" % (n,))
+    if not is_positive_vector(n) or len(n) != len(delta):
+        raise ValueError("expected a positive vector of length %d, got %r" % (len(delta), n))
     num, den = 1, 0
     for ni, di in zip(n, delta):
         if ni == 0:
@@ -696,6 +696,11 @@ def group_from_json(doc, omega) -> GroupElement:
     carrier = element_from_json(doc, omega)
     if carrier.constant() != 1:
         raise BadInput("group element must have constant term 1")
+    # exp(a) holds X_n^k for all k <= level/d, d the lowest degree in a, so a
+    # carrier with no term above level - d is not grouplike: say so before the log
+    degrees = [monomial_degree(m) for m in carrier.terms if m]
+    if degrees and max(degrees) <= carrier.algebra.level - min(degrees):
+        raise NotGrouplike("no term above degree level - %d" % min(degrees))
     g = GroupElement(carrier)
     g.log_terms()  # eager grouplike validation
     return g

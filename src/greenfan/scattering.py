@@ -120,11 +120,13 @@ class Wall:
 
 
 def validate_wall(fd: FixedData, wall: Wall) -> None:
-    if not all(x >= 0 for x in wall.normal) or not any(wall.normal):
-        raise ValueError("wall normal must be positive, got %r" % (wall.normal,))
+    if len(wall.normal) != fd.rank or min(wall.normal) < 0 or not any(wall.normal):
+        raise ValueError("wall normal must be a positive %d-vector, got %r" % (fd.rank, wall.normal))
     if linalg.gcd_vec(wall.normal) != 1:
         raise ValueError("wall normal must be primitive, got %r" % (wall.normal,))
     for ray in wall.rays:
+        if len(ray) != fd.rank or not any(ray):
+            raise ValueError("ray must be a nonzero %d-vector, got %r" % (fd.rank, ray))
         if dual_pairing(fd.delta, wall.normal, ray) != 0:
             raise ValueError("ray %r is not orthogonal to %r" % (ray, wall.normal))
     for n in wall.element.log_terms():
@@ -578,9 +580,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     return ScatteringDiagram(level=level, walls=tuple(walls), origin="rank2-completion")
 
 
-def verify_rank2_consistency(
-    fd: FixedData, diagram: ScatteringDiagram, level: int | None = None
-) -> bool:
+def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
     """Re-check a rank-2 diagram with an independently oriented sweep.
 
     Uses a clockwise loop from the opposite basepoint, so the crossing order
@@ -588,11 +588,10 @@ def verify_rank2_consistency(
     """
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
-    level = diagram.level if level is None else level
-    _check_level(level)
+    _check_level(diagram.level)
     walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
     _require_trivial_sweep(
-        fd, _sweep_factors(fd, walls, basepoint=(-1, -1), clockwise=True), level
+        fd, _sweep_factors(fd, walls, basepoint=(-1, -1), clockwise=True), diagram.level
     )
     return True
 

@@ -199,7 +199,7 @@ def test_criterion_5_rank_two_completions():
     kron = validate_fixed_data([[0, 2], [-2, 0]], [1, 1])
     diagram = complete_rank2(kron, 6)
     try:
-        verify_rank2_consistency(kron, diagram, 6)
+        verify_rank2_consistency(kron, diagram)
     except Exception as exc:  # noqa: BLE001
         failures.append("Kronecker re-verification: %s" % exc)
 

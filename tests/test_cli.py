@@ -1,11 +1,14 @@
+import argparse
 import json
+import re
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from greenfan import cli, enumerate_graph, graph_to_json, validate_fixed_data
+from greenfan import GreenfanError, cli, enumerate_graph, graph_to_json, validate_fixed_data
 from greenfan import exchange, scattering
 
 from support import d4_cycle_graph_doc
@@ -68,7 +71,8 @@ DOMAIN_ERRORS = {
     ),
     "scalar-delta": (["explore"], dict(A2, delta=5), "bad_input"),
     "scalar-D": (["explore"], dict(A2, D=3), "bad_input"),
-    "boolean-D": (["certify"], dict(A2, D=[True, True]), "not_skew_symmetrizable"),
+    "boolean-D": (["certify"], dict(A2, D=[True, True]), "bad_input"),
+    "list-D": (["scatter2"], dict(A2, D=[1, 1]), "bad_input"),
     "fractional-sign": (
         ["obstruct"], dict(A2, crossings=[{"normal": [1, 0], "sign": 1.7}]), "bad_input"
     ),
@@ -94,8 +98,8 @@ DOMAIN_ERRORS = {
     "negative-direction": (["certify"], a2_graph_doc(direction=-5), "bad_input"),
 }
 
-# (command, a flag it does not take and its value); each used to be accepted
-# and ignored
+# (command, a flag it does not take and its value); each was accepted once,
+# but changed no result
 FOREIGN_FLAGS = [
     ("explore", ["--level", "3"]),
     ("certify", ["--out-json", "c.json"]),
@@ -103,8 +107,25 @@ FOREIGN_FLAGS = [
     ("obstruct", ["--max-depth", "3"]),
     ("scatter2", ["--out-dot", "d.dot"]),
     ("scatter2", ["--format", "dot"]),
+    ("scatter2", ["--max-depth", "3"]),
+    ("scatter2", ["--max-vertices", "3"]),
     ("emit-fan", ["--out-svg", "f.svg"]),
-]
+] + [(command, ["--symmetrizer", "[1,1]"]) for command in cli.COMMANDS]
+
+# every flag each subcommand takes; a new one needs a test and a README line
+ACCEPTED_FLAGS = {
+    "explore": [
+        "--delta", "--format", "--matrix", "--max-depth", "--max-vertices",
+        "--out", "--out-dot", "--out-json", "--out-svg",
+    ],
+    "certify": ["--delta", "--format", "--matrix", "--max-depth", "--max-vertices", "--out"],
+    "consistency": [
+        "--delta", "--format", "--level", "--matrix", "--max-depth", "--max-vertices", "--out",
+    ],
+    "obstruct": ["--delta", "--format", "--matrix", "--out"],
+    "scatter2": ["--delta", "--format", "--level", "--matrix", "--out", "--out-json", "--out-svg"],
+    "emit-fan": ["--delta", "--format", "--matrix", "--max-depth", "--max-vertices", "--out"],
+}
 
 
 def run_cli(*args, expect=0):
@@ -331,6 +352,32 @@ class TestContract:
         with pytest.raises(SystemExit) as exc:
             cli.main([command, a2_path] + flag)
         assert exc.value.code == 2
+
+    def test_accepted_flags_are_pinned(self):
+        parser = cli._build_parser()
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        accepted = {
+            name: sorted(
+                flag
+                for action in sub._actions
+                for flag in action.option_strings
+                if flag not in ("-h", "--help")
+            )
+            for name, sub in commands.choices.items()
+        }
+        assert accepted == ACCEPTED_FLAGS
+        assert sum(map(len, accepted.values())) == 39
+
+    def test_error_codes_are_distinct_and_documented(self):
+        def family(cls):
+            return [cls] + [c for sub in cls.__subclasses__() for c in family(sub)]
+
+        codes = [cls.code for cls in family(GreenfanError)]
+        assert len(set(codes)) == len(codes) == 19
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("## Error codes", 1)[1].split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `([a-z_]+)` +\|", table, flags=re.M)
+        assert sorted(documented) == sorted(codes)
 
     @pytest.mark.parametrize("flag", ["--out", "--out-dot"])
     def test_unwritable_path_is_domain_error(self, flag, a2_path, tmp_path):

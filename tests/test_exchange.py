@@ -6,6 +6,7 @@ from operator import mul
 
 import pytest
 
+from greenfan import cli
 from greenfan import (
     BadDecomposition,
     BadInput,
@@ -78,10 +79,6 @@ class TestValidation:
         # D*B = [[0,2],[-2,0]] is skew with the minimal D
         assert b2.d == (2, 1)
 
-    def test_explicit_symmetrizer_is_respected(self):
-        fd = validate_fixed_data([[0, 1], [-2, 0]], [1, 2], d=[4, 2])
-        assert fd.d == (4, 2)
-
     def test_rejects_symmetric_matrix(self):
         with pytest.raises(NotSkewSymmetrizable):
             validate_fixed_data([[0, 1], [1, 0]], [1, 1])
@@ -96,8 +93,9 @@ class TestValidation:
             validate_fixed_data([[1, 1], [-1, 0]], [1, 1])
 
     def test_rejects_bad_symmetrizer(self):
-        with pytest.raises(NotSkewSymmetrizable):
-            validate_fixed_data([[0, 1], [-2, 0]], [1, 2], d=[1, 1])
+        # B determines D, so a pattern document that states one is refused
+        with pytest.raises(BadInput, match='"D"'):
+            cli._fixed_data({"B": [[0, 1], [-2, 0]], "delta": [1, 2], "D": [1, 1]})
 
 
 class TestMutation:

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -421,6 +423,11 @@ class TestDeltaExponent:
         # 4*e1 with delta_1 = 2: already 2*(2 e1) in the finer lattice at t=1/2
         assert delta_exponent((4, 0), (2, 1)) == Fraction(1, 2)
 
+    @pytest.mark.parametrize("n", [(1,), (1, 0, 5)])
+    def test_rejects_vector_of_wrong_length(self, n):
+        with pytest.raises(ValueError, match="length 2"):
+            delta_exponent(n, (1, 2))
+
     def test_matches_brute_force_search(self):
         rng = random.Random(11)
         for _ in range(60):
@@ -527,6 +534,35 @@ class TestSerialization:
         doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": "1/0"}]}
         with pytest.raises(BadInput, match="malformed element"):
             read(doc, A2_OMEGA)
+
+    def test_grouplike_products_read_back(self):
+        # multi-ray products at every level pass the degree bound group_from_json
+        # applies before the log series
+        rng = random.Random(31)
+        for _ in range(120):
+            fd = random_fixed_data(rng)
+            a = PbwAlgebra(fd.omega, rng.randint(1, 6))
+            g = a.identity()
+            for _ in range(rng.randint(1, 3)):
+                n = random_positive_vector(rng, fd.rank)
+                g = a.dilog(n, rng.choice((-2, -1, 1, 2))) * g
+            assert group_from_json(group_to_json(g), fd.omega) == g
+
+    def test_outsized_level_is_not_grouplike_at_once(self):
+        """A dilog document relabelled to level 2**70, read in a capped child."""
+        doc = dict(group_to_json(alg(3).dilog((1, 0), 1)), level=2**70)
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
+            "from greenfan import NotGrouplike, group_from_json\n"
+            "try:\n"
+            "    group_from_json(%r, %r)\n"
+            "except NotGrouplike:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(3)\n" % (doc, A2_OMEGA)
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
 
     def test_rejects_non_grouplike_document(self):
         a = alg(2)
