@@ -50,7 +50,6 @@ _EXPORTS = {
         "graph_from_json",
         "graph_to_dot",
         "graph_to_json",
-        "is_green",
         "key_from_str",
         "key_to_str",
         "mutate_seed",
@@ -75,18 +74,14 @@ _EXPORTS = {
         "element_to_json",
         "group_from_json",
         "group_to_json",
-        "project",
     ),
     "scattering": (
-        "Cone",
         "ConsistencyReport",
         "Crossing",
         "CrossingSequence",
         "Obstruction",
         "ScatteringDiagram",
         "Wall",
-        "cluster_chamber",
-        "cluster_fan_diagram",
         "complete_rank2",
         "crossing_sequence",
         "crossing_sequence_from_normals",
@@ -94,8 +89,6 @@ _EXPORTS = {
         "diagram_to_json",
         "diagram_to_svg",
         "dual_pairing",
-        "facet_cone",
-        "facet_wall",
         "factor_dilog_power",
         "minimal_degree_obstruction",
         "path_ordered_product",

@@ -137,7 +137,7 @@ def _obstruct(job: argparse.Namespace, doc) -> dict:
         except (KeyError, TypeError) as exc:
             raise BadInput("malformed crossing record: %r" % (rec,)) from exc
     cs = scattering.crossing_sequence_from_normals(fd, pairs)
-    obstruction = scattering.minimal_degree_obstruction(fd, cs)
+    obstruction = scattering.minimal_degree_obstruction(cs)
     out = {
         "min_degree": obstruction.min_degree,
         "witness": _terms_json(obstruction.witness),

@@ -179,11 +179,6 @@ def _column_sign(c: Matrix, k: int) -> int:
     return 1 if hi > 0 else -1
 
 
-def is_green(seed: TropicalSeed, k: int) -> bool:
-    """True when the c-vector of direction ``k`` is positive."""
-    return _column_sign(seed.c, k) == 1
-
-
 def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
     """Mutate the seed in direction ``k`` (0-based); an exact involution."""
     r = fd.rank
@@ -443,7 +438,7 @@ def _seed_to_json(seed: TropicalSeed) -> dict:
 
 def _seed_from_json(doc) -> TropicalSeed:
     try:
-        path = tuple(doc["path"])
+        path = tuple(linalg.require_list(doc["path"], "path"))
         if not all(map(linalg.is_int, path)):
             raise ValueError("path entries must be integers, got %r" % (doc["path"],))
         seed = TropicalSeed(
@@ -500,7 +495,7 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         root = keys[doc["root"]]
         rank = len(root.b)
         edges = []
-        for e in doc["edges"]:
+        for e in linalg.require_list(doc["edges"], "edges"):
             k = e["direction"]
             if not linalg.is_int(k):
                 raise BadInput("edge direction must be an integer, got %r" % (k,))

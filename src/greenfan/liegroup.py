@@ -34,7 +34,7 @@ from .errors import (
     NotGrouplike,
     NotLieElement,
 )
-from .linalg import is_int, primitive, vec_add, vec_scale
+from .linalg import is_int, primitive, require_list, vec_add, vec_scale
 
 Vector = tuple[int, ...]
 Monomial = tuple[Vector, ...]
@@ -493,12 +493,6 @@ class GroupElement:
         return "exp-group<%r>" % (self.carrier,)
 
 
-def project(x, new_level: int):
-    """Module-level convenience: project an algebra or group element."""
-    alg = x.algebra
-    return alg.project(x, new_level)
-
-
 # ---------------------------------------------------------------------------
 # torus action
 
@@ -668,8 +662,8 @@ def element_from_json(doc, omega) -> AlgebraElement:
             raise BadInput("element level must be an integer, got %r" % (doc["level"],))
         alg = PbwAlgebra(omega, doc["level"])
         terms: dict[Monomial, Fraction] = {}
-        for rec in doc["terms"]:
-            mono = tuple(tuple(n) for n in rec["monomial"])
+        for rec in require_list(doc["terms"], "terms"):
+            mono = tuple(tuple(n) for n in require_list(rec["monomial"], "monomial"))
             coeff = rec["coeff"]
             if not (isinstance(coeff, str) or is_int(coeff)):
                 raise BadInput("coefficient must be a string or an integer, got %r" % (coeff,))

@@ -6,7 +6,6 @@ is exact -- no floats.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd
 
@@ -19,13 +18,25 @@ def is_int(x) -> bool:
     return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_list(x, what: str):
+    """``x`` itself when it is a list or tuple; TypeError otherwise.
+
+    ``tuple()`` of a JSON object yields its keys, so every reader checks a
+    field it iterates as a list with this first.
+    """
+    if not isinstance(x, (list, tuple)):
+        raise TypeError("%s must be a list, got %s" % (what, type(x).__name__))
+    return x
+
+
 def as_int_matrix(rows):
-    """Coerce nested sequences to a square tuple-of-tuples of int.
+    """Coerce a list of rows to a square tuple-of-tuples of int.
 
     One pass over the entry types accepts a matrix of exact ints; the
     per-entry test runs only to accept an int subclass or name a bad entry.
+    A JSON object row reads as its keys, strings that the entry test refuses.
     """
-    m = tuple(map(tuple, rows))
+    m = tuple(map(tuple, require_list(rows, "matrix")))
     if not {int}.issuperset(map(type, chain.from_iterable(m))):
         for x in chain.from_iterable(m):
             if not is_int(x):
@@ -42,39 +53,6 @@ def identity(n):
 
 def matvec(m, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def solve_columns(columns, target):
-    """Solve ``sum_i x_i * columns[i] = target`` exactly.
-
-    The columns must be linearly independent.  Returns the coefficient list
-    (Fractions) or None when the system is inconsistent.
-    """
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(nrows)
-    ]
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("columns are linearly dependent")
-        aug[row], aug[piv] = aug[piv], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
-    return [aug[i][ncols] for i in range(ncols)]
 
 
 def vec_add(a, b):

@@ -30,7 +30,7 @@ from .errors import (
     NotAllGreen,
     NotRankTwo,
 )
-# perfbench/spans.py wraps canonical_key here; fan_to_svg is re-exported
+# perfbench/spans.py wraps canonical_key and mutate_seed here
 from .exchange import (  # noqa: F401
     FixedData,
     OrientedExchangeGraph,
@@ -42,7 +42,6 @@ from .exchange import (  # noqa: F401
     _svg_open,
     _svg_ray,
     canonical_key,
-    fan_to_svg,
     key_to_str,
     mutate_seed,
 )
@@ -68,45 +67,6 @@ def dual_pairing(delta, n, m) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# cones and chamber geometry
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Simplicial cone given by linearly independent integer ray generators."""
-
-    rays: tuple[Vector, ...]
-
-    def coefficients(self, point):
-        return linalg.solve_columns(self.rays, tuple(point))
-
-    def contains(self, point) -> bool:
-        coeffs = self.coefficients(point)
-        return coeffs is not None and all(c >= 0 for c in coeffs)
-
-    def interior_contains(self, point) -> bool:
-        coeffs = self.coefficients(point)
-        return coeffs is not None and all(c > 0 for c in coeffs)
-
-    def interior_point(self) -> Vector:
-        return tuple(sum(col) for col in zip(*self.rays))
-
-
-def cluster_chamber(seed: TropicalSeed) -> Cone:
-    """The cone spanned by the seed's g-vectors (rays sorted canonically)."""
-    r = seed.rank
-    return Cone(rays=tuple(sorted(seed.g_column(j) for j in range(r))))
-
-
-def facet_cone(seed: TropicalSeed, k: int) -> Cone:
-    """The facet of the chamber omitting the direction-``k`` g-vector."""
-    r = seed.rank
-    return Cone(
-        rays=tuple(sorted(seed.g_column(j) for j in range(r) if j != k))
-    )
-
-
-# ---------------------------------------------------------------------------
 # walls
 
 
@@ -124,6 +84,8 @@ def validate_wall(fd: FixedData, wall: Wall) -> None:
         raise ValueError("wall normal must be a positive %d-vector, got %r" % (fd.rank, wall.normal))
     if linalg.gcd_vec(wall.normal) != 1:
         raise ValueError("wall normal must be primitive, got %r" % (wall.normal,))
+    if not wall.rays:
+        raise ValueError("rays must not be empty")
     for ray in wall.rays:
         if len(ray) != fd.rank or not any(ray):
             raise ValueError("ray must be a nonzero %d-vector, got %r" % (fd.rank, ray))
@@ -142,48 +104,11 @@ def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:
     return sign, tuple(sign * x for x in seed.c_column(k))
 
 
-def facet_wall(fd: FixedData, seed: TropicalSeed, k: int, level: int) -> Wall:
-    """The wall carried by the facet of direction ``k`` at a seed.
-
-    The normal is the positive representative of the c-vector of ``k`` (a
-    primitive vector, because the coefficient matrix is unimodular), the
-    support is the facet cone, and the element is the dilogarithm raised to
-    the minimal exponent making its index land in the rescaled lattice.
-    """
-    crossing = _crossing(fd, seed, k)
-    normal = crossing.normal
-    if linalg.gcd_vec(normal) != 1:
-        raise InternalError("c-vector %r is not primitive" % (normal,))
-    rays = facet_cone(seed, k).rays
-    for ray in rays:
-        if dual_pairing(fd.delta, normal, ray) != 0:
-            raise InternalError(
-                "facet normal %r not orthogonal to g-vector %r" % (normal, ray)
-            )
-    element = PbwAlgebra(fd.omega, level).dilog(normal, crossing.exponent)
-    return Wall(normal=normal, rays=rays, element=element)
-
-
-def cluster_fan_diagram(
-    fd: FixedData, graph: OrientedExchangeGraph, level: int
-) -> "ScatteringDiagram":
-    """All facet walls of a completely enumerated pattern, deduplicated."""
-    if graph.status != "complete":
-        raise IncompleteGraph("cluster fan needs a complete graph")
-    walls = {}
-    for seed in graph.vertices.values():
-        for k in range(fd.rank):
-            w = facet_wall(fd, seed, k, level)
-            walls.setdefault((w.rays, w.normal), w)
-    ordered = tuple(walls[key] for key in sorted(walls))
-    return ScatteringDiagram(level=level, walls=ordered, origin="cluster-fan")
-
-
 @dataclass(frozen=True)
 class ScatteringDiagram:
     level: int
     walls: tuple[Wall, ...]
-    origin: str  # "cluster-fan" | "rank2-completion"
+    origin: str  # "rank2-completion" from complete_rank2
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +213,7 @@ class Obstruction:
         return " + ".join(bits)
 
 
-def minimal_degree_obstruction(fd: FixedData, cs: CrossingSequence) -> Obstruction:
+def minimal_degree_obstruction(cs: CrossingSequence) -> Obstruction:
     """Witness that an all-green product cannot be the identity.
 
     Let l be the minimal degree of the normals.  Modulo degree > l a factor
@@ -636,12 +561,13 @@ def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
         if not linalg.is_int(level) or level < 1:
             raise BadInput("diagram level must be an integer >= 1, got %r" % (level,))
         walls = []
-        for i, rec in enumerate(doc["walls"]):
+        for i, rec in enumerate(linalg.require_list(doc["walls"], "walls")):
             if rec["element"]["level"] != level:
                 raise BadInput("wall %d: element is not at the diagram level %d" % (i, level))
+            rays = linalg.require_list(rec["rays"], "wall rays")
             wall = Wall(
                 normal=_int_vector(rec["normal"], "wall normal"),
-                rays=tuple(_int_vector(r, "wall ray") for r in rec["rays"]),
+                rays=tuple(_int_vector(r, "wall ray") for r in rays),
                 element=group_from_json(rec["element"], fd.omega),
             )
             try:

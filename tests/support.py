@@ -9,6 +9,7 @@ the two is a real confluence check rather than the same code run twice.
 """
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -19,13 +20,17 @@ from greenfan import (
     FixedData,
     IncompleteGraph,
     InconsistencyFound,
+    InternalError,
     InvalidWalk,
     OrientedExchangeGraph,
     PbwAlgebra,
+    ScatteringDiagram,
     SeedKey,
     SignIncoherent,
     TropicalSeed,
+    Wall,
     canonical_key,
+    dual_pairing,
     enumerate_graph,
     graph_to_json,
     key_to_str,
@@ -33,7 +38,8 @@ from greenfan import (
     root_seed,
     validate_fixed_data,
 )
-from greenfan import scattering
+from greenfan import exchange, scattering
+from greenfan.linalg import gcd_vec
 from greenfan.liegroup import TorusAction, delta_exponent
 from greenfan.scattering import LoopReport
 
@@ -136,6 +142,42 @@ def det(m):
     for i in range(n):
         out *= a[i][i]
     return out
+
+
+def solve_columns(columns, target):
+    """Solve ``sum_i x_i * columns[i] = target`` exactly.
+
+    The columns must be linearly independent.  Returns the coefficient list
+    (Fractions) or None when the system is inconsistent.
+    """
+    ncols = len(columns)
+    nrows = len(target)
+    aug = [
+        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
+        for i in range(nrows)
+    ]
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("columns are linearly dependent")
+        aug[row], aug[piv] = aug[piv], aug[row]
+        pv = aug[row][col]
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(nrows):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        row += 1
+    for r in range(row, nrows):
+        if aug[r][ncols]:
+            return None
+    return [aug[i][ncols] for i in range(ncols)]
+
+
+def is_green(seed, k):
+    """True when the c-vector of direction ``k`` is positive."""
+    return exchange._column_sign(seed.c, k) == 1
 
 
 def relabel_seed(seed, perm):
@@ -384,6 +426,78 @@ def pbw_sweep_product(fd, factors, level):
         # lie_element drops the terms above this sweep's level
         product = alg.exp(alg.lie_element(log)) * product
     return product
+
+
+@dataclass(frozen=True)
+class Cone:
+    """Simplicial cone given by linearly independent integer ray generators."""
+
+    rays: tuple
+
+    def coefficients(self, point):
+        return solve_columns(self.rays, tuple(point))
+
+    def contains(self, point) -> bool:
+        coeffs = self.coefficients(point)
+        return coeffs is not None and all(c >= 0 for c in coeffs)
+
+    def interior_contains(self, point) -> bool:
+        coeffs = self.coefficients(point)
+        return coeffs is not None and all(c > 0 for c in coeffs)
+
+    def interior_point(self):
+        return tuple(sum(col) for col in zip(*self.rays))
+
+
+def cluster_chamber(seed):
+    """The cone spanned by the seed's g-vectors (rays sorted canonically)."""
+    return Cone(rays=tuple(sorted(seed.g_column(j) for j in range(seed.rank))))
+
+
+def facet_cone(seed, k):
+    """The facet of the chamber omitting the direction-``k`` g-vector."""
+    return Cone(rays=tuple(sorted(seed.g_column(j) for j in range(seed.rank) if j != k)))
+
+
+def facet_wall(fd, seed, k, level):
+    """The wall carried by the facet of direction ``k`` at a seed.
+
+    The normal is the positive representative of the c-vector of ``k`` (a
+    primitive vector, because the coefficient matrix is unimodular), the
+    support is the facet cone, and the element is the dilogarithm raised to
+    the minimal exponent making its index land in the rescaled lattice.  The
+    crossing is read by ``scattering._crossing`` at call time, so a test that
+    patches ``scattering._crossing_normal`` reaches the checks below.
+    """
+    crossing = scattering._crossing(fd, seed, k)
+    normal = crossing.normal
+    if gcd_vec(normal) != 1:
+        raise InternalError("c-vector %r is not primitive" % (normal,))
+    rays = facet_cone(seed, k).rays
+    for ray in rays:
+        if dual_pairing(fd.delta, normal, ray) != 0:
+            raise InternalError(
+                "facet normal %r not orthogonal to g-vector %r" % (normal, ray)
+            )
+    element = PbwAlgebra(fd.omega, level).dilog(normal, crossing.exponent)
+    return Wall(normal=normal, rays=rays, element=element)
+
+
+def cluster_fan_diagram(fd, graph, level):
+    """All facet walls of a completely enumerated pattern, deduplicated.
+
+    For a finite rank-2 type this is the consistent scattering diagram, and
+    it is kept as the oracle for ``complete_rank2``.
+    """
+    if graph.status != "complete":
+        raise IncompleteGraph("cluster fan needs a complete graph")
+    walls = {}
+    for seed in graph.vertices.values():
+        for k in range(fd.rank):
+            w = facet_wall(fd, seed, k, level)
+            walls.setdefault((w.rays, w.normal), w)
+    ordered = tuple(walls[key] for key in sorted(walls))
+    return ScatteringDiagram(level=level, walls=ordered, origin="cluster-fan")
 
 
 def tree_matrix(rank, edges):

@@ -31,7 +31,6 @@ from greenfan import (
     verify_rank2_consistency,
 )
 from greenfan.liegroup import degree
-from greenfan.linalg import solve_columns
 
 from support import (
     element_words,
@@ -39,6 +38,7 @@ from support import (
     random_algebra_element,
     random_fixed_data,
     random_positive_vector,
+    solve_columns,
 )
 
 FIXTURES = {
@@ -154,7 +154,7 @@ def test_criterion_4_random_all_green_obstructions():
         ]
         cs = crossing_sequence_from_normals(fd, [(n, 1) for n in normals])
         level = min(degree(n) for n in normals)
-        result = minimal_degree_obstruction(fd, cs)
+        result = minimal_degree_obstruction(cs)
         alg = PbwAlgebra(fd.omega, level)
         expected_witness = {}
         for n in normals:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import greenfan
 from greenfan import GreenfanError, cli, enumerate_graph, graph_to_json, validate_fixed_data
 from greenfan import exchange, scattering
 
@@ -70,6 +71,8 @@ DOMAIN_ERRORS = {
         ["obstruct"], dict(A2, crossings=[{"normal": [1], "sign": 1}]), "bad_input"
     ),
     "scalar-delta": (["explore"], dict(A2, delta=5), "bad_input"),
+    # tuple() of a JSON object yields its keys: {} must not read as a rank-0 matrix
+    "object-B": (["certify"], {"B": {}, "delta": []}, "bad_input"),
     "scalar-D": (["explore"], dict(A2, D=3), "bad_input"),
     "boolean-D": (["certify"], dict(A2, D=[True, True]), "bad_input"),
     "list-D": (["scatter2"], dict(A2, D=[1, 1]), "bad_input"),
@@ -126,6 +129,26 @@ ACCEPTED_FLAGS = {
     "scatter2": ["--delta", "--format", "--level", "--matrix", "--out", "--out-json", "--out-svg"],
     "emit-fan": ["--delta", "--format", "--matrix", "--max-depth", "--max-vertices", "--out"],
 }
+
+# every name the package exports; a new one needs a test and a README line
+PUBLIC_NAMES = [
+    "AlgebraElement", "BadDecomposition", "BadInput", "ConsistencyReport", "Crossing",
+    "CrossingSequence", "CycleFound", "DefectNotParallel", "FixedData", "GreenfanError",
+    "GroupElement", "IncompleteGraph", "InconsistencyFound", "Inhomogeneous",
+    "InternalError", "InvalidWalk", "LaurentPoly", "LevelMismatch", "NonLaurent",
+    "NotAllGreen", "NotGrouplike", "NotLieElement", "NotRankTwo", "NotSkewSymmetrizable",
+    "Obstruction", "OrientedExchangeGraph", "PbwAlgebra", "ScatteringDiagram", "SeedKey",
+    "SignIncoherent", "SymbolicSeed", "TropicalSeed", "Wall", "canonical_key",
+    "certify_acyclic", "cluster_fingerprint", "complete_rank2", "crossing_sequence",
+    "crossing_sequence_from_normals", "delta_exponent", "diagram_from_json",
+    "diagram_to_json", "diagram_to_svg", "dual_pairing", "element_from_json",
+    "element_to_json", "enumerate_graph", "extract_c_matrix", "extract_g_vector",
+    "factor_dilog_power", "fan_to_svg", "graph_from_json", "graph_to_dot", "graph_to_json",
+    "group_from_json", "group_to_json", "key_from_str", "key_to_str",
+    "minimal_degree_obstruction", "mutate_seed", "path_ordered_product", "root_seed",
+    "root_symbolic_seed", "symbolic_mutate", "validate_fixed_data", "validate_wall",
+    "verify_loop_consistency", "verify_rank2_consistency", "walk",
+]
 
 
 def run_cli(*args, expect=0):
@@ -367,6 +390,10 @@ class TestContract:
         }
         assert accepted == ACCEPTED_FLAGS
         assert sum(map(len, accepted.values())) == 39
+
+    def test_public_names_are_pinned(self):
+        assert greenfan.__all__ == PUBLIC_NAMES
+        assert len(PUBLIC_NAMES) == 69
 
     def test_error_codes_are_distinct_and_documented(self):
         def family(cls):

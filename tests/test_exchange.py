@@ -19,7 +19,6 @@ from greenfan import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    is_green,
     key_from_str,
     key_to_str,
     mutate_seed,
@@ -35,6 +34,7 @@ from support import (
     dense_mutate_seed,
     det,
     full_mutation_enumerate_graph,
+    is_green,
     matmul,
     relabel_seed,
     transpose,
@@ -329,6 +329,10 @@ class TestIntMatrix:
         with pytest.raises(ValueError):
             as_int_matrix(rows)
 
+    def test_rejects_object(self):
+        with pytest.raises(TypeError, match="must be a list, got dict"):
+            as_int_matrix({})
+
     def test_accepts_int_subclass(self):
         class Tagged(int):
             pass
@@ -367,16 +371,20 @@ class TestSerialization:
             ("key", True),
             ("root-edge", None),
             ("B", [[0]]),
+            # tuple() of a JSON object yields its keys: {} must not read as empty
+            ("path", {}),
+            ("edges", {}),
         ],
         ids=[
             "depth-string", "depth-fraction", "depth-bool", "path-fraction", "path-string",
             "path-bool", "key-fraction", "key-bool", "edge-into-root", "seed-sizes-differ",
+            "path-object", "edges-object",
         ],
     )
     def test_malformed_document_is_bad_input(self, a2, field, value):
         doc = graph_to_json(enumerate_graph(a2))
         first = doc["edges"][0]
-        if field == "depth_reached":
+        if field in ("depth_reached", "edges"):
             doc[field] = value
         elif field in ("path", "B"):
             doc["vertices"][first["target"]][field] = value
@@ -389,6 +397,10 @@ class TestSerialization:
             first["source"], first["target"] = first["target"], first["source"]
         with pytest.raises(BadInput):
             graph_from_json(json.loads(json.dumps(doc)))
+
+    def test_object_for_a_key_matrix_is_bad_input(self):
+        with pytest.raises(BadInput, match="matrix must be a list, got dict"):
+            key_from_str('{"g": {}, "B": {}}')
 
     def test_deeply_nested_key_is_bad_input(self):
         with pytest.raises(BadInput, match="malformed seed key"):

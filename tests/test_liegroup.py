@@ -19,7 +19,6 @@ from greenfan import (
     element_to_json,
     group_from_json,
     group_to_json,
-    project,
     validate_fixed_data,
 )
 from greenfan.liegroup import TorusAction, degree, dilog_log_terms, monomial_degree
@@ -121,8 +120,9 @@ class TestStraightening:
     def test_level_must_be_a_positive_int(self, level):
         with pytest.raises(ValueError):
             PbwAlgebra(A2_OMEGA, level)
+        a = alg(4)
         with pytest.raises(ValueError):
-            project(alg(4).generator((1, 0)), level)
+            a.project(a.generator((1, 0)), level)
 
     def test_mixed_omega_rejected(self):
         other = PbwAlgebra(((0, 2), (-2, 0)), 2)
@@ -454,11 +454,11 @@ class TestProjection:
     def test_identity_on_own_level(self):
         a = alg(4)
         g = a.dilog((1, 0), 2)
-        assert project(g, 4) == g
+        assert g.project(4) == g
 
     def test_dilog_to_level_one(self):
         g = alg(5).dilog((1, 0), 1)
-        p = project(g, 1)
+        p = g.project(1)
         assert p.carrier.terms == {(): Fraction(1), ((1, 0),): Fraction(1)}
 
     def test_group_homomorphism(self):
@@ -470,11 +470,11 @@ class TestProjection:
             lower = rng.randint(1, level)
             g = a.dilog(random_positive_vector(rng, fd.rank), rng.randint(1, 3))
             h = a.dilog(random_positive_vector(rng, fd.rank), rng.randint(-3, -1))
-            assert project(g * h, lower) == project(g, lower) * project(h, lower)
+            assert (g * h).project(lower) == g.project(lower) * h.project(lower)
 
     def test_refuses_up_projection(self):
         with pytest.raises(LevelMismatch):
-            project(alg(2).dilog((1, 0), 1), 3)
+            alg(2).dilog((1, 0), 1).project(3)
 
 
 class TestSerialization:
@@ -523,6 +523,19 @@ class TestSerialization:
     def test_rejects_non_exact_coefficient(self, coeff):
         doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": coeff}]}
         with pytest.raises(BadInput):
+            element_from_json(doc, A2_OMEGA)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"level": 2, "terms": {}},
+            {"level": 2, "terms": [{"monomial": {}, "coeff": "1"}]},
+        ],
+        ids=["terms", "monomial"],
+    )
+    def test_rejects_object_for_a_list(self, doc):
+        # tuple() of a JSON object yields its keys: {} must not read as 0 or as 1
+        with pytest.raises(BadInput, match="must be a list, got dict"):
             element_from_json(doc, A2_OMEGA)
 
     def test_accepts_integer_coefficient(self):

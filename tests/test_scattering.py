@@ -7,7 +7,6 @@ import pytest
 
 from greenfan import (
     BadInput,
-    Cone,
     GreenfanError,
     GroupElement,
     IncompleteGraph,
@@ -21,8 +20,6 @@ from greenfan import (
     Wall,
     canonical_key,
     certify_acyclic,
-    cluster_chamber,
-    cluster_fan_diagram,
     complete_rank2,
     crossing_sequence,
     crossing_sequence_from_normals,
@@ -31,8 +28,6 @@ from greenfan import (
     diagram_to_svg,
     dual_pairing,
     enumerate_graph,
-    facet_cone,
-    facet_wall,
     factor_dilog_power,
     fan_to_svg,
     minimal_degree_obstruction,
@@ -55,7 +50,11 @@ from support import (
     _crossing_table,
     _cycle_crossings,
     _fundamental_cycles,
+    cluster_chamber,
+    cluster_fan_diagram,
     element_words,
+    facet_cone,
+    facet_wall,
     oracle_multiply,
     pbw_sweep_product,
     per_cycle_loop_consistency,
@@ -175,8 +174,8 @@ class TestFacetWalls:
 
     @pytest.mark.parametrize(
         "normal, rays",
-        [((1, 0), ((0, 0),)), ((1, 0), ((0, 1, 5),)), ((1, 0, 0), ((0, 1),))],
-        ids=["zero-ray", "long-ray", "long-normal"],
+        [((1, 0), ((0, 0),)), ((1, 0), ((0, 1, 5),)), ((1, 0, 0), ((0, 1),)), ((1, 0), ())],
+        ids=["zero-ray", "long-ray", "long-normal", "no-ray"],
     )
     def test_validate_wall_rejects_wrong_shape(self, a2, normal, rays):
         alg = PbwAlgebra(a2.omega, 2)
@@ -288,35 +287,35 @@ class TestPathOrderedProducts:
 class TestObstruction:
     def test_single_crossing(self, b2):
         cs = crossing_sequence_from_normals(b2, [((1, 0), 1)])
-        result = minimal_degree_obstruction(b2, cs)
+        result = minimal_degree_obstruction(cs)
         assert result.min_degree == 1
         assert result.witness == {(1, 0): Fraction(1)}
 
     def test_higher_degree_term_is_projected_away(self, a2):
         cs = crossing_sequence_from_normals(a2, [((1, 0), 1), ((1, 1), 1)])
-        result = minimal_degree_obstruction(a2, cs)
+        result = minimal_degree_obstruction(cs)
         assert result.min_degree == 1
         assert result.witness == {(1, 0): Fraction(1)}
         assert result.pretty() == "1*X(1,0)"
 
     def test_two_degree_one_crossings(self, a2):
         cs = crossing_sequence_from_normals(a2, [((1, 0), 1), ((0, 1), 1)])
-        result = minimal_degree_obstruction(a2, cs)
+        result = minimal_degree_obstruction(cs)
         assert result.witness == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
 
     def test_exponent_scaling(self, g2):
         cs = crossing_sequence_from_normals(g2, [((0, 1), 1)])
-        result = minimal_degree_obstruction(g2, cs)
+        result = minimal_degree_obstruction(cs)
         assert result.witness == {(0, 1): Fraction(3)}
 
     def test_red_crossing_rejected(self, a2):
         cs = crossing_sequence_from_normals(a2, [((1, 0), 1), ((0, 1), -1)])
         with pytest.raises(NotAllGreen):
-            minimal_degree_obstruction(a2, cs)
+            minimal_degree_obstruction(cs)
 
     def test_empty_sequence_rejected(self, a2):
         with pytest.raises(ValueError):
-            minimal_degree_obstruction(a2, crossing_sequence_from_normals(a2, []))
+            minimal_degree_obstruction(crossing_sequence_from_normals(a2, []))
 
     def test_all_green_walks_from_graphs_never_vanish(self, finite_fixtures):
         rng = random.Random(41)
@@ -339,7 +338,7 @@ class TestObstruction:
                 if not steps:
                     continue
                 cs = crossing_sequence(fd, steps)
-                result = minimal_degree_obstruction(fd, cs)
+                result = minimal_degree_obstruction(cs)
                 # oracle: the PBW product at the minimal degree is exp(witness)
                 level = result.min_degree
                 alg = PbwAlgebra(fd.omega, level)
@@ -353,7 +352,7 @@ class TestObstruction:
 
         monkeypatch.setattr(scattering_module, "PbwAlgebra", refuse)
         pairs = [((1, 1), 1), ((0, 1), 1), ((1, 0), 1), ((0, 1), 1)]
-        result = minimal_degree_obstruction(g2, crossing_sequence_from_normals(g2, pairs))
+        result = minimal_degree_obstruction(crossing_sequence_from_normals(g2, pairs))
         assert result.min_degree == 1
         assert result.witness == {(0, 1): Fraction(6), (1, 0): Fraction(1)}
 
@@ -682,6 +681,24 @@ class TestDiagramSerialization:
         assert doc["walls"][2]["normal"] == [1, 1]
         doc["walls"][2]["rays"] = [[1, 0]]
         with pytest.raises(BadInput, match="wall 2: ray"):
+            diagram_from_json(doc, a2)
+
+    def test_rejects_wall_with_no_rays(self, a2):
+        # read back, it would make diagram_to_svg raise a bare IndexError
+        doc = diagram_to_json(a2, complete_rank2(a2, 3))
+        doc["walls"][2]["rays"] = []
+        with pytest.raises(BadInput, match="wall 2: rays must not be empty"):
+            diagram_from_json(doc, a2)
+
+    @pytest.mark.parametrize("field", ["walls", "rays"])
+    def test_rejects_object_for_a_list(self, a2, field):
+        # tuple() of a JSON object yields its keys: {} must not read as no walls or rays
+        doc = diagram_to_json(a2, complete_rank2(a2, 3))
+        if field == "walls":
+            doc["walls"] = {}
+        else:
+            doc["walls"][2]["rays"] = {}
+        with pytest.raises(BadInput, match="must be a list, got dict"):
             diagram_from_json(doc, a2)
 
     @pytest.mark.parametrize("rays", [[[0, 0]], [[1, -1, 5]]], ids=["zero", "too-long"])
