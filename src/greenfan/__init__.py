@@ -50,7 +50,6 @@ _EXPORTS = {
         "graph_from_json",
         "graph_to_dot",
         "graph_to_json",
-        "key_from_str",
         "key_to_str",
         "mutate_seed",
         "root_seed",
@@ -59,7 +58,6 @@ _EXPORTS = {
     "laurent": (
         "LaurentPoly",
         "SymbolicSeed",
-        "cluster_fingerprint",
         "extract_c_matrix",
         "extract_g_vector",
         "root_symbolic_seed",
@@ -73,7 +71,6 @@ _EXPORTS = {
         "element_from_json",
         "element_to_json",
         "group_from_json",
-        "group_to_json",
     ),
     "scattering": (
         "ConsistencyReport",

@@ -180,7 +180,8 @@ _DEFAULTS = {"--level": 8, "--max-depth": 12, "--max-vertices": 100000}
 _BUDGETS = ("--max-depth", "--max-vertices")
 
 # name -> (handler, whose docstring is the help, its extra options, the
-# artifact formats it writes, the first being the --format default)
+# artifact formats it writes, the first being the default stdout artifact;
+# only a command with more than one takes --format and --out-<fmt>)
 COMMANDS = {
     "explore": (_explore, _BUDGETS, ("json", "dot", "svg")),
     "certify": (_certify, _BUDGETS, ("json",)),
@@ -205,9 +206,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", help="inline delta vector, JSON list")
         for option in options:
             p.add_argument(option, type=int, default=_DEFAULTS[option])
-        p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--out", help="write the --format artifact here instead of stdout")
+        p.set_defaults(format=formats[0])
+        p.add_argument("--out", help="write the artifact here instead of stdout")
         if len(formats) > 1:
+            p.add_argument("--format", choices=formats, help="the artifact for stdout or --out")
             for fmt in formats:
                 p.add_argument("--out-" + fmt, help="also write the %s artifact here" % fmt)
     return parser

@@ -37,8 +37,8 @@ class CycleFound(GreenfanError):
 
     code = "cycle_found"
 
-    def __init__(self, cycle, message="directed cycle found"):
-        super().__init__("%s (length %d)" % (message, len(cycle)))
+    def __init__(self, cycle):
+        super().__init__("directed cycle found (length %d)" % len(cycle))
         self.cycle = tuple(cycle)
 
 

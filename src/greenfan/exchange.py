@@ -150,10 +150,6 @@ class TropicalSeed:
     g: Matrix
     path: tuple[int, ...] = ()
 
-    @property
-    def rank(self) -> int:
-        return len(self.b)
-
     def c_column(self, k) -> Vector:
         return tuple(self.c[i][k] for i in range(len(self.c)))
 
@@ -417,16 +413,6 @@ def key_to_str(key: SeedKey) -> str:
     return _KEY_ENCODER.encode({"g": key.g_columns, "B": key.b})
 
 
-def key_from_str(text: str) -> SeedKey:
-    try:
-        doc = json.loads(text)
-        g = linalg.as_int_matrix(doc["g"])
-        b = linalg.as_int_matrix(doc["B"])
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise BadInput("malformed seed key: %s" % exc) from exc
-    return SeedKey(g_columns=g, b=b)
-
-
 def _seed_to_json(seed: TropicalSeed) -> dict:
     return {
         "B": [list(row) for row in seed.b],
@@ -438,14 +424,11 @@ def _seed_to_json(seed: TropicalSeed) -> dict:
 
 def _seed_from_json(doc) -> TropicalSeed:
     try:
-        path = tuple(linalg.require_list(doc["path"], "path"))
-        if not all(map(linalg.is_int, path)):
-            raise ValueError("path entries must be integers, got %r" % (doc["path"],))
         seed = TropicalSeed(
             b=linalg.as_int_matrix(doc["B"]),
             c=linalg.as_int_matrix(doc["C"]),
             g=linalg.as_int_matrix(doc["G"]),
-            path=path,
+            path=linalg.int_vector(doc["path"], "path"),
         )
         if not len(seed.b) == len(seed.c) == len(seed.g):
             raise ValueError("B, C and G must have one size")
@@ -479,8 +462,9 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
     Each vertex's key is derived from its seed and must render to the name
     the vertex is listed under, so a seed record cannot stand under another
     vertex's name.  Root and edges are looked up among those names, no edge
-    may point into the root, every direction lies in ``range(rank)``, and the
-    status is ``"complete"`` or ``"truncated"``.
+    may point into the root, ``rank`` is the root's size, every direction
+    lies in ``range(rank)``, ``depth_reached`` is at least 0, and the status
+    is ``"complete"`` or ``"truncated"``.
     """
     try:
         keys, vertices = {}, {}
@@ -494,6 +478,8 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
             raise BadInput("root %s is not a vertex" % doc["root"])
         root = keys[doc["root"]]
         rank = len(root.b)
+        if not linalg.is_int(doc["rank"]) or doc["rank"] != rank:
+            raise BadInput("rank must be the root's size %d, got %r" % (rank, doc["rank"]))
         edges = []
         for e in linalg.require_list(doc["edges"], "edges"):
             k = e["direction"]
@@ -510,8 +496,8 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
                 raise BadInput("edge %s -> %s points into the root" % (e["source"], e["target"]))
             edges.append((src, dst, k))
         depth = doc["depth_reached"]
-        if not linalg.is_int(depth):
-            raise BadInput("depth_reached must be an integer, got %r" % (depth,))
+        if not linalg.is_int(depth) or depth < 0:
+            raise BadInput("depth_reached must be an integer >= 0, got %r" % (depth,))
         status = doc["status"]
         if status not in ("complete", "truncated"):
             raise BadInput('status must be "complete" or "truncated", got %r' % (status,))

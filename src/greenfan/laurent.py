@@ -246,23 +246,3 @@ def extract_c_matrix(seed: SymbolicSeed) -> tuple[tuple[int, ...], ...]:
     r = seed.rank
     return tuple(tuple(seed.coefficients[j][i] for j in range(r)) for i in range(r))
 
-
-def cluster_fingerprint(seed: SymbolicSeed) -> frozenset:
-    """The unordered cluster with coefficients set to 1 (y -> 1), hashable.
-
-    Two labeled seeds lie in the same unlabeled class exactly when their
-    fingerprints agree, which is what the canonical-key cross-check uses.
-    """
-    r = seed.rank
-    polys = []
-    for v in seed.variables:
-        collapsed: dict[tuple, int] = {}
-        for exps, c in v.terms.items():
-            xs = exps[:r]
-            nc = collapsed.get(xs, 0) + c
-            if nc:
-                collapsed[xs] = nc
-            elif xs in collapsed:
-                del collapsed[xs]
-        polys.append(frozenset(collapsed.items()))
-    return frozenset(polys)

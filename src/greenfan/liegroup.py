@@ -148,18 +148,11 @@ class PbwAlgebra:
             _ZERO,
         )
 
-    def bracket(self, n: Vector, m: Vector):
-        """Structure constant and index of [X_n, X_m] = {n,m} X_{n+m}."""
-        return self.pairing(n, m), vec_add(n, m)
-
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
 
     def one(self) -> "AlgebraElement":
         return AlgebraElement(self, {(): _ONE})
-
-    def generator(self, n) -> "AlgebraElement":
-        return self.lie_element({tuple(n): 1})
 
     def lie_element(self, coefficients) -> "AlgebraElement":
         """Linear combination of generators from a {vector: coefficient} map."""
@@ -680,10 +673,6 @@ def element_from_json(doc, omega) -> AlgebraElement:
         return AlgebraElement(alg, {m: c for m, c in terms.items() if c})
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BadInput("malformed element document: %s" % exc) from exc
-
-
-def group_to_json(g: GroupElement) -> dict:
-    return element_to_json(g.carrier)
 
 
 def group_from_json(doc, omega) -> GroupElement:

@@ -29,6 +29,13 @@ def require_list(x, what: str):
     return x
 
 
+def int_vector(x, what: str):
+    """``x`` as a tuple when it is a list or tuple of ints; TypeError otherwise."""
+    if not isinstance(x, (list, tuple)) or not all(map(is_int, x)):
+        raise TypeError("%s must be a list of integers, got %r" % (what, x))
+    return tuple(x)
+
+
 def as_int_matrix(rows):
     """Coerce a list of rows to a square tuple-of-tuples of int.
 

@@ -55,6 +55,7 @@ from .liegroup import (
     dilog_log_terms,
     element_to_json,
     group_from_json,
+    is_positive_vector,
     letter_key,
 )
 
@@ -80,7 +81,7 @@ class Wall:
 
 
 def validate_wall(fd: FixedData, wall: Wall) -> None:
-    if len(wall.normal) != fd.rank or min(wall.normal) < 0 or not any(wall.normal):
+    if len(wall.normal) != fd.rank or not is_positive_vector(wall.normal):
         raise ValueError("wall normal must be a positive %d-vector, got %r" % (fd.rank, wall.normal))
     if linalg.gcd_vec(wall.normal) != 1:
         raise ValueError("wall normal must be primitive, got %r" % (wall.normal,))
@@ -108,7 +109,6 @@ def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:
 class ScatteringDiagram:
     level: int
     walls: tuple[Wall, ...]
-    origin: str  # "rank2-completion" from complete_rank2
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +166,21 @@ def crossing_sequence(fd: FixedData, steps) -> CrossingSequence:
     return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
 
 
-def _int_vector(v, what: str) -> Vector:
-    if not isinstance(v, (list, tuple)) or not all(map(linalg.is_int, v)):
-        raise BadInput("%s must be a list of integers, got %r" % (what, v))
-    return tuple(v)
-
-
 def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
     """Build a sequence directly from (normal, sign) pairs (no walk)."""
     crossings = []
     for n, sign in pairs:
-        n = _int_vector(n, "crossing normal")
+        try:
+            n = linalg.int_vector(n, "crossing normal")
+        except TypeError as exc:
+            raise BadInput(str(exc)) from exc
         if not linalg.is_int(sign) or sign not in (1, -1):
             raise BadInput("crossing sign must be the integer 1 or -1, got %r" % (sign,))
         if len(n) != fd.rank:
             raise BadInput(
                 "crossing normal must have %d entries (the rank), got %r" % (fd.rank, n)
             )
-        if not all(x >= 0 for x in n) or not any(n):
+        if not is_positive_vector(n):
             raise BadInput("crossing normal must be positive, got %r" % (n,))
         crossings.append(
             Crossing(normal=n, sign=sign, exponent=delta_exponent(n, fd.delta))
@@ -502,7 +499,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
         Wall(normal=n, rays=rays, element=alg.exp(alg.lie_element(log)))
         for rays, n, log in initial + [((ray,), n, scattered[ray, n]) for ray, n in order]
     ]
-    return ScatteringDiagram(level=level, walls=tuple(walls), origin="rank2-completion")
+    return ScatteringDiagram(level=level, walls=tuple(walls))
 
 
 def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
@@ -540,6 +537,9 @@ def factor_dilog_power(fd: FixedData, wall: Wall) -> str | None:
 # serialization
 
 
+_ORIGIN = "rank2-completion"  # every diagram comes from complete_rank2
+
+
 def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
     walls = []
     for wall in diagram.walls:
@@ -551,7 +551,7 @@ def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
                 "factored": factor_dilog_power(fd, wall),
             }
         )
-    return {"level": diagram.level, "origin": diagram.origin, "walls": walls}
+    return {"level": diagram.level, "origin": _ORIGIN, "walls": walls}
 
 
 def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
@@ -560,14 +560,16 @@ def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
         level = doc["level"]
         if not linalg.is_int(level) or level < 1:
             raise BadInput("diagram level must be an integer >= 1, got %r" % (level,))
+        if doc.get("origin", _ORIGIN) != _ORIGIN:
+            raise BadInput("diagram origin must be %r, got %r" % (_ORIGIN, doc["origin"]))
         walls = []
         for i, rec in enumerate(linalg.require_list(doc["walls"], "walls")):
             if rec["element"]["level"] != level:
                 raise BadInput("wall %d: element is not at the diagram level %d" % (i, level))
             rays = linalg.require_list(rec["rays"], "wall rays")
             wall = Wall(
-                normal=_int_vector(rec["normal"], "wall normal"),
-                rays=tuple(_int_vector(r, "wall ray") for r in rays),
+                normal=linalg.int_vector(rec["normal"], "wall normal"),
+                rays=tuple(linalg.int_vector(r, "wall ray") for r in rays),
                 element=group_from_json(rec["element"], fd.omega),
             )
             try:
@@ -575,11 +577,7 @@ def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
             except ValueError as exc:
                 raise BadInput("wall %d: %s" % (i, exc)) from exc
             walls.append(wall)
-        return ScatteringDiagram(
-            level=level,
-            walls=tuple(walls),
-            origin=str(doc.get("origin", "rank2-completion")),
-        )
+        return ScatteringDiagram(level=level, walls=tuple(walls))
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput("malformed diagram document: %s" % exc) from exc
 

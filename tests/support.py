@@ -8,12 +8,14 @@ orders at the first descent and caches aggressively, so agreement between
 the two is a real confluence check rather than the same code run twice.
 """
 
+import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from greenfan import (
+    BadInput,
     ConsistencyReport,
     Crossing,
     CrossingSequence,
@@ -39,7 +41,7 @@ from greenfan import (
     validate_fixed_data,
 )
 from greenfan import exchange, scattering
-from greenfan.linalg import gcd_vec
+from greenfan.linalg import as_int_matrix, gcd_vec
 from greenfan.liegroup import TorusAction, delta_exponent
 from greenfan.scattering import LoopReport
 
@@ -180,9 +182,41 @@ def is_green(seed, k):
     return exchange._column_sign(seed.c, k) == 1
 
 
+def key_from_str(text):
+    """Read a key string ``key_to_str`` wrote; BadInput when it is malformed."""
+    try:
+        doc = json.loads(text)
+        g = as_int_matrix(doc["g"])
+        b = as_int_matrix(doc["B"])
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise BadInput("malformed seed key: %s" % exc) from exc
+    return SeedKey(g_columns=g, b=b)
+
+
+def cluster_fingerprint(seed):
+    """The unordered cluster of a symbolic seed with y -> 1, hashable.
+
+    Two labeled seeds lie in the same unlabeled class exactly when their
+    fingerprints agree, which is what the canonical-key cross-check uses.
+    """
+    r = seed.rank
+    polys = []
+    for v in seed.variables:
+        collapsed: dict[tuple, int] = {}
+        for exps, c in v.terms.items():
+            xs = exps[:r]
+            nc = collapsed.get(xs, 0) + c
+            if nc:
+                collapsed[xs] = nc
+            elif xs in collapsed:
+                del collapsed[xs]
+        polys.append(frozenset(collapsed.items()))
+    return frozenset(polys)
+
+
 def relabel_seed(seed, perm):
     """Apply a direction relabeling: conjugate B, permute C/G columns."""
-    r = seed.rank
+    r = len(seed.b)
     b = tuple(tuple(seed.b[perm[i]][perm[j]] for j in range(r)) for i in range(r))
     c = tuple(tuple(row[perm[j]] for j in range(r)) for row in seed.c)
     g = tuple(tuple(row[perm[j]] for j in range(r)) for row in seed.g)
@@ -451,12 +485,12 @@ class Cone:
 
 def cluster_chamber(seed):
     """The cone spanned by the seed's g-vectors (rays sorted canonically)."""
-    return Cone(rays=tuple(sorted(seed.g_column(j) for j in range(seed.rank))))
+    return Cone(rays=tuple(sorted(seed.g_column(j) for j in range(len(seed.b)))))
 
 
 def facet_cone(seed, k):
     """The facet of the chamber omitting the direction-``k`` g-vector."""
-    return Cone(rays=tuple(sorted(seed.g_column(j) for j in range(seed.rank) if j != k)))
+    return Cone(rays=tuple(sorted(seed.g_column(j) for j in range(len(seed.b)) if j != k)))
 
 
 def facet_wall(fd, seed, k, level):
@@ -497,7 +531,7 @@ def cluster_fan_diagram(fd, graph, level):
             w = facet_wall(fd, seed, k, level)
             walls.setdefault((w.rays, w.normal), w)
     ordered = tuple(walls[key] for key in sorted(walls))
-    return ScatteringDiagram(level=level, walls=ordered, origin="cluster-fan")
+    return ScatteringDiagram(level=level, walls=ordered)
 
 
 def tree_matrix(rank, edges):
@@ -593,7 +627,7 @@ def random_algebra_element(alg, rng, max_terms=3, max_letters=2):
             continue
         term = alg.one()
         for _ in range(rng.randint(1, max_letters)):
-            term = term * alg.generator(random_positive_vector(rng, rank, 2))
+            term = term * alg.lie_element({random_positive_vector(rng, rank, 2): 1})
         total = total + coeff * term
     return total
 

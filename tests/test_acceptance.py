@@ -12,7 +12,6 @@ from greenfan import (
     PbwAlgebra,
     canonical_key,
     certify_acyclic,
-    cluster_fingerprint,
     complete_rank2,
     crossing_sequence_from_normals,
     delta_exponent,
@@ -33,6 +32,7 @@ from greenfan import (
 from greenfan.liegroup import degree
 
 from support import (
+    cluster_fingerprint,
     element_words,
     oracle_multiply,
     random_algebra_element,

@@ -90,6 +90,9 @@ DOMAIN_ERRORS = {
     "unknown-edge-target": (["certify"], a2_graph_doc(target=UNKNOWN_KEY), "bad_input"),
     "unknown-root": (["certify"], a2_graph_doc(root=UNKNOWN_KEY), "bad_input"),
     "string-depth-reached": (["certify"], dict(a2_graph_doc(), depth_reached="x"), "bad_input"),
+    "wrong-rank-negative-depth": (
+        ["certify"], dict(a2_graph_doc(), rank=99, depth_reached=-7), "bad_input"
+    ),
     # int() would truncate this onto the root's key
     "fractional-key-entry": (["certify"], a2_graph_doc(source=FRACTIONAL_ROOT), "bad_input"),
     "swapped-seeds": (["certify"], a2_swapped_seeds_doc(), "bad_input"),
@@ -106,13 +109,16 @@ DOMAIN_ERRORS = {
 FOREIGN_FLAGS = [
     ("explore", ["--level", "3"]),
     ("certify", ["--out-json", "c.json"]),
+    ("certify", ["--format", "json"]),
     ("consistency", ["--format", "dot"]),
     ("obstruct", ["--max-depth", "3"]),
+    ("obstruct", ["--format", "json"]),
     ("scatter2", ["--out-dot", "d.dot"]),
     ("scatter2", ["--format", "dot"]),
     ("scatter2", ["--max-depth", "3"]),
     ("scatter2", ["--max-vertices", "3"]),
     ("emit-fan", ["--out-svg", "f.svg"]),
+    ("emit-fan", ["--format", "svg"]),
 ] + [(command, ["--symmetrizer", "[1,1]"]) for command in cli.COMMANDS]
 
 # every flag each subcommand takes; a new one needs a test and a README line
@@ -121,13 +127,11 @@ ACCEPTED_FLAGS = {
         "--delta", "--format", "--matrix", "--max-depth", "--max-vertices",
         "--out", "--out-dot", "--out-json", "--out-svg",
     ],
-    "certify": ["--delta", "--format", "--matrix", "--max-depth", "--max-vertices", "--out"],
-    "consistency": [
-        "--delta", "--format", "--level", "--matrix", "--max-depth", "--max-vertices", "--out",
-    ],
-    "obstruct": ["--delta", "--format", "--matrix", "--out"],
+    "certify": ["--delta", "--matrix", "--max-depth", "--max-vertices", "--out"],
+    "consistency": ["--delta", "--level", "--matrix", "--max-depth", "--max-vertices", "--out"],
+    "obstruct": ["--delta", "--matrix", "--out"],
     "scatter2": ["--delta", "--format", "--level", "--matrix", "--out", "--out-json", "--out-svg"],
-    "emit-fan": ["--delta", "--format", "--matrix", "--max-depth", "--max-vertices", "--out"],
+    "emit-fan": ["--delta", "--matrix", "--max-depth", "--max-vertices", "--out"],
 }
 
 # every name the package exports; a new one needs a test and a README line
@@ -139,12 +143,12 @@ PUBLIC_NAMES = [
     "NotAllGreen", "NotGrouplike", "NotLieElement", "NotRankTwo", "NotSkewSymmetrizable",
     "Obstruction", "OrientedExchangeGraph", "PbwAlgebra", "ScatteringDiagram", "SeedKey",
     "SignIncoherent", "SymbolicSeed", "TropicalSeed", "Wall", "canonical_key",
-    "certify_acyclic", "cluster_fingerprint", "complete_rank2", "crossing_sequence",
+    "certify_acyclic", "complete_rank2", "crossing_sequence",
     "crossing_sequence_from_normals", "delta_exponent", "diagram_from_json",
     "diagram_to_json", "diagram_to_svg", "dual_pairing", "element_from_json",
     "element_to_json", "enumerate_graph", "extract_c_matrix", "extract_g_vector",
     "factor_dilog_power", "fan_to_svg", "graph_from_json", "graph_to_dot", "graph_to_json",
-    "group_from_json", "group_to_json", "key_from_str", "key_to_str",
+    "group_from_json", "key_to_str",
     "minimal_degree_obstruction", "mutate_seed", "path_ordered_product", "root_seed",
     "root_symbolic_seed", "symbolic_mutate", "validate_fixed_data", "validate_wall",
     "verify_loop_consistency", "verify_rank2_consistency", "walk",
@@ -389,11 +393,11 @@ class TestContract:
             for name, sub in commands.choices.items()
         }
         assert accepted == ACCEPTED_FLAGS
-        assert sum(map(len, accepted.values())) == 39
+        assert sum(map(len, accepted.values())) == 35
 
     def test_public_names_are_pinned(self):
         assert greenfan.__all__ == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 69
+        assert len(PUBLIC_NAMES) == 66
 
     def test_error_codes_are_distinct_and_documented(self):
         def family(cls):
@@ -443,6 +447,21 @@ class TestContract:
         err = json.loads(run_cli("explore", str(path), expect=1).stderr)
         assert set(err) == {"error", "detail"}
         assert err["error"] == "bad_input"
+
+
+README_PYTHON = re.findall(
+    r"^```python\n(.*?)^```",
+    (Path(__file__).resolve().parent.parent / "README.md").read_text(),
+    flags=re.M | re.S,
+)
+
+
+@pytest.mark.parametrize(
+    "block", README_PYTHON, ids=["block%d" % i for i in range(1, len(README_PYTHON) + 1)]
+)
+def test_readme_python_examples_run(block):
+    """Every fenced python block in README.md runs, so a stale name fails here."""
+    exec(compile(block, "README.md", "exec"), {})
 
 
 # ---------------------------------------------------------------------------

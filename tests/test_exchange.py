@@ -19,7 +19,6 @@ from greenfan import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    key_from_str,
     key_to_str,
     mutate_seed,
     root_seed,
@@ -35,6 +34,7 @@ from support import (
     det,
     full_mutation_enumerate_graph,
     is_green,
+    key_from_str,
     matmul,
     relabel_seed,
     transpose,
@@ -364,6 +364,9 @@ class TestSerialization:
             ("depth_reached", "x"),
             ("depth_reached", 1.5),
             ("depth_reached", True),
+            ("depth_reached", -7),
+            ("rank", 99),
+            ("rank", 2.0),
             ("path", [1.5]),
             ("path", ["1"]),
             ("path", [True]),
@@ -376,7 +379,8 @@ class TestSerialization:
             ("edges", {}),
         ],
         ids=[
-            "depth-string", "depth-fraction", "depth-bool", "path-fraction", "path-string",
+            "depth-string", "depth-fraction", "depth-bool", "depth-negative", "rank-wrong",
+            "rank-fraction", "path-fraction", "path-string",
             "path-bool", "key-fraction", "key-bool", "edge-into-root", "seed-sizes-differ",
             "path-object", "edges-object",
         ],
@@ -384,7 +388,7 @@ class TestSerialization:
     def test_malformed_document_is_bad_input(self, a2, field, value):
         doc = graph_to_json(enumerate_graph(a2))
         first = doc["edges"][0]
-        if field in ("depth_reached", "edges"):
+        if field in ("depth_reached", "rank", "edges"):
             doc[field] = value
         elif field in ("path", "B"):
             doc["vertices"][first["target"]][field] = value

@@ -7,7 +7,6 @@ from greenfan import (
     Inhomogeneous,
     LaurentPoly,
     NonLaurent,
-    cluster_fingerprint,
     extract_c_matrix,
     extract_g_vector,
     mutate_seed,
@@ -17,6 +16,8 @@ from greenfan import (
     validate_fixed_data,
 )
 from greenfan.laurent import divide_exact
+
+from support import cluster_fingerprint
 
 
 def mono(nvars, **powers):

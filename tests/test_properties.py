@@ -24,14 +24,12 @@ from greenfan import (
     graph_from_json,
     graph_to_json,
     group_from_json,
-    group_to_json,
-    key_from_str,
     key_to_str,
     validate_fixed_data,
     verify_loop_consistency,
 )
 
-from support import LOOP_PATTERNS, d4_cycle_graph_doc, per_cycle_loop_consistency
+from support import LOOP_PATTERNS, d4_cycle_graph_doc, key_from_str, per_cycle_loop_consistency
 
 
 @st.composite
@@ -185,13 +183,15 @@ READERS = {
     "diagram": (diagram_to_json(G2, _G2_DIAGRAM), _read_diagram),
     "element": (
         element_to_json(
-            _G2_ALGEBRA.generator((1, 0)) * _G2_ALGEBRA.generator((0, 1)) * Fraction(3, 2)
-            + _G2_ALGEBRA.generator((1, 1))
+            _G2_ALGEBRA.lie_element({(1, 0): 1})
+            * _G2_ALGEBRA.lie_element({(0, 1): 1})
+            * Fraction(3, 2)
+            + _G2_ALGEBRA.lie_element({(1, 1): 1})
         ),
         lambda doc: element_from_json(doc, G2.omega),
     ),
     "group": (
-        group_to_json(_G2_DIAGRAM.walls[2].element),
+        element_to_json(_G2_DIAGRAM.walls[2].element.carrier),
         lambda doc: group_from_json(doc, G2.omega),
     ),
     # the document is the parsed key; a string put in its place is read raw

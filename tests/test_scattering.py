@@ -613,9 +613,7 @@ class TestRankTwoCompletion:
 
     def test_missing_wall_is_detected(self, a2):
         diagram = complete_rank2(a2, 4)
-        broken = ScatteringDiagram(
-            level=4, walls=diagram.walls[:-1], origin=diagram.origin
-        )
+        broken = ScatteringDiagram(level=4, walls=diagram.walls[:-1])
         with pytest.raises(InconsistencyFound):
             verify_rank2_consistency(a2, broken)
 
@@ -642,6 +640,21 @@ class TestDiagramSerialization:
         back = diagram_from_json(json.loads(json.dumps(doc)), fd)
         assert diagram_to_json(fd, back) == doc
         assert verify_rank2_consistency(fd, back)
+
+    def test_origin_is_the_one_constant(self, b2):
+        diagram = complete_rank2(b2, 4)
+        doc = diagram_to_json(b2, diagram)
+        assert doc["origin"] == "rank2-completion"
+        del doc["origin"]
+        assert diagram_from_json(doc, b2).walls == diagram.walls
+
+    @pytest.mark.parametrize(
+        "origin", [[1, {}], "other", "cluster-fan"], ids=["list", "other", "cluster-fan"]
+    )
+    def test_rejects_another_origin(self, b2, origin):
+        doc = dict(diagram_to_json(b2, complete_rank2(b2, 4)), origin=origin)
+        with pytest.raises(BadInput, match="diagram origin"):
+            diagram_from_json(doc, b2)
 
     def test_rejects_fractional_level(self, b2):
         doc = dict(diagram_to_json(b2, complete_rank2(b2, 4)), level=3.9)
@@ -817,7 +830,7 @@ class TestFailureWitness:
 
     def test_failing_sweep(self, a2, monkeypatch, capsys):
         complete = complete_rank2(a2, 4)
-        broken = ScatteringDiagram(level=4, walls=complete.walls[:-1], origin=complete.origin)
+        broken = ScatteringDiagram(level=4, walls=complete.walls[:-1])
         with pytest.raises(InconsistencyFound) as info:
             verify_rank2_consistency(a2, broken)
         lowest = lowest_log_part(recheck_product(a2, broken, 4))
@@ -833,7 +846,7 @@ class TestFailureWitness:
         src, dst, _ = graph.edges[0]
         invert_edge_crossings(monkeypatch, graph, src, dst)
         complete = complete_rank2(kronecker, 12)
-        broken = ScatteringDiagram(level=12, walls=complete.walls[:-1], origin=complete.origin)
+        broken = ScatteringDiagram(level=12, walls=complete.walls[:-1])
 
         def refuse(*args):
             raise AssertionError("a failing check did PBW arithmetic")
