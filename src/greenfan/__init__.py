@@ -22,7 +22,6 @@ _EXPORTS = {
         "BadDecomposition",
         "BadInput",
         "CycleFound",
-        "DefectNotParallel",
         "GreenfanError",
         "IncompleteGraph",
         "InconsistencyFound",

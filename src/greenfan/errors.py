@@ -98,12 +98,6 @@ class NotRankTwo(GreenfanError):
     code = "not_rank_two"
 
 
-class DefectNotParallel(GreenfanError):
-    """A completion defect allows no outgoing-ray choice."""
-
-    code = "defect_not_parallel"
-
-
 class NonLaurent(GreenfanError):
     """An exchange-relation division failed to be exact."""
 

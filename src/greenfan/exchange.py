@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -81,9 +80,7 @@ def _minimal_skew_symmetrizer(b):
             continue
         ratio[start] = Fraction(1)
         component = [start]
-        queue = deque([start])
-        while queue:
-            i = queue.popleft()
+        for i in component:  # breadth-first: visits what it appends
             for j in range(r):
                 if b[i][j] == 0:
                     continue
@@ -92,7 +89,6 @@ def _minimal_skew_symmetrizer(b):
                 if ratio[j] is None:
                     ratio[j] = forced
                     component.append(j)
-                    queue.append(j)
                 elif ratio[j] != forced:
                     return None
         scale = lcm(*(ratio[i].denominator for i in component))
@@ -291,18 +287,13 @@ def enumerate_graph(
     seeds = [root]  # by vertex id, in discovery order
     keys = [canonical_key(root)]
     g_cols = [tuple(zip(*root.g))]  # labeled g-columns
-    depth_of = [0]
     id_of = {keys[0].g_columns: 0}  # sorted g-columns -> vertex id
     edges: list[tuple[int, int, int]] = []
     seen_edges: set[tuple[int, int, int]] = set()
-    queue = deque([0])
     truncated = False
     depth_reached = 0
-    while queue:
-        v = queue.popleft()
-        seed = seeds[v]
-        depth = depth_of[v]
-        depth_reached = max(depth_reached, depth)
+    for v, seed in enumerate(seeds):  # breadth-first: visits what it appends
+        depth = depth_reached = len(seed.path)  # one longer than its parent's
         if depth >= max_depth:
             truncated = True
             continue
@@ -325,8 +316,6 @@ def enumerate_graph(
                 seeds.append(neighbor)
                 keys.append(key)
                 g_cols.append(ncols)
-                depth_of.append(depth + 1)
-                queue.append(u)
             if eps > 0:
                 edge = (v, u, k)
             elif g_cols[u] == ncols:

@@ -15,14 +15,12 @@ composed right-to-left: the first wall crossed sits rightmost.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import (
     BadInput,
-    DefectNotParallel,
     IncompleteGraph,
     InconsistencyFound,
     InternalError,
@@ -291,8 +289,6 @@ def verify_loop_consistency(
     gone = {}  # (a, b) -> the g-vector a loses across the edge to b
     for src, dst, _ in graph.edges:
         a, b = index[src], index[dst]
-        if (a, b) in gone:
-            continue
         lost = set(src.g_columns).difference(dst.g_columns)
         if len(lost) != 1:
             raise InvalidWalk("cycle vertices are not adjacent in the pattern")
@@ -318,14 +314,13 @@ def verify_loop_consistency(
     parent, depth = [None] * len(keys), [None] * len(keys)
     tree = [None] * len(keys)  # x -> T_x
     depth[root], tree[root] = 0, TorusAction(fd.omega, level)
-    queue = deque([root])
-    while queue:
-        p = queue.popleft()
+    order = [root]  # breadth-first; the loop visits what it appends
+    for p in order:
         for x in adj[p]:
             if depth[x] is None:
                 parent[x], depth[x] = p, depth[p] + 1
                 tree[x] = cross(tree[p].copy(), p, x)
-                queue.append(x)
+                order.append(x)
     reports = []
     for u, v in pairs:
         if parent[v] == u or parent[u] == v:
@@ -372,13 +367,9 @@ def _line_direction(delta, n) -> Vector:
 
 
 def _outgoing_ray(fd: FixedData, n: Vector) -> Vector:
-    """The ray of n-perp not containing B*n (the outgoing side)."""
+    """The ray of n-perp not containing B*n (the outgoing side; see ``_sweep_factors``)."""
     v = _line_direction(fd.delta, n)
     bn = linalg.matvec(fd.b, n)
-    if not any(bn):
-        raise DefectNotParallel(
-            "B * %r = 0 leaves the outgoing ray undetermined" % (n,)
-        )
     i = 0 if v[0] else 1
     same_side = (bn[i] > 0) == (v[i] > 0)
     return linalg.vec_neg(v) if same_side else v
@@ -387,16 +378,12 @@ def _outgoing_ray(fd: FixedData, n: Vector) -> Vector:
 def _ccw_key(u0, v):
     """Sort key for the counterclockwise angle from direction u0 to v.
 
-    The class is 0 left of u0, 1 exactly opposite and 2 right of it; within
-    an open half-plane the cotangent dot/cross falls as the angle grows.
+    The class is 0 left of u0 and 1 right of it, as no wall ray is parallel
+    to u0; within each the cotangent dot/cross falls as the angle grows.
     """
     cross = u0[0] * v[1] - u0[1] * v[0]
     dot = u0[0] * v[0] + u0[1] * v[1]
-    if cross == 0:
-        if dot > 0:
-            raise ValueError("ray %r passes through the basepoint direction" % (v,))
-        return (1, 0)
-    return (0 if cross > 0 else 2, -Fraction(dot, cross))
+    return (0 if cross > 0 else 1, -Fraction(dot, cross))
 
 
 def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
@@ -404,29 +391,25 @@ def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
     w = (-ray[1], ray[0])
     if clockwise:
         w = linalg.vec_neg(w)
-    s = dual_pairing(delta, normal, w)
-    if s == 0:
-        raise ValueError("sweep tangent is parallel to the wall")
-    return 1 if s < 0 else -1
+    return 1 if dual_pairing(delta, normal, w) < 0 else -1
 
 
 def _sweep_factors(fd, walls, basepoint=(1, 1), clockwise=False):
     """Signed logs of the wall crossings of a full sweep around the origin.
 
-    ``walls`` holds one ``(rays, normal, log)`` record per wall.  Returned in
-    crossing order, first crossed first; the path-ordered product
-    left-multiplies them in this order.
+    ``walls`` holds one ``(rays, normal, log)`` record per valid wall (see
+    ``validate_wall``).  Returned in crossing order, first crossed first; the
+    path-ordered product left-multiplies them in this order.
+
+    A ray of n-perp, n positive, is t * (d1 n2, -d2 n1) with t != 0, so its
+    entries never share a strict sign: it misses the line of the basepoints
+    +-(1, 1), and the sweep tangent pairs with n to t * (n1^2 d2/d1 + n2^2
+    d1/d2) != 0.  Walls on one ray share its normal, so their factors commute
+    in any order.  A defect n of completion has B * n != 0: a rank-2 B != 0
+    has both off-diagonal entries nonzero, and B = 0 leaves sweeps trivial.
     """
     crossings = [(ray, normal, log) for rays, normal, log in walls for ray in rays]
-    rays = sorted({ray for ray, _, _ in crossings}, key=lambda v: _ccw_key(basepoint, v))
-    ray_order = {ray: -i if clockwise else i for i, ray in enumerate(rays)}
-    crossings.sort(
-        key=lambda item: (
-            ray_order[item[0]],
-            min((degree(n) for n in item[2]), default=0),
-            item[1],
-        )
-    )
+    crossings.sort(key=lambda item: _ccw_key(basepoint, item[0]), reverse=clockwise)
     factors = []
     for ray, normal, log in crossings:
         eps = _crossing_sign(fd.delta, ray, normal, clockwise)
@@ -506,11 +489,14 @@ def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
     """Re-check a rank-2 diagram with an independently oriented sweep.
 
     Uses a clockwise loop from the opposite basepoint, so the crossing order
-    and all the signs differ from the ones the completion used.
+    and all the signs differ from the ones the completion used.  A wall that
+    fails ``validate_wall`` raises its ValueError first.
     """
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
     _check_level(diagram.level)
+    for wall in diagram.walls:
+        validate_wall(fd, wall)
     walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
     _require_trivial_sweep(
         fd, _sweep_factors(fd, walls, basepoint=(-1, -1), clockwise=True), diagram.level

@@ -52,6 +52,15 @@ DOMAIN_ERRORS = {
     "not-skew-symmetrizable": (
         ["explore"], {"B": [[0, 1], [1, 0]], "delta": [1, 1]}, "not_skew_symmetrizable"
     ),
+    "asymmetric-zero-pattern": (
+        ["explore"], {"B": [[0, 1], [0, 0]], "delta": [1, 1]}, "not_skew_symmetrizable"
+    ),
+    # d1 = d0 and d2 = d1 along two edges, but d2 = d0 / 2 along the third
+    "inconsistent-ratios": (
+        ["explore"],
+        {"B": [[0, 1, 1], [-1, 0, 1], [-2, -1, 0]], "delta": [1, 1, 1]},
+        "not_skew_symmetrizable",
+    ),
     "non-square-B": (
         ["explore", "--matrix", "[[0,1]]", "--delta", "[1]"], None, "bad_input"
     ),
@@ -137,7 +146,7 @@ ACCEPTED_FLAGS = {
 # every name the package exports; a new one needs a test and a README line
 PUBLIC_NAMES = [
     "AlgebraElement", "BadDecomposition", "BadInput", "ConsistencyReport", "Crossing",
-    "CrossingSequence", "CycleFound", "DefectNotParallel", "FixedData", "GreenfanError",
+    "CrossingSequence", "CycleFound", "FixedData", "GreenfanError",
     "GroupElement", "IncompleteGraph", "InconsistencyFound", "Inhomogeneous",
     "InternalError", "InvalidWalk", "LaurentPoly", "LevelMismatch", "NonLaurent",
     "NotAllGreen", "NotGrouplike", "NotLieElement", "NotRankTwo", "NotSkewSymmetrizable",
@@ -397,14 +406,14 @@ class TestContract:
 
     def test_public_names_are_pinned(self):
         assert greenfan.__all__ == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 66
+        assert len(PUBLIC_NAMES) == 65
 
     def test_error_codes_are_distinct_and_documented(self):
         def family(cls):
             return [cls] + [c for sub in cls.__subclasses__() for c in family(sub)]
 
         codes = [cls.code for cls in family(GreenfanError)]
-        assert len(set(codes)) == len(codes) == 19
+        assert len(set(codes)) == len(codes) == 18
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = readme.split("## Error codes", 1)[1].split("\n## ", 1)[0]
         documented = re.findall(r"^\| `([a-z_]+)` +\|", table, flags=re.M)

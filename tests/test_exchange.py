@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from fractions import Fraction
 from operator import mul
 
 import pytest

@@ -26,7 +26,6 @@ from greenfan.linalg import primitive
 from support import (
     element_words,
     oracle_multiply,
-    oracle_straighten,
     power_series_exp,
     random_algebra_element,
     random_fixed_data,

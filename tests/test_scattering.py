@@ -40,7 +40,7 @@ from greenfan import (
     verify_rank2_consistency,
     walk,
 )
-from greenfan import cli, exchange
+from greenfan import cli, exchange, linalg
 from greenfan import scattering as scattering_module
 from greenfan.liegroup import TorusAction, degree
 
@@ -79,6 +79,15 @@ def invert_edge_crossings(monkeypatch, graph, a, b):
         return (-sign if (seed.g, k) in faulty else sign), normal
 
     monkeypatch.setattr(scattering_module, "_crossing_normal", inverted)
+
+
+RANK2_PATTERNS = {
+    "A2": ([[0, 1], [-1, 0]], [1, 1]),
+    "B2": ([[0, 1], [-2, 0]], [1, 2]),
+    "G2": ([[0, 1], [-3, 0]], [1, 3]),
+    "Kronecker": ([[0, 2], [-2, 0]], [1, 1]),
+    "(3,3)": ([[0, 3], [-3, 0]], [1, 1]),
+}
 
 
 def scattered(diagram):
@@ -229,6 +238,11 @@ class TestCrossingSequences:
         s0 = root_seed(a2)
         with pytest.raises(InvalidWalk):
             crossing_sequence(a2, [(s0, 0), (s0, 1)])
+
+    @pytest.mark.parametrize("k", [2, -1])
+    def test_out_of_range_direction_rejected(self, a2, k):
+        with pytest.raises(InvalidWalk, match="out of range at step 0"):
+            crossing_sequence(a2, [(root_seed(a2), k)])
 
     def test_exponents_follow_delta(self, g2):
         steps = walk(g2, root_seed(g2), [0, 1, 0])
@@ -617,6 +631,41 @@ class TestRankTwoCompletion:
         with pytest.raises(InconsistencyFound):
             verify_rank2_consistency(a2, broken)
 
+
+    # neither ray lies in (1, 1)-perp; unvalidated, the sweep reports an inconsistency
+    @pytest.mark.parametrize("ray", [(1, 0), (2, -1)], ids=["(1,0)", "(2,-1)"])
+    def test_verify_validates_every_wall(self, a2, ray):
+        diagram = complete_rank2(a2, 3)
+        (wall,) = scattered(diagram)
+        moved = dataclasses.replace(wall, rays=(ray,))
+        hand_built = dataclasses.replace(diagram, walls=diagram.walls[:2] + (moved,))
+        message = r"ray \(%d, %d\) is not orthogonal to \(1, 1\)" % ray
+        with pytest.raises(ValueError, match=message):
+            verify_rank2_consistency(a2, hand_built)
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
+    def test_sweep_needs_no_tie_break(self, name, swapped):
+        """What the sweep relies on, on every completion and its read-back.
+
+        No ray is a multiple of (1, 1), so every ray has a strict order class
+        around the basepoints +-(1, 1), and walls on one ray share a normal,
+        so their factors commute in any order.
+        """
+        b, delta = RANK2_PATTERNS[name]
+        if swapped:
+            b, delta = [[b[1][1], b[1][0]], [b[0][1], b[0][0]]], delta[::-1]
+        fd = validate_fixed_data(b, delta)
+        for level in range(1, 11):
+            diagram = complete_rank2(fd, level)
+            back = diagram_from_json(json.loads(json.dumps(diagram_to_json(fd, diagram))), fd)
+            for walls in (diagram.walls, back.walls):
+                normal_of = {}
+                for wall in walls:
+                    for ray in wall.rays:
+                        assert ray[0] != ray[1]
+                        line = linalg.primitive(ray)
+                        assert normal_of.setdefault(line, wall.normal) == wall.normal
 
     @pytest.mark.parametrize("level", [0, -3])
     def test_verify_rejects_level_below_one(self, b2, level):
