@@ -26,8 +26,9 @@ structure group.
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
-stderr; a path that cannot be written is ``bad_input``, and running out of
-memory is ``out_of_memory``), and 2 on a usage error.
+stderr; a path that cannot be written and an integer, read or computed, past
+Python's int-string limit are ``bad_input``, and running out of memory is
+``out_of_memory``), and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -52,14 +53,14 @@ def _load_document(job: argparse.Namespace) -> dict:
     if job.matrix is not None:
         try:
             return {"B": json.loads(job.matrix), "delta": json.loads(job.delta)}
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise BadInput("inline JSON did not parse: %s" % exc) from exc
     try:
         with open(job.input, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise BadInput("cannot read %s: %s" % (job.input, exc)) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or an overlong integer
         raise BadInput("%s is not JSON: %s" % (job.input, exc)) from exc
 
 
@@ -153,17 +154,9 @@ def _scatter2(job: argparse.Namespace, doc) -> dict:
     fd = _fixed_data(doc)
     diagram = scattering.complete_rank2(fd, job.level)
     scattering.verify_rank2_consistency(fd, diagram)
-
-    def svg():
-        # the default budgets enumerate every finite rank-2 type completely
-        graph = exchange.enumerate_graph(fd)
-        return scattering.diagram_to_svg(
-            fd, diagram, graph if graph.status == "complete" else None
-        )
-
     return {
         "json": lambda: _json_text(scattering.diagram_to_json(fd, diagram)),
-        "svg": svg,
+        "svg": lambda: scattering.diagram_to_svg(fd, diagram),
     }
 
 
@@ -280,6 +273,10 @@ def main(argv=None) -> int:
         error = exc
     except MemoryError:
         error = OutOfMemory("out of memory; lower --level or the budgets")
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # sys.get_int_max_str_digits()
+            raise
+        error = BadInput("a result integer is too long to write: %s" % exc)
     sys.stderr.write(json.dumps(_error_payload(error)) + "\n")
     return 1
 

@@ -288,8 +288,7 @@ def enumerate_graph(
     keys = [canonical_key(root)]
     g_cols = [tuple(zip(*root.g))]  # labeled g-columns
     id_of = {keys[0].g_columns: 0}  # sorted g-columns -> vertex id
-    edges: list[tuple[int, int, int]] = []
-    seen_edges: set[tuple[int, int, int]] = set()
+    edges: dict[tuple[int, int, int], None] = {}  # an ordered set of (src, dst, k)
     truncated = False
     depth_reached = 0
     for v, seed in enumerate(seeds):  # breadth-first: visits what it appends
@@ -325,9 +324,7 @@ def enumerate_graph(
                 edge = (u, v, k)
             else:
                 continue  # the green side will record it when expanded
-            if edge not in seen_edges:
-                seen_edges.add(edge)
-                edges.append(edge)
+            edges[edge] = None
     return OrientedExchangeGraph(
         root=keys[0],
         vertices=dict(zip(keys, seeds)),
@@ -563,7 +560,7 @@ def _svg_label(v, text, scale=1.12, size=11, color="#333"):
 def _svg_chamber_labels(graph):
     """``t<i>`` at the i-th chamber of a complete graph; nothing otherwise."""
     labels = []
-    if graph is not None and graph.status == "complete":
+    if graph.status == "complete":
         for i, seed in enumerate(graph.vertices.values()):
             center = linalg.vec_add(seed.g_column(0), seed.g_column(1))
             labels.append(_svg_label(center, "t%d" % i, scale=0.55, size=10, color="#777"))
@@ -574,14 +571,9 @@ def fan_to_svg(fd: FixedData, graph: OrientedExchangeGraph) -> str:
     """The rank-2 cluster fan: every g-vector ray, chambers labeled."""
     if fd.rank != 2:
         raise NotRankTwo("fan output is rank-2 only")
-    rays = []
-    seen = set()
-    for seed in graph.vertices.values():
-        for j in range(2):
-            ray = seed.g_column(j)
-            if ray not in seen:
-                seen.add(ray)
-                rays.append(ray)
+    rays = dict.fromkeys(
+        seed.g_column(j) for seed in graph.vertices.values() for j in range(2)
+    )
     parts = _svg_open()
     for ray in rays:
         parts.append(_svg_ray(ray, "#111111", 1.5))

@@ -24,6 +24,7 @@ rank-2 checks, which PBW products are tested against.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import add, mul
@@ -649,6 +650,9 @@ def element_to_json(a: AlgebraElement) -> dict:
     }
 
 
+_COEFF = re.compile(r"-?[0-9]+(/[0-9]+)?")  # str(Fraction); Fraction() reads far more
+
+
 def element_from_json(doc, omega) -> AlgebraElement:
     try:
         if not is_int(doc["level"]):
@@ -658,8 +662,8 @@ def element_from_json(doc, omega) -> AlgebraElement:
         for rec in require_list(doc["terms"], "terms"):
             mono = tuple(tuple(n) for n in require_list(rec["monomial"], "monomial"))
             coeff = rec["coeff"]
-            if not (isinstance(coeff, str) or is_int(coeff)):
-                raise BadInput("coefficient must be a string or an integer, got %r" % (coeff,))
+            if not (is_int(coeff) or isinstance(coeff, str) and _COEFF.fullmatch(coeff)):
+                raise BadInput("coefficient must be an integer, p or p/q, got %r" % (coeff,))
             coeff = Fraction(coeff)
             for n in mono:
                 if not is_positive_vector(n) or len(n) != alg.rank:

@@ -74,16 +74,9 @@ def vec_scale(k, a):
     return tuple(k * x for x in a)
 
 
-def gcd_vec(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
-
-
 def primitive(v):
     """Divide an integer vector by the gcd of its entries (zero forbidden)."""
-    g = gcd_vec(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(x // g for x in v)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from . import linalg
+from . import exchange, linalg
 from .errors import (
     BadInput,
     IncompleteGraph,
@@ -81,7 +82,7 @@ class Wall:
 def validate_wall(fd: FixedData, wall: Wall) -> None:
     if len(wall.normal) != fd.rank or not is_positive_vector(wall.normal):
         raise ValueError("wall normal must be a positive %d-vector, got %r" % (fd.rank, wall.normal))
-    if linalg.gcd_vec(wall.normal) != 1:
+    if gcd(*wall.normal) != 1:
         raise ValueError("wall normal must be primitive, got %r" % (wall.normal,))
     if not wall.rays:
         raise ValueError("rays must not be empty")
@@ -123,8 +124,6 @@ class Crossing:
 @dataclass(frozen=True)
 class CrossingSequence:
     crossings: tuple[Crossing, ...]
-    #: directions of the generating walk; empty for hand-built sequences
-    directions: tuple[int, ...] = ()
 
 
 def _crossing(fd: FixedData, seed: TropicalSeed, k: int) -> Crossing:
@@ -152,7 +151,6 @@ def crossing_sequence(fd: FixedData, steps) -> CrossingSequence:
     """
     steps = list(steps)
     crossings = []
-    directions = []
     for i, (seed, k) in enumerate(steps):
         if not 0 <= k < fd.rank:
             raise InvalidWalk("direction %d out of range at step %d" % (k, i))
@@ -160,8 +158,7 @@ def crossing_sequence(fd: FixedData, steps) -> CrossingSequence:
         if i + 1 < len(steps) and not nxt.same_matrices(steps[i + 1][0]):
             raise InvalidWalk("steps %d -> %d do not chain" % (i, i + 1))
         crossings.append(_crossing(fd, seed, k))
-        directions.append(k)
-    return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
+    return CrossingSequence(crossings=tuple(crossings))
 
 
 def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
@@ -394,8 +391,9 @@ def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
     return 1 if dual_pairing(delta, normal, w) < 0 else -1
 
 
-def _sweep_factors(fd, walls, basepoint=(1, 1), clockwise=False):
-    """Signed logs of the wall crossings of a full sweep around the origin.
+def _sweep_factors(fd, walls, clockwise=False):
+    """Signed logs of the crossings of a full sweep around the origin,
+    counterclockwise from the basepoint (1, 1) or clockwise from (-1, -1).
 
     ``walls`` holds one ``(rays, normal, log)`` record per valid wall (see
     ``validate_wall``).  Returned in crossing order, first crossed first; the
@@ -409,6 +407,7 @@ def _sweep_factors(fd, walls, basepoint=(1, 1), clockwise=False):
     has both off-diagonal entries nonzero, and B = 0 leaves sweeps trivial.
     """
     crossings = [(ray, normal, log) for rays, normal, log in walls for ray in rays]
+    basepoint = (-1, -1) if clockwise else (1, 1)
     crossings.sort(key=lambda item: _ccw_key(basepoint, item[0]), reverse=clockwise)
     factors = []
     for ray, normal, log in crossings:
@@ -498,9 +497,7 @@ def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
     for wall in diagram.walls:
         validate_wall(fd, wall)
     walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
-    _require_trivial_sweep(
-        fd, _sweep_factors(fd, walls, basepoint=(-1, -1), clockwise=True), diagram.level
-    )
+    _require_trivial_sweep(fd, _sweep_factors(fd, walls, clockwise=True), diagram.level)
     return True
 
 
@@ -508,9 +505,6 @@ def factor_dilog_power(fd: FixedData, wall: Wall) -> str | None:
     """Write the wall element as Psi[m]^c when it is one, else None."""
     log = wall.element.log_terms()
     if not log:
-        return None
-    base = linalg.primitive(next(iter(log)))
-    if any(linalg.primitive(n) != base for n in log):
         return None
     m = min(log, key=degree)
     c = log[m]
@@ -586,8 +580,8 @@ def report_to_json(report: ConsistencyReport) -> dict:
     }
 
 
-def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram, graph=None) -> str:
-    """Static picture of a rank-2 diagram; deterministic bytes."""
+def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram) -> str:
+    """Static picture of a rank-2 diagram, chambers labeled when finite; deterministic bytes."""
     if fd.rank != 2:
         raise NotRankTwo("SVG output is rank-2 only")
     parts = _svg_open()
@@ -602,6 +596,7 @@ def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram, graph=None) -> str
             str(x) for x in wall.normal
         )
         parts.append(_svg_label(wall.rays[0], label))
-    parts.extend(_svg_chamber_labels(graph))
+    # the default budgets enumerate every finite rank-2 type (at most 8 seeds)
+    parts.extend(_svg_chamber_labels(exchange.enumerate_graph(fd)))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

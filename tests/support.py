@@ -41,7 +41,7 @@ from greenfan import (
     validate_fixed_data,
 )
 from greenfan import exchange, scattering
-from greenfan.linalg import as_int_matrix, gcd_vec
+from greenfan.linalg import as_int_matrix
 from greenfan.liegroup import TorusAction, delta_exponent
 from greenfan.scattering import LoopReport
 
@@ -397,8 +397,8 @@ def _crossing_table(fd: FixedData, graph: OrientedExchangeGraph):
     return table
 
 
-def _cycle_crossings(graph: OrientedExchangeGraph, table, cycle) -> CrossingSequence:
-    """Crossings and directions of a key cycle, read off the graph.
+def _cycle_crossings(graph: OrientedExchangeGraph, table, cycle):
+    """The crossing sequence and the direction word of a key cycle, read off the graph.
 
     Tracks the g-vector of each label from the stored seed of ``cycle[0]``:
     a step mutates the one label whose g-vector the next key lacks, and
@@ -419,7 +419,7 @@ def _cycle_crossings(graph: OrientedExchangeGraph, table, cycle) -> CrossingSequ
         labels[k] = fresh.pop()
     if tuple(sorted(labels)) != cycle[0].g_columns:
         raise InvalidWalk("cycle walk did not close up")
-    return CrossingSequence(crossings=tuple(crossings), directions=tuple(directions))
+    return CrossingSequence(crossings=tuple(crossings)), tuple(directions)
 
 
 def per_cycle_loop_consistency(fd, graph, level):
@@ -438,13 +438,13 @@ def per_cycle_loop_consistency(fd, graph, level):
     cycles, _ = _fundamental_cycles(graph)
     reports = []
     for cycle in cycles:
-        cs = _cycle_crossings(graph, table, cycle)
+        cs, directions = _cycle_crossings(graph, table, cycle)
         action = TorusAction(fd.omega, level)
         for crossing in cs.crossings:
             action.apply_dilog(crossing.normal, crossing.sign * crossing.exponent)
         if not action.is_identity():
             raise InconsistencyFound(cycle, action.lowest_log_terms())
-        reports.append(LoopReport(tuple(cycle), cs.directions, level, True))
+        reports.append(LoopReport(tuple(cycle), directions, level, True))
     return ConsistencyReport(level=level, loops=tuple(reports))
 
 
@@ -505,7 +505,7 @@ def facet_wall(fd, seed, k, level):
     """
     crossing = scattering._crossing(fd, seed, k)
     normal = crossing.normal
-    if gcd_vec(normal) != 1:
+    if gcd(*normal) != 1:
         raise InternalError("c-vector %r is not primitive" % (normal,))
     rays = facet_cone(seed, k).rays
     for ray in rays:

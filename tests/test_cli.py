@@ -47,7 +47,14 @@ FRACTIONAL_ROOT = A2_ROOT.replace('"g":[[0,1]', '"g":[[0,1.5]')
 assert FRACTIONAL_ROOT != A2_ROOT
 
 
-# (argv before the input path, input document or None, error code)
+# 3000-digit entries lie within Python's int-string limit (4300 digits), and
+# mutation multiplies them past it
+_BIG = "7" * 3000
+OVERLONG_RESULT = [
+    "--matrix", "[[0,%s],[-1,0]]" % _BIG, "--delta", "[%s,1]" % _BIG, "--max-depth", "4"
+]
+
+# (argv before the input path, input document, its JSON text or None, error code)
 DOMAIN_ERRORS = {
     "not-skew-symmetrizable": (
         ["explore"], {"B": [[0, 1], [1, 0]], "delta": [1, 1]}, "not_skew_symmetrizable"
@@ -111,6 +118,18 @@ DOMAIN_ERRORS = {
     "unknown-status": (["certify"], dict(a2_graph_doc(), status=[1]), "bad_input"),
     "out-of-range-direction": (["certify"], a2_graph_doc(direction=2), "bad_input"),
     "negative-direction": (["certify"], a2_graph_doc(direction=-5), "bad_input"),
+    # JSON takes integers of any length, Python's int-string limit does not
+    "overlong-integer": (
+        ["explore"], '{"B": [[0, 1], [-%s, 0]], "delta": [1, 1]}' % ("9" * 5000), "bad_input"
+    ),
+    "overlong-inline-integer": (
+        ["explore", "--matrix", "[[0,1],[-%s,0]]" % ("9" * 5000), "--delta", "[1,1]"],
+        None,
+        "bad_input",
+    ),
+    "overlong-result-json": (["explore"] + OVERLONG_RESULT, None, "bad_input"),
+    "overlong-result-dot": (["explore", "--format", "dot"] + OVERLONG_RESULT, None, "bad_input"),
+    "overlong-result-certify": (["certify"] + OVERLONG_RESULT, None, "bad_input"),
 }
 
 # (command, a flag it does not take and its value); each was accepted once,
@@ -357,13 +376,21 @@ class TestContract:
         argv, doc, code = DOMAIN_ERRORS[case]
         if doc is not None:
             path = tmp_path / "bad.json"
-            path.write_text(json.dumps(doc))
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             argv = argv + [str(path)]
         proc = run_cli(*argv, expect=1)
         err = json.loads(proc.stderr)
         assert set(err) == {"error", "detail"}
         assert err["error"] == code
         assert proc.stdout == ""
+
+    def test_other_value_errors_are_not_relabelled(self, a2_path, monkeypatch):
+        def broken(graph, topological_order=None):
+            raise ValueError("a bug")
+
+        monkeypatch.setattr(exchange, "graph_to_json", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            cli.main(["explore", a2_path])
 
     def test_missing_file_is_domain_error(self):
         err = json.loads(run_cli("explore", "/nonexistent.json", expect=1).stderr)
@@ -407,6 +434,13 @@ class TestContract:
     def test_public_names_are_pinned(self):
         assert greenfan.__all__ == PUBLIC_NAMES
         assert len(PUBLIC_NAMES) == 65
+
+    def test_readme_lists_every_export(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` +\| `([\w.]+)` +\|", table, flags=re.M)
+        assert [name for name, _ in rows] == greenfan.__all__
+        assert all(getattr(greenfan, name).__module__ == module for name, module in rows)
 
     def test_error_codes_are_distinct_and_documented(self):
         def family(cls):

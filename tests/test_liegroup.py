@@ -549,6 +549,35 @@ class TestSerialization:
         doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": 3}]}
         assert element_from_json(doc, A2_OMEGA) == alg(2).lie_element({(1, 0): 1}) * 3
 
+    @pytest.mark.parametrize("coeff", ["0.5", "1_0", " 1", "+1", "1e3", "1/-2"])
+    def test_rejects_coefficient_greenfan_never_writes(self, coeff):
+        # Fraction() reads all of these; str(Fraction) writes none of them
+        doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": coeff}]}
+        with pytest.raises(BadInput, match="coefficient must be"):
+            element_from_json(doc, A2_OMEGA)
+
+    @pytest.mark.parametrize("coeff, value", [("-3/4", Fraction(-3, 4)), ("7", 7)])
+    def test_reads_coefficient_greenfan_writes(self, coeff, value):
+        doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": coeff}]}
+        assert element_from_json(doc, A2_OMEGA) == alg(2).lie_element({(1, 0): value})
+
+    def test_outsized_exponent_is_refused_at_once(self):
+        """A coefficient of 1e100000000, read in a capped child within 1 s."""
+        doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": "1e100000000"}]}
+        code = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
+            "from greenfan import BadInput, element_from_json\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    element_from_json(%r, %r)\n"
+            "except BadInput:\n"
+            "    sys.exit(0 if time.perf_counter() - start < 1 else 4)\n"
+            "sys.exit(3)\n" % (doc, A2_OMEGA)
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+
     @pytest.mark.parametrize("read", [element_from_json, group_from_json])
     def test_rejects_zero_denominator(self, read):
         doc = {"level": 2, "terms": [{"monomial": [[1, 0]], "coeff": "1/0"}]}
