@@ -511,6 +511,17 @@ def _binomial_series(x, length: int) -> list:
     return out
 
 
+def ray_coefficients(n: Vector, log_terms, sign=1) -> dict[int, object]:
+    """``{j: sign * j^2 * c_j}``, the ``apply_ray`` form of ``{jn: c_j}``, n primitive."""
+    a = {}
+    for v, c in log_terms.items():
+        j = degree(v) // degree(n)
+        if vec_scale(j, n) != tuple(v):
+            raise ValueError("wall log is not supported on multiples of %r" % (n,))
+        a[j] = _exact(Fraction(c) * (sign * j * j))
+    return a
+
+
 def _exp_series(a: dict, psi, length: int) -> list:
     """Coefficients e_0..e_length of exp(P(t)), where t P'(t) = psi * sum_j a_j t^j.
 
@@ -578,15 +589,12 @@ class TorusAction:
         The terms must lie on multiples of one primitive ``n``, so that they
         commute; then y^m -> y^m exp(psi * h(y^n)) with h(t) = sum_j j c_j t^j.
         """
-        if not log_terms:
-            return
-        n = primitive(next(iter(log_terms)))
-        a = {}  # j -> j^2 c_j, the coefficients of t h'(t)
-        for v, c in log_terms.items():
-            j = degree(v) // degree(n)
-            if vec_scale(j, n) != tuple(v):
-                raise ValueError("wall log is not supported on multiples of %r" % (n,))
-            a[j] = _exact(Fraction(c) * j * j)
+        if log_terms:
+            n = primitive(next(iter(log_terms)))
+            self.apply_ray(n, ray_coefficients(n, log_terms))
+
+    def apply_ray(self, n: Vector, a: dict) -> None:
+        """``apply_wall`` of the log whose ``ray_coefficients`` along ``n`` are ``a``."""
         self._apply(n, lambda psi, length: _exp_series(a, psi, length))
 
     def _apply(self, n: Vector, series) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from . import exchange, linalg
 from .errors import (
@@ -56,6 +57,7 @@ from .liegroup import (
     group_from_json,
     is_positive_vector,
     letter_key,
+    ray_coefficients,
 )
 
 Vector = tuple[int, ...]
@@ -383,21 +385,17 @@ def _ccw_key(u0, v):
     return (0 if cross > 0 else 1, -Fraction(dot, cross))
 
 
-def _crossing_sign(delta, ray, normal, clockwise=False) -> int:
-    """+1 when the sweep exits the positive side of the wall at this ray."""
-    w = (-ray[1], ray[0])
-    if clockwise:
-        w = linalg.vec_neg(w)
-    return 1 if dual_pairing(delta, normal, w) < 0 else -1
+def _crossing_sign(delta, ray, normal) -> int:
+    """+1 when the counterclockwise sweep exits the positive side of the wall at this ray."""
+    return 1 if dual_pairing(delta, normal, (-ray[1], ray[0])) < 0 else -1
 
 
-def _sweep_factors(fd, walls, clockwise=False):
-    """Signed logs of the crossings of a full sweep around the origin,
-    counterclockwise from the basepoint (1, 1) or clockwise from (-1, -1).
-
-    ``walls`` holds one ``(rays, normal, log)`` record per valid wall (see
-    ``validate_wall``).  Returned in crossing order, first crossed first; the
-    path-ordered product left-multiplies them in this order.
+def _crossing_record(fd, ray, normal, log, clockwise=False):
+    """``(key, normal, coefficients)`` of the crossing at ``ray`` of the wall
+    with log ``log``, in a full sweep around the origin that crosses its
+    records in ascending ``key``: counterclockwise from (1, 1), or clockwise
+    from (-1, -1), the counterclockwise order of the mirrored rays (y, x).
+    The coefficients are the ``ray_coefficients`` of the signed log.
 
     A ray of n-perp, n positive, is t * (d1 n2, -d2 n1) with t != 0, so its
     entries never share a strict sign: it misses the line of the basepoints
@@ -406,33 +404,27 @@ def _sweep_factors(fd, walls, clockwise=False):
     in any order.  A defect n of completion has B * n != 0: a rank-2 B != 0
     has both off-diagonal entries nonzero, and B = 0 leaves sweeps trivial.
     """
-    crossings = [(ray, normal, log) for rays, normal, log in walls for ray in rays]
-    basepoint = (-1, -1) if clockwise else (1, 1)
-    crossings.sort(key=lambda item: _ccw_key(basepoint, item[0]), reverse=clockwise)
-    factors = []
-    for ray, normal, log in crossings:
-        eps = _crossing_sign(fd.delta, ray, normal, clockwise)
-        factors.append({n: eps * c for n, c in log.items()})
-    return factors
+    eps = _crossing_sign(fd.delta, ray, normal)
+    if clockwise:
+        return _ccw_key((-1, -1), ray[::-1]), normal, ray_coefficients(normal, log, -eps)
+    return _ccw_key((1, 1), ray), normal, ray_coefficients(normal, log, eps)
 
 
-def _sweep_action(fd, factors, level) -> TorusAction:
-    """The sweep's product at ``level`` as a torus action."""
+def _sweep_defect(fd, records, level) -> dict:
+    """Lowest-degree log terms of the sweep's product at ``level``, first
+    crossed rightmost, read off its torus action; empty when it is 1."""
     action = TorusAction(fd.omega, level)
-    for log in factors:
-        action.apply_wall(log)
-    return action
+    for _, n, a in sorted(records, key=itemgetter(0)):
+        action.apply_ray(n, a)
+    return action.lowest_log_terms()
 
 
-def _require_trivial_sweep(fd, factors, level, *message) -> None:
-    """Raise InconsistencyFound unless the sweep's product is 1 at ``level``.
-
-    The error carries the lowest-degree log terms of the product, read off
-    its torus action; no PBW product is built.
-    """
-    action = _sweep_action(fd, factors, level)
-    if not action.is_identity():
-        raise InconsistencyFound((), action.lowest_log_terms(), *message)
+def _require_trivial_sweep(fd, records, level, *message) -> None:
+    """Raise InconsistencyFound, which carries the sweep's defect, unless its
+    product is 1 at ``level``; no PBW product is built."""
+    defect = _sweep_defect(fd, records, level)
+    if defect:
+        raise InconsistencyFound((), defect, *message)
 
 
 def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
@@ -457,14 +449,11 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
         direction = _line_direction(fd.delta, n)
         rays = (direction, linalg.vec_neg(direction))
         initial.append((rays, n, dilog_log_terms(n, fd.delta[i], level)))
+    # (ray, normal) -> crossing record of the wall there, rebuilt when it gains a term
+    records = {(ray, n): _crossing_record(fd, ray, n, log) for rays, n, log in initial for ray in rays}
     scattered: dict[tuple, dict] = {}  # (ray, normal) -> log of the wall there
-
-    def sweep():
-        walls = initial + [((ray,), n, log) for (ray, n), log in scattered.items()]
-        return _sweep_factors(fd, walls)
-
     for d in range(2, level + 1):
-        defect = _sweep_action(fd, sweep(), d).lowest_log_terms()
+        defect = _sweep_defect(fd, records.values(), d)
         for n in sorted(defect, key=letter_key):
             if degree(n) != d:
                 raise InternalError(
@@ -472,10 +461,11 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
                 )
             n_pr = linalg.primitive(n)
             ray = _outgoing_ray(fd, n_pr)
-            eps = _crossing_sign(fd.delta, ray, n_pr)
-            scattered.setdefault((ray, n_pr), {})[n] = -eps * defect[n]
-    _require_trivial_sweep(fd, sweep(), level, "completion failed to cancel all defects")
-    order = sorted(scattered, key=lambda key: (_ccw_key((1, 1), key[0])[0],) + key)
+            log = scattered.setdefault((ray, n_pr), {})
+            log[n] = -_crossing_sign(fd.delta, ray, n_pr) * defect[n]
+            records[ray, n_pr] = _crossing_record(fd, ray, n_pr, log)
+    _require_trivial_sweep(fd, records.values(), level, "completion failed to cancel all defects")
+    order = sorted(scattered, key=lambda key: (records[key][0][0],) + key)
     alg = PbwAlgebra(fd.omega, level)
     walls = [
         Wall(normal=n, rays=rays, element=alg.exp(alg.lie_element(log)))
@@ -494,10 +484,12 @@ def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
     _check_level(diagram.level)
+    records = []
     for wall in diagram.walls:
         validate_wall(fd, wall)
-    walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
-    _require_trivial_sweep(fd, _sweep_factors(fd, walls, clockwise=True), diagram.level)
+        log = wall.element.log_terms()
+        records += [_crossing_record(fd, ray, wall.normal, log, clockwise=True) for ray in wall.rays]
+    _require_trivial_sweep(fd, records, diagram.level)
     return True
 
 

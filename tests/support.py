@@ -12,6 +12,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 
 from greenfan import (
@@ -446,6 +447,38 @@ def per_cycle_loop_consistency(fd, graph, level):
             raise InconsistencyFound(cycle, action.lowest_log_terms())
         reports.append(LoopReport(tuple(cycle), directions, level, True))
     return ConsistencyReport(level=level, loops=tuple(reports))
+
+
+def signed_log_sweep(fd, walls, clockwise=False):
+    """Signed logs of the crossings of a full sweep around the origin,
+    counterclockwise from (1, 1) or clockwise from (-1, -1), first crossed first.
+
+    ``walls`` holds ``(rays, normal, log)``.  Rays are ordered by exact angle
+    comparisons from the basepoint, and a crossing's log is negated unless the
+    sweep tangent leaves the side ``{m : <n, m> > 0}``.  It shares nothing
+    with the crossing records of ``scattering`` and is kept as their oracle.
+    """
+    turn = -1 if clockwise else 1  # the sweep's sense of rotation
+    start = (-turn, -turn)
+
+    def cross(u, v):
+        return turn * (u[0] * v[1] - u[1] * v[0])
+
+    def before(u, v):
+        """-1 when the sweep from ``start`` meets ray u before ray v."""
+        half_u, half_v = cross(start, u) < 0, cross(start, v) < 0
+        if half_u != half_v:
+            return -1 if half_u < half_v else 1
+        return -1 if cross(u, v) > 0 else 1 if cross(v, u) > 0 else 0
+
+    crossings = [(ray, n, log) for rays, n, log in walls for ray in rays]
+    crossings.sort(key=cmp_to_key(lambda x, y: before(x[0], y[0])))
+    factors = []
+    for ray, n, log in crossings:
+        tangent = (-turn * ray[1], turn * ray[0])
+        sign = 1 if dual_pairing(fd.delta, n, tangent) < 0 else -1
+        factors.append({v: sign * c for v, c in log.items()})
+    return factors
 
 
 def pbw_sweep_product(fd, factors, level):

@@ -31,6 +31,9 @@ PATTERNS = {
         "delta": [1, 1, 1, 1],
     },
     "K33": {"B": [[0, 3], [-3, 0]], "delta": [1, 1]},
+    # B2 and G2 in the other index order: every crossing sign and the sweep order change
+    "B2-swapped": {"B": [[0, -2], [1, 0]], "delta": [2, 1]},
+    "G2-swapped": {"B": [[0, -3], [1, 0]], "delta": [3, 1]},
 }
 
 
@@ -99,6 +102,10 @@ GOLDEN = {
         "bcb9469140a742ed3fd415fc8d98d3842f8228e7bdcf948602397c0ddb87c8f6",
     ("scatter2", "K33", ("--level", "10", "--format", "svg")):
         "127d6d1d1480ab58bfd681da40a8a66446b7d48f8651e6073d7af07de8b58c93",
+    ("scatter2", "B2-swapped", ("--level", "10")):
+        "c5bb40ae1e3244086b30424560bbae65efcfb27bfc2d6ad96227d8099c8ebf8c",
+    ("scatter2", "G2-swapped", ("--level", "10")):
+        "4fb049106a337f724778626fc00289609fae39146bcb6d5e4eaa55a7c22bebbb",
 }
 
 

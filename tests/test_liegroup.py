@@ -20,7 +20,13 @@ from greenfan import (
     group_from_json,
     validate_fixed_data,
 )
-from greenfan.liegroup import TorusAction, degree, dilog_log_terms, monomial_degree
+from greenfan.liegroup import (
+    TorusAction,
+    degree,
+    dilog_log_terms,
+    monomial_degree,
+    ray_coefficients,
+)
 from greenfan.linalg import primitive
 
 from support import (
@@ -311,6 +317,27 @@ def apply_sequence(action, rng, level):
             action.apply_dilog(n, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
         else:
             action.apply_wall(random_ray_log(rng, rank, level))
+
+
+class TestRayCoefficients:
+    def test_signed_record_acts_as_the_signed_log(self):
+        """``apply_ray`` of ``ray_coefficients(n, log, sign)`` is ``apply_wall``
+        of the log times ``sign``, from any prior state."""
+        rng = random.Random("ray-coefficients")
+        for trial in range(60):
+            fd = random_fixed_data(rng)
+            level = rng.randint(1, 7)
+            log = random_ray_log(rng, fd.rank, level)
+            if not log:
+                continue
+            n, sign = primitive(next(iter(log))), rng.choice((1, -1))
+            seed = rng.random()
+            record, signed = TorusAction(fd.omega, level), TorusAction(fd.omega, level)
+            apply_sequence(record, random.Random(seed), level)
+            apply_sequence(signed, random.Random(seed), level)
+            record.apply_ray(n, ray_coefficients(n, log, sign))
+            signed.apply_wall({v: sign * c for v, c in log.items()})
+            assert record.series == signed.series, trial
 
 
 class TestTorusSteps:

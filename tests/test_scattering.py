@@ -58,6 +58,7 @@ from support import (
     oracle_multiply,
     pbw_sweep_product,
     per_cycle_loop_consistency,
+    signed_log_sweep,
 )
 
 
@@ -92,6 +93,14 @@ RANK2_PATTERNS = {
 
 def scattered(diagram):
     return [w for w in diagram.walls if len(w.rays) == 1]
+
+
+def rank2_order(name, swapped):
+    """The fixed data of a ``RANK2_PATTERNS`` entry, indices swapped or not."""
+    b, delta = RANK2_PATTERNS[name]
+    if swapped:
+        b, delta = [[b[1][1], b[1][0]], [b[0][1], b[0][0]]], delta[::-1]
+    return validate_fixed_data(b, delta)
 
 
 class TestGeometry:
@@ -651,10 +660,7 @@ class TestRankTwoCompletion:
         around the basepoints +-(1, 1), and walls on one ray share a normal,
         so their factors commute in any order.
         """
-        b, delta = RANK2_PATTERNS[name]
-        if swapped:
-            b, delta = [[b[1][1], b[1][0]], [b[0][1], b[0][0]]], delta[::-1]
-        fd = validate_fixed_data(b, delta)
+        fd = rank2_order(name, swapped)
         for level in range(1, 11):
             diagram = complete_rank2(fd, level)
             back = diagram_from_json(json.loads(json.dumps(diagram_to_json(fd, diagram))), fd)
@@ -665,6 +671,36 @@ class TestRankTwoCompletion:
                         assert ray[0] != ray[1]
                         line = linalg.primitive(ray)
                         assert normal_of.setdefault(line, wall.normal) == wall.normal
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
+    def test_every_stage_reads_the_pbw_defect(self, name, swapped, monkeypatch):
+        """Stage d's defect is the lowest log part of the PBW sweep at level d.
+
+        The walls at stage d are the initial lines and the scattered terms
+        of degree < d, since each stage settles its own degree for good.
+        """
+        fd = rank2_order(name, swapped)
+        seen = []  # (level, defect) of every record sweep
+        sweep_defect = scattering_module._sweep_defect
+
+        def recorded(fd, records, level):
+            seen.append((level, sweep_defect(fd, records, level)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(scattering_module, "_sweep_defect", recorded)
+        diagram = complete_rank2(fd, 6)
+        assert [level for level, _ in seen] == [2, 3, 4, 5, 6, 6]
+        for d, defect in seen[:-1]:
+            walls = []
+            for wall in diagram.walls:
+                log = wall.element.log_terms()
+                if len(wall.rays) == 1:  # scattered: only its terms settled before stage d
+                    log = {v: c for v, c in log.items() if degree(v) < d}
+                walls.append((wall.rays, wall.normal, log))
+            product = pbw_sweep_product(fd, signed_log_sweep(fd, walls), d)
+            assert defect == ({} if product.is_identity() else lowest_log_part(product)), d
+        assert seen[-1][1] == {}
 
     @pytest.mark.parametrize("level", [0, -3])
     def test_verify_rejects_level_below_one(self, b2, level):
@@ -814,8 +850,7 @@ def loop_product(fd, graph, loop, level):
 def recheck_product(fd, diagram, level):
     """The PBW product of the sweep ``verify_rank2_consistency`` checks."""
     walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
-    factors = scattering_module._sweep_factors(fd, walls, clockwise=True)
-    return pbw_sweep_product(fd, factors, level)
+    return pbw_sweep_product(fd, signed_log_sweep(fd, walls, clockwise=True), level)
 
 
 def witness_terms(terms):
