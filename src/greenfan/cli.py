@@ -26,15 +26,16 @@ structure group.
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
-stderr; a path that cannot be written and an integer, read or computed, past
-Python's int-string limit are ``bad_input``, and running out of memory is
-``out_of_memory``), and 2 on a usage error.
+stderr; a path or stdout that cannot be written and an integer, read or
+computed, past Python's int-string limit are ``bad_input``, and running out
+of memory is ``out_of_memory``), and 2 on a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import exchange
@@ -243,7 +244,13 @@ def _write(job: argparse.Namespace, formats, renderers: dict) -> None:
         except OSError as exc:
             raise BadInput("cannot write %s: %s" % (path, exc)) from exc
     if job.out is None:
-        sys.stdout.write(texts[job.format])
+        try:
+            sys.stdout.write(texts[job.format])
+            sys.stdout.flush()
+        except OSError as exc:
+            # the buffer keeps what failed, and the flush at exit would fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise BadInput("cannot write stdout: %s" % exc) from exc
 
 
 def run(job: argparse.Namespace) -> int:

@@ -246,17 +246,25 @@ def canonical_key(seed: TropicalSeed) -> SeedKey:
 class OrientedExchangeGraph:
     """Unlabeled seeds with edges oriented along green mutations.
 
-    ``vertices`` maps each canonical key to the first labeled representative
-    discovered; insertion order is breadth-first discovery order and is relied
-    on for deterministic output.  ``status`` is "complete" when the breadth
-    first closure finished within budget, else "truncated".
+    ``vertices`` maps canonical keys to stored seeds; a vertex's id is its
+    position there, the root's 0.  An arc ``(src, dst, k)`` joins ids along
+    ``k``, green at ``src``'s seed; ``edges`` names them by key.  ``status``
+    is "complete" when the closure finished within budget, else "truncated".
     """
 
-    root: SeedKey
     vertices: dict[SeedKey, TropicalSeed]
-    edges: tuple[tuple[SeedKey, SeedKey, int], ...]
+    arcs: tuple[tuple[int, int, int], ...]
     status: str
     depth_reached: int
+
+    @property
+    def root(self) -> SeedKey:
+        return next(iter(self.vertices))
+
+    @property
+    def edges(self) -> tuple[tuple[SeedKey, SeedKey, int], ...]:
+        keys = list(self.vertices)
+        return tuple((keys[s], keys[t], k) for s, t, k in self.arcs)
 
     @property
     def rank(self) -> int:
@@ -326,9 +334,8 @@ def enumerate_graph(
                 continue  # the green side will record it when expanded
             edges[edge] = None
     return OrientedExchangeGraph(
-        root=keys[0],
         vertices=dict(zip(keys, seeds)),
-        edges=tuple((keys[s], keys[t], k) for s, t, k in edges),
+        arcs=tuple(edges),
         status="truncated" if truncated else "complete",
         depth_reached=depth_reached,
     )
@@ -338,15 +345,12 @@ def certify_acyclic(graph: OrientedExchangeGraph) -> tuple[SeedKey, ...]:
     """Topological order of the vertices, root first.
 
     Raises CycleFound carrying an explicit directed cycle when one exists.
-    Ties are broken by discovery index, so the certificate is deterministic.
-    Keys are hashed once, into discovery indices; the sort runs on those.
+    Ties are broken by vertex id, so the certificate is deterministic.
     """
     keys = list(graph.vertices)
-    index = {key: i for i, key in enumerate(keys)}
-    edges = [(index[src], index[dst]) for src, dst, _ in graph.edges]
     indegree = [0] * len(keys)
     out: list[list[int]] = [[] for _ in keys]
-    for src, dst in edges:
+    for src, dst, _ in graph.arcs:
         out[src].append(dst)
         indegree[dst] += 1
     ready = [i for i, d in enumerate(indegree) if d == 0]  # sorted: a heap already
@@ -360,20 +364,20 @@ def certify_acyclic(graph: OrientedExchangeGraph) -> tuple[SeedKey, ...]:
             if remaining[dst] == 0:
                 heapq.heappush(ready, dst)
     if len(order) < len(keys):
-        raise CycleFound([keys[i] for i in _extract_cycle(edges, remaining)])
-    if indegree[index[graph.root]] != 0:
+        raise CycleFound([keys[i] for i in _extract_cycle(graph.arcs, remaining)])
+    if indegree[0] != 0:
         raise InternalError("root has an incoming green edge; enumeration is broken")
     return tuple(keys[i] for i in order)
 
 
-def _extract_cycle(edges, remaining):
+def _extract_cycle(arcs, remaining):
     stuck = {i for i, v in enumerate(remaining) if v > 0}
     preds: dict[int, int] = {}
-    for src, dst in edges:
+    for src, dst, _ in arcs:
         if src in stuck and dst in stuck and dst not in preds:
             preds[dst] = src
     # every stuck vertex has a stuck predecessor, so the walk back from the
-    # first stuck vertex in discovery order closes up
+    # first stuck vertex by id closes up
     start = min(stuck)
     trail = [start]
     seen = {start: 0}
@@ -424,22 +428,21 @@ def _seed_from_json(doc) -> TropicalSeed:
 
 
 def graph_to_json(graph: OrientedExchangeGraph, topological_order=None) -> dict:
-    names = {k: key_to_str(k) for k in graph.vertices}  # root and edges name vertices
-    doc = {
+    names = {k: key_to_str(k) for k in graph.vertices}  # the topological order names keys
+    by_id = list(names.values())
+    return {
         "rank": graph.rank,
         "status": graph.status,
         "depth_reached": graph.depth_reached,
-        "root": names[graph.root],
-        "vertices": {names[k]: _seed_to_json(s) for k, s in graph.vertices.items()},
+        "root": by_id[0],
+        "vertices": {name: _seed_to_json(s) for name, s in zip(by_id, graph.vertices.values())},
         "edges": [
-            {"source": names[s], "target": names[t], "direction": k}
-            for s, t, k in graph.edges
+            {"source": by_id[s], "target": by_id[t], "direction": k} for s, t, k in graph.arcs
         ],
         "topological_order": None
         if topological_order is None
         else [names[k] for k in topological_order],
     }
-    return doc
 
 
 def graph_from_json(doc) -> OrientedExchangeGraph:
@@ -450,37 +453,38 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
     vertex's name.  Root and edges are looked up among those names, no edge
     may point into the root, ``rank`` is the root's size, every direction
     lies in ``range(rank)``, ``depth_reached`` is at least 0, and the status
-    is ``"complete"`` or ``"truncated"``.
+    is ``"complete"`` or ``"truncated"``.  The root gets id 0 and the other
+    vertices follow in listed order.
     """
     try:
-        keys, vertices = {}, {}
+        seeds = {}  # name -> (key, seed), in listed order
         for name, record in doc["vertices"].items():
             seed = _seed_from_json(record)
-            keys[name] = key = canonical_key(seed)
+            key = canonical_key(seed)
             if key_to_str(key) != name:
                 raise BadInput("vertex %s holds the seed of %s" % (name, key_to_str(key)))
-            vertices[key] = seed
-        if doc["root"] not in keys:
+            seeds[name] = key, seed
+        if doc["root"] not in seeds:
             raise BadInput("root %s is not a vertex" % doc["root"])
-        root = keys[doc["root"]]
-        rank = len(root.b)
+        ids = {name: i for i, name in enumerate(dict.fromkeys([doc["root"], *seeds]))}
+        rank = len(seeds[doc["root"]][0].b)
         if not linalg.is_int(doc["rank"]) or doc["rank"] != rank:
             raise BadInput("rank must be the root's size %d, got %r" % (rank, doc["rank"]))
-        edges = []
+        arcs = []
         for e in linalg.require_list(doc["edges"], "edges"):
             k = e["direction"]
             if not linalg.is_int(k):
                 raise BadInput("edge direction must be an integer, got %r" % (k,))
             if not 0 <= k < rank:
                 raise BadInput("edge direction %d is outside range(%d)" % (k, rank))
-            if e["source"] not in keys or e["target"] not in keys:
+            if e["source"] not in ids or e["target"] not in ids:
                 raise BadInput(
                     "edge %s -> %s names an unknown vertex" % (e["source"], e["target"])
                 )
-            src, dst = keys[e["source"]], keys[e["target"]]
-            if dst == root:
+            dst = ids[e["target"]]
+            if dst == 0:
                 raise BadInput("edge %s -> %s points into the root" % (e["source"], e["target"]))
-            edges.append((src, dst, k))
+            arcs.append((ids[e["source"]], dst, k))
         depth = doc["depth_reached"]
         if not linalg.is_int(depth) or depth < 0:
             raise BadInput("depth_reached must be an integer >= 0, got %r" % (depth,))
@@ -488,9 +492,8 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         if status not in ("complete", "truncated"):
             raise BadInput('status must be "complete" or "truncated", got %r' % (status,))
         return OrientedExchangeGraph(
-            root=root,
-            vertices=vertices,
-            edges=tuple(edges),
+            vertices=dict(seeds[name] for name in ids),
+            arcs=tuple(arcs),
             status=status,
             depth_reached=depth,
         )
@@ -500,13 +503,12 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
 
 def graph_to_dot(graph: OrientedExchangeGraph) -> str:
     """GraphViz rendering; vertices labeled by their sorted g-vectors."""
-    index = {key: i for i, key in enumerate(graph.vertices)}
     lines = ["digraph oriented_exchange_graph {", "  rankdir=LR;"]
-    for key, i in index.items():
+    for i, key in enumerate(graph.vertices):
         label = " ".join("(%s)" % ",".join(str(x) for x in col) for col in key.g_columns)
         lines.append('  s%d [label="%s"];' % (i, label))
-    for src, dst, k in graph.edges:
-        lines.append('  s%d -> s%d [label="%d"];' % (index[src], index[dst], k))
+    for src, dst, k in graph.arcs:
+        lines.append('  s%d -> s%d [label="%d"];' % (src, dst, k))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

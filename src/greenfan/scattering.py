@@ -259,7 +259,7 @@ def verify_loop_consistency(
     the identity to the identity, so every level <= l is covered by this
     check.
 
-    Everything runs on vertex ids (discovery order).  Each undirected edge is
+    Everything runs on the graph's vertex ids.  Each undirected edge is
     resolved once, into the g-vector each end loses across it; duality pairs
     that g-vector with one c-vector whatever the labels, so the stored seed
     of a vertex stands for every seed with its key.  The cycles come from a
@@ -284,15 +284,13 @@ def verify_loop_consistency(
     for key, cols in zip(keys, g_cols):
         if tuple(sorted(cols)) != key.g_columns:
             raise InvalidWalk("stored seed does not match its key %s" % key_to_str(key))
-    index = {key: i for i, key in enumerate(keys)}
     gone = {}  # (a, b) -> the g-vector a loses across the edge to b
-    for src, dst, _ in graph.edges:
-        a, b = index[src], index[dst]
-        lost = set(src.g_columns).difference(dst.g_columns)
+    for a, b, _ in graph.arcs:
+        lost = set(g_cols[a]).difference(g_cols[b])
         if len(lost) != 1:
             raise InvalidWalk("cycle vertices are not adjacent in the pattern")
         (gone[a, b],) = lost
-        (gone[b, a],) = set(dst.g_columns).difference(src.g_columns)
+        (gone[b, a],) = set(g_cols[b]).difference(g_cols[a])
     pairs = sorted(pair for pair in gone if pair[0] < pair[1])
     adj = [[] for _ in keys]
     for a, b in pairs:  # each list comes out in ascending id order
@@ -309,11 +307,10 @@ def verify_loop_consistency(
         action.apply_dilog(normal, sign * exponent)
         return action
 
-    root = index[graph.root]
     parent, depth = [None] * len(keys), [None] * len(keys)
     tree = [None] * len(keys)  # x -> T_x
-    depth[root], tree[root] = 0, TorusAction(fd.omega, level)
-    order = [root]  # breadth-first; the loop visits what it appends
+    depth[0], tree[0] = 0, TorusAction(fd.omega, level)
+    order = [0]  # breadth-first from the root; the loop visits what it appends
     for p in order:
         for x in adj[p]:
             if depth[x] is None:

@@ -43,7 +43,7 @@ from greenfan import (
 )
 from greenfan import exchange, scattering
 from greenfan.linalg import as_int_matrix
-from greenfan.liegroup import TorusAction, delta_exponent
+from greenfan.liegroup import TorusAction, degree, delta_exponent
 from greenfan.scattering import LoopReport
 
 
@@ -281,8 +281,9 @@ def full_mutation_enumerate_graph(fd, max_vertices=100000, max_depth=12):
     root = root_seed(fd)
     rkey = canonical_key(root)
     vertices = {rkey: root}
+    id_of = {rkey: 0}
     depth_of = {rkey: 0}
-    edges, seen_edges = [], set()
+    arcs = {}  # an ordered set of (src, dst, k) by vertex id
     queue = deque([rkey])
     truncated = False
     depth_reached = 0
@@ -308,21 +309,16 @@ def full_mutation_enumerate_graph(fd, max_vertices=100000, max_depth=12):
                     truncated = True
                     continue
                 vertices[nkey] = neighbor
+                id_of[nkey] = len(id_of)
                 depth_of[nkey] = depth + 1
                 queue.append(nkey)
             if green[k]:
-                edge = (key, nkey, k)
+                arcs[id_of[key], id_of[nkey], k] = None
             elif vertices[nkey].same_matrices(neighbor):
-                edge = (nkey, key, k)
-            else:
-                continue
-            if edge not in seen_edges:
-                seen_edges.add(edge)
-                edges.append(edge)
+                arcs[id_of[nkey], id_of[key], k] = None
     return OrientedExchangeGraph(
-        root=rkey,
         vertices=vertices,
-        edges=tuple(edges),
+        arcs=tuple(arcs),
         status="truncated" if truncated else "complete",
         depth_reached=depth_reached,
     )
@@ -493,6 +489,39 @@ def pbw_sweep_product(fd, factors, level):
         # lie_element drops the terms above this sweep's level
         product = alg.exp(alg.lie_element(log)) * product
     return product
+
+
+def wall_factor_exponents(n, log, level):
+    """The e_k with f(t) = prod_k (1 + t^k)^(e_k) up to t^(level // deg n).
+
+    ``log`` is ``{jn: c_j}``, n primitive, and f(t) = exp(sum_j j c_j t^j)
+    with t = y^n is the wall function: ``TorusAction.apply_wall`` multiplies
+    y^m by f(y^n)^psi.  Comparing the t^j terms of log f gives
+    j c_j = sum over k | j of e_k (-1)^(j/k + 1) k / j, solved for e_j by
+    increasing j.
+    """
+    c = {degree(v) // degree(n): Fraction(x) for v, x in log.items()}
+    e = {}
+    for j in range(1, level // degree(n) + 1):
+        e[j] = j * c.get(j, 0) - sum(
+            e[k] * (-1) ** (j // k + 1) * Fraction(k, j) for k in e if j % k == 0
+        )
+    return e
+
+
+def require_positive_wall(fd, wall):
+    """Positivity (GHKK, arXiv:1411.1394, Thm 1.13): every exponent of the
+    wall function, in units of ``delta_exponent`` of the wall's normal, is
+    an integer >= 0.  Raises AssertionError naming the wall and k."""
+    unit = delta_exponent(wall.normal, fd.delta)
+    level = wall.element.algebra.level
+    for k, e in wall_factor_exponents(wall.normal, wall.element.log_terms(), level).items():
+        ratio = e / unit
+        if ratio < 0 or ratio.denominator != 1:
+            raise AssertionError(
+                "wall %r on %r: e_%d / delta_exponent = %s is not an integer >= 0"
+                % (wall.normal, wall.rays, k, ratio)
+            )
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import resource
 import subprocess
@@ -191,6 +192,32 @@ def run_cli(*args, expect=0):
     return proc
 
 
+# one artifact within the 8 KiB stdout buffer, which only the flush writes,
+# and one past it, which the write itself hands to the file
+STDOUT_ARTIFACTS = {
+    "small": ["certify", "--matrix", "[[0,1],[-1,0]]", "--delta", "[1,1]"],
+    "large": ["explore", "--matrix", "[[0,1,0],[-1,0,1],[0,-1,0]]", "--delta", "[1,1,1]"],
+}
+
+
+def run_buffered(argv, stdout):
+    """Run the CLI with ``stdout`` block-buffered, as it is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run(
+        CMD + argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env
+    )
+
+
+def assert_stdout_payload(proc):
+    """A failed stdout write exits 1 with one bad_input payload and no traceback."""
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr)
+    assert set(err) == {"error", "detail"}
+    assert err["error"] == "bad_input"
+    assert "stdout" in err["detail"]
+
+
 @pytest.fixture
 def a2_path(tmp_path):
     path = tmp_path / "a2.json"
@@ -255,6 +282,22 @@ class TestCertify:
         run_cli("explore", a2_path, "--out", str(exported))
         out = json.loads(run_cli("certify", str(exported)).stdout)
         assert len(out["topological_order"]) == 5
+
+    def test_root_first_whatever_the_listed_order(self, tmp_path):
+        doc = graph_to_json(
+            enumerate_graph(validate_fixed_data(KRONECKER["B"], KRONECKER["delta"]), max_depth=3)
+        )
+        # the one frontier vertex with no incoming edge, listed ahead of the root
+        sources = set(doc["vertices"]) - {doc["root"]} - {e["target"] for e in doc["edges"]}
+        (frontier,) = sources
+        vertices = doc["vertices"]
+        doc["vertices"] = {frontier: vertices.pop(frontier), **vertices}
+        path = tmp_path / "frontier-first.json"
+        path.write_text(json.dumps(doc))
+        out = json.loads(run_cli("certify", str(path)).stdout)
+        assert out["status"] == "truncated"
+        assert out["topological_order"][0] == out["root"] == doc["root"]
+        assert sorted(out["topological_order"]) == sorted(doc["vertices"])
 
     def test_directed_cycle_is_reported(self, tmp_path):
         doc = d4_cycle_graph_doc()
@@ -462,6 +505,23 @@ class TestContract:
         assert err["error"] == "bad_input"
         assert missing in err["detail"]
         assert proc.stdout == ""
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("size", sorted(STDOUT_ARTIFACTS))
+    def test_full_stdout_device_is_domain_error(self, size):
+        with open("/dev/full", "w") as full:
+            proc = run_buffered(STDOUT_ARTIFACTS[size], full)
+        assert_stdout_payload(proc)
+
+    @pytest.mark.parametrize("size", sorted(STDOUT_ARTIFACTS))
+    def test_closed_stdout_pipe_is_domain_error(self, size):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_buffered(STDOUT_ARTIFACTS[size], write)
+        finally:
+            os.close(write)
+        assert_stdout_payload(proc)
 
     def test_memory_exhaustion_is_domain_error(self):
         """A child under its own 64 MB address-space limit reports the payload."""

@@ -58,6 +58,7 @@ from support import (
     oracle_multiply,
     pbw_sweep_product,
     per_cycle_loop_consistency,
+    require_positive_wall,
     signed_log_sweep,
 )
 
@@ -89,6 +90,12 @@ RANK2_PATTERNS = {
     "Kronecker": ([[0, 2], [-2, 0]], [1, 1]),
     "(3,3)": ([[0, 3], [-3, 0]], [1, 1]),
 }
+# one more affine type, (1,4), and two more wild ones, for the positivity oracle
+MORE_RANK2_PATTERNS = {
+    "(1,4)": ([[0, 1], [-4, 0]], [1, 4]),
+    "(2,3)": ([[0, 2], [-3, 0]], [2, 3]),
+    "(4,4)": ([[0, 4], [-4, 0]], [1, 1]),
+}
 
 
 def scattered(diagram):
@@ -96,8 +103,8 @@ def scattered(diagram):
 
 
 def rank2_order(name, swapped):
-    """The fixed data of a ``RANK2_PATTERNS`` entry, indices swapped or not."""
-    b, delta = RANK2_PATTERNS[name]
+    """The fixed data of a rank-2 pattern, indices swapped or not."""
+    b, delta = {**RANK2_PATTERNS, **MORE_RANK2_PATTERNS}[name]
     if swapped:
         b, delta = [[b[1][1], b[1][0]], [b[0][1], b[0][0]]], delta[::-1]
     return validate_fixed_data(b, delta)
@@ -481,9 +488,9 @@ class TestLoopConsistency:
         graph = enumerate_graph(a3)
         root = set(graph.root.g_columns)
         far = next(
-            key for key in graph.vertices if len(root.difference(key.g_columns)) >= 2
+            i for i, key in enumerate(graph.vertices) if len(root.difference(key.g_columns)) >= 2
         )
-        bogus = dataclasses.replace(graph, edges=graph.edges + ((graph.root, far, 0),))
+        bogus = dataclasses.replace(graph, arcs=graph.arcs + ((0, far, 0),))
         with pytest.raises(InvalidWalk):
             verify_loop_consistency(a3, bogus, 2)
 
@@ -702,6 +709,24 @@ class TestRankTwoCompletion:
             assert defect == ({} if product.is_identity() else lowest_log_part(product)), d
         assert seen[-1][1] == {}
 
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", sorted({**RANK2_PATTERNS, **MORE_RANK2_PATTERNS}))
+    def test_wall_functions_are_positive(self, name, swapped):
+        fd = rank2_order(name, swapped)
+        for wall in complete_rank2(fd, 20).walls:
+            require_positive_wall(fd, wall)
+
+    def test_positivity_oracle_names_a_fractional_exponent(self, kronecker):
+        (central,) = [w for w in complete_rank2(kronecker, 8).walls if w.normal == (1, 1)]
+        require_positive_wall(kronecker, central)
+        # Psi[(2, 2)]^(1/4) multiplies the wall function by (1 + t^2)^(1/2)
+        alg = central.element.algebra
+        shifted = dataclasses.replace(
+            central, element=central.element * alg.dilog((2, 2), Fraction(1, 4))
+        )
+        with pytest.raises(AssertionError, match=r"wall \(1, 1\) on .*: e_2 / .* = \d+/2 "):
+            require_positive_wall(kronecker, shifted)
+
     @pytest.mark.parametrize("level", [0, -3])
     def test_verify_rejects_level_below_one(self, b2, level):
         diagram = complete_rank2(b2, 4)
@@ -885,7 +910,14 @@ class TestInternalErrors:
 
     def test_certify_root_check(self, a2, monkeypatch, capsys):
         graph = enumerate_graph(a2)
-        rerooted = dataclasses.replace(graph, root=list(graph.vertices)[1])
+        # vertex 1 takes id 0, so the arc from the root into it points into id 0
+        keys = list(graph.vertices)
+        swap = [1, 0] + list(range(2, len(keys)))
+        rerooted = dataclasses.replace(
+            graph,
+            vertices={keys[i]: graph.vertices[keys[i]] for i in swap},
+            arcs=tuple((swap[s], swap[t], k) for s, t, k in graph.arcs),
+        )
         with pytest.raises(InternalError, match="root") as info:
             certify_acyclic(rerooted)
         self.check(info.value)
