@@ -26,9 +26,9 @@ structure group.
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
-stderr; a path or stdout that cannot be written and an integer, read or
-computed, past Python's int-string limit are ``bad_input``, and running out
-of memory is ``out_of_memory``), and 2 on a usage error.
+stderr; a path or stdout that cannot be written, ``--help`` included, and an
+integer, read or computed, past Python's int-string limit are ``bad_input``,
+and running out of memory is ``out_of_memory``), and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -244,13 +244,20 @@ def _write(job: argparse.Namespace, formats, renderers: dict) -> None:
         except OSError as exc:
             raise BadInput("cannot write %s: %s" % (path, exc)) from exc
     if job.out is None:
-        try:
-            sys.stdout.write(texts[job.format])
-            sys.stdout.flush()
-        except OSError as exc:
-            # the buffer keeps what failed, and the flush at exit would fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise BadInput("cannot write stdout: %s" % exc) from exc
+        _to_stdout(texts[job.format])
+
+
+def _to_stdout(text: str) -> None:
+    """Write and flush stdout; a closed or failing stdout is ``bad_input``."""
+    if sys.stdout is None:  # closed when the process started
+        raise BadInput("cannot write stdout: it is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the buffer keeps what failed, and the flush at exit would fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise BadInput("cannot write stdout: %s" % exc) from exc
 
 
 def run(job: argparse.Namespace) -> int:
@@ -273,8 +280,13 @@ def _error_payload(exc: GreenfanError) -> dict:
 
 
 def main(argv=None) -> int:
-    job = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        try:
+            job = parse_args(sys.argv[1:] if argv is None else argv)
+        except SystemExit as exc:
+            if exc.code == 0:  # --help, which argparse wrote to stdout unflushed
+                _to_stdout("")
+            raise
         return run(job)
     except GreenfanError as exc:
         error = exc

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -46,8 +45,7 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FixedData:
+class FixedData(NamedTuple):
     """Validated root data shared by every seed of a pattern."""
 
     rank: int
@@ -133,8 +131,7 @@ def validate_fixed_data(b, delta) -> FixedData:
     return FixedData(rank=r, b=bm, delta=delta, omega=omega, d=d)
 
 
-@dataclass(frozen=True)
-class TropicalSeed:
+class TropicalSeed(NamedTuple):
     """The (B, C, G) triple at one vertex of the mutation tree.
 
     ``path`` records the mutation directions leading here from the root; it
@@ -242,8 +239,7 @@ def canonical_key(seed: TropicalSeed) -> SeedKey:
     return SeedKey(g_columns=take(cols), b=tuple(map(take, take(seed.b))))
 
 
-@dataclass(frozen=True)
-class OrientedExchangeGraph:
+class OrientedExchangeGraph(NamedTuple):
     """Unlabeled seeds with edges oriented along green mutations.
 
     ``vertices`` maps canonical keys to stored seeds; a vertex's id is its

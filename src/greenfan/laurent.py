@@ -19,8 +19,8 @@ data are read off the polynomials:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import Inhomogeneous, NonLaurent
 from .exchange import FixedData
@@ -138,8 +138,7 @@ def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(num.nvars, out)
 
 
-@dataclass(frozen=True)
-class SymbolicSeed:
+class SymbolicSeed(NamedTuple):
     """Cluster variables, coefficient-monomial exponents, and current B."""
 
     variables: tuple[LaurentPoly, ...]

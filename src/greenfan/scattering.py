@@ -15,10 +15,10 @@ composed right-to-left: the first wall crossed sits rightmost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import exchange, linalg
 from .errors import (
@@ -72,8 +72,7 @@ def dual_pairing(delta, n, m) -> Fraction:
 # walls
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """Support rays inside ``normal``-perp carrying a grouplike element."""
 
     normal: Vector
@@ -106,8 +105,7 @@ def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:
     return sign, tuple(sign * x for x in seed.c_column(k))
 
 
-@dataclass(frozen=True)
-class ScatteringDiagram:
+class ScatteringDiagram(NamedTuple):
     level: int
     walls: tuple[Wall, ...]
 
@@ -116,15 +114,13 @@ class ScatteringDiagram:
 # crossing sequences
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     normal: Vector
     sign: int
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class CrossingSequence:
+class CrossingSequence(NamedTuple):
     crossings: tuple[Crossing, ...]
 
 
@@ -195,8 +191,7 @@ def path_ordered_product(fd: FixedData, cs: CrossingSequence, level: int) -> Gro
     return acc
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(NamedTuple):
     min_degree: int
     witness: dict[Vector, Fraction]
 
@@ -234,16 +229,14 @@ def minimal_degree_obstruction(cs: CrossingSequence) -> Obstruction:
 # loop consistency over an enumerated graph
 
 
-@dataclass(frozen=True)
-class LoopReport:
+class LoopReport(NamedTuple):
     vertices: tuple[SeedKey, ...]
     directions: tuple[int, ...]
     max_degree_checked: int
     identity: bool
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     level: int
     loops: tuple[LoopReport, ...]
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -200,11 +202,18 @@ STDOUT_ARTIFACTS = {
 }
 
 
-def run_buffered(argv, stdout):
-    """Run the CLI with ``stdout`` block-buffered, as it is by default."""
+HELP_ARGVS = [["--help"], ["explore", "--help"]]
+# a shell that runs its arguments with stdout closed
+STDOUT_CLOSED = ["sh", "-c", '"$@" >&-', "sh"]
+
+
+def run_buffered(argv, stdout=None, prefix=()):
+    """Run the CLI, under the ``prefix`` command if any, with ``stdout``
+    block-buffered, as it is by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
-        CMD + argv, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env
+        [*prefix, *CMD, *argv],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
     )
 
 
@@ -522,6 +531,47 @@ class TestContract:
         finally:
             os.close(write)
         assert_stdout_payload(proc)
+
+    @pytest.mark.parametrize("size", sorted(STDOUT_ARTIFACTS))
+    def test_stdout_closed_at_start_is_domain_error(self, size):
+        proc = run_buffered(STDOUT_ARTIFACTS[size], prefix=STDOUT_CLOSED)
+        assert_stdout_payload(proc)
+
+    def test_help_with_stdout_closed_at_start_is_domain_error(self):
+        """argparse falls back to stderr for the help; the payload line follows it."""
+        proc = run_buffered(["--help"], prefix=STDOUT_CLOSED)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("usage: greenfan")
+        err = json.loads(proc.stderr.splitlines()[-1])
+        assert err == {"error": "bad_input", "detail": "cannot write stdout: it is closed"}
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_into_full_device_is_domain_error(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = run_buffered(argv, stdout=full)
+        assert_stdout_payload(proc)
+
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_into_closed_pipe_is_domain_error(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_buffered(argv, stdout=write)
+        finally:
+            os.close(write)
+        assert_stdout_payload(proc)
+
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
+    def test_help_into_working_pipe_is_unchanged(self, argv, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help to it
+        proc = run_buffered(argv, stdout=subprocess.PIPE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        assert proc.stdout == printed.getvalue()
 
     def test_memory_exhaustion_is_domain_error(self):
         """A child under its own 64 MB address-space limit reports the payload."""

@@ -13,7 +13,9 @@ import json
 
 import pytest
 
-from greenfan import cli
+from greenfan import cli, diagram_from_json, validate_fixed_data
+
+from support import require_positive_wall
 
 PATTERNS = {
     "A2": {"B": [[0, 1], [-1, 0]], "delta": [1, 1]},
@@ -113,22 +115,47 @@ GOLDEN = {
 EXPORTED_D4_CERTIFICATE = "305403fde51e5efe4bbd7ed4c5bbdc4398a592f02d1880208affc5cc6401d6ce"
 
 
-def _stdout_digest(argv):
+def _stdout(argv) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert (code, err.getvalue()) == (0, "")
-    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    return out.getvalue()
 
 
-@pytest.mark.parametrize(
-    "case", sorted(GOLDEN), ids=lambda c: "-".join((c[0], c[1]) + c[2])
-)
-def test_artifact_digest(case, tmp_path):
+def _stdout_digest(argv):
+    return hashlib.sha256(_stdout(argv).encode("utf-8")).hexdigest()
+
+
+def _case_argv(case, tmp_path):
     command, pattern, extra = case
     path = tmp_path / ("%s.json" % pattern)
     path.write_text(json.dumps(PATTERNS[pattern]))
-    assert _stdout_digest([command, str(path)] + list(extra)) == GOLDEN[case]
+    return [command, str(path)] + list(extra)
+
+
+def _case_id(case):
+    return "-".join((case[0], case[1]) + case[2])
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=_case_id)
+def test_artifact_digest(case, tmp_path):
+    assert _stdout_digest(_case_argv(case, tmp_path)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize(
+    "case", sorted(c for c in GOLDEN if c[0] == "scatter2" and "svg" not in c[2]), ids=_case_id
+)
+def test_scatter2_documents_hold_positive_walls(case, tmp_path):
+    """Each wall function a golden diagram document writes, read back, factors
+    into (1 + t^k)^(e_k) with e_k / delta_exponent a nonnegative integer
+    (positivity, GHKK Thm 1.13)."""
+    pattern = PATTERNS[case[1]]
+    fd = validate_fixed_data(pattern["B"], pattern["delta"])
+    diagram = diagram_from_json(json.loads(_stdout(_case_argv(case, tmp_path))), fd)
+    assert diagram.walls
+    for wall in diagram.walls:
+        require_positive_wall(fd, wall)
 
 
 def test_certificate_of_exported_graph_digest(tmp_path):

@@ -51,3 +51,34 @@ def test_the_scan_sees_unused_and_skipped_imports():
         "print(json.dumps(gcd(4, 6)))\n"
     )
     assert unused_imports(source) == ["osp", "lcm"]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level modules ``source`` imports, relative imports left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_package_module_imports_dataclasses():
+    """``dataclasses`` loads ``inspect``, which every CLI start would pay for.
+
+    Static, because the modules an interpreter's ``site`` loads vary.
+    """
+    package = sorted((ROOT / "src" / "greenfan").glob("*.py"))
+    assert [p.name for p in package if "dataclasses" in imported_modules(p.read_text())] == []
+
+
+def test_the_module_scan_sees_every_import_form():
+    source = (
+        "import dataclasses as dc, os.path\n"
+        "from json.decoder import JSONDecodeError\n"
+        "from . import exchange\n"
+        "def f():\n"
+        "    from fractions import Fraction\n"
+    )
+    assert imported_modules(source) == {"dataclasses", "os", "json", "fractions"}

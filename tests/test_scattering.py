@@ -1,4 +1,4 @@
-import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from greenfan import (
+    BadDecomposition,
     BadInput,
     GreenfanError,
     GroupElement,
@@ -96,6 +97,24 @@ MORE_RANK2_PATTERNS = {
     "(2,3)": ([[0, 2], [-3, 0]], [2, 3]),
     "(4,4)": ([[0, 4], [-4, 0]], [1, 1]),
 }
+
+
+# seeded random pairs (b, c) for B = [[0, b], [-c, 0]], 1 <= b, c <= 4, each with a level <= 12
+_draw = random.Random(2210)
+RANDOM_RANK2 = sorted(
+    {(_draw.randint(1, 4), _draw.randint(1, 4), _draw.randint(1, 12)) for _ in range(16)}
+)
+
+
+def with_minimal_delta(b):
+    """Rank-2 ``validate_fixed_data(b, delta)`` at the first delta it accepts,
+    ordered by sum and then by entries."""
+    for total in itertools.count(2):
+        for first in range(1, total):
+            try:
+                return validate_fixed_data(b, [first, total - first])
+            except BadDecomposition:
+                pass
 
 
 def scattered(diagram):
@@ -490,7 +509,7 @@ class TestLoopConsistency:
         far = next(
             i for i, key in enumerate(graph.vertices) if len(root.difference(key.g_columns)) >= 2
         )
-        bogus = dataclasses.replace(graph, arcs=graph.arcs + ((0, far, 0),))
+        bogus = graph._replace(arcs=graph.arcs + ((0, far, 0),))
         with pytest.raises(InvalidWalk):
             verify_loop_consistency(a3, bogus, 2)
 
@@ -500,7 +519,7 @@ class TestLoopConsistency:
         last = list(vertices)[-1]
         vertices[last] = vertices[graph.root]
         with pytest.raises(InvalidWalk):
-            verify_loop_consistency(a3, dataclasses.replace(graph, vertices=vertices), 2)
+            verify_loop_consistency(a3, graph._replace(vertices=vertices), 2)
 
     def test_truncated_graph_rejected(self, kronecker):
         graph = enumerate_graph(kronecker, max_depth=4)
@@ -652,8 +671,8 @@ class TestRankTwoCompletion:
     def test_verify_validates_every_wall(self, a2, ray):
         diagram = complete_rank2(a2, 3)
         (wall,) = scattered(diagram)
-        moved = dataclasses.replace(wall, rays=(ray,))
-        hand_built = dataclasses.replace(diagram, walls=diagram.walls[:2] + (moved,))
+        moved = wall._replace(rays=(ray,))
+        hand_built = diagram._replace(walls=diagram.walls[:2] + (moved,))
         message = r"ray \(%d, %d\) is not orthogonal to \(1, 1\)" % ray
         with pytest.raises(ValueError, match=message):
             verify_rank2_consistency(a2, hand_built)
@@ -716,13 +735,22 @@ class TestRankTwoCompletion:
         for wall in complete_rank2(fd, 20).walls:
             require_positive_wall(fd, wall)
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["b>0", "b<0"])
+    @pytest.mark.parametrize(
+        "b, c, level", RANDOM_RANK2, ids=["b=%d,c=%d,l=%d" % draw for draw in RANDOM_RANK2]
+    )
+    def test_random_rank2_wall_functions_are_positive(self, b, c, level, sign):
+        fd = with_minimal_delta([[0, sign * b], [-sign * c, 0]])
+        for wall in complete_rank2(fd, level).walls:
+            require_positive_wall(fd, wall)
+
     def test_positivity_oracle_names_a_fractional_exponent(self, kronecker):
         (central,) = [w for w in complete_rank2(kronecker, 8).walls if w.normal == (1, 1)]
         require_positive_wall(kronecker, central)
         # Psi[(2, 2)]^(1/4) multiplies the wall function by (1 + t^2)^(1/2)
         alg = central.element.algebra
-        shifted = dataclasses.replace(
-            central, element=central.element * alg.dilog((2, 2), Fraction(1, 4))
+        shifted = central._replace(
+            element=central.element * alg.dilog((2, 2), Fraction(1, 4))
         )
         with pytest.raises(AssertionError, match=r"wall \(1, 1\) on .*: e_2 / .* = \d+/2 "):
             require_positive_wall(kronecker, shifted)
@@ -731,7 +759,7 @@ class TestRankTwoCompletion:
     def test_verify_rejects_level_below_one(self, b2, level):
         diagram = complete_rank2(b2, 4)
         with pytest.raises(ValueError):
-            verify_rank2_consistency(b2, dataclasses.replace(diagram, level=level))
+            verify_rank2_consistency(b2, diagram._replace(level=level))
 
 
 class TestDiagramSerialization:
@@ -913,8 +941,7 @@ class TestInternalErrors:
         # vertex 1 takes id 0, so the arc from the root into it points into id 0
         keys = list(graph.vertices)
         swap = [1, 0] + list(range(2, len(keys)))
-        rerooted = dataclasses.replace(
-            graph,
+        rerooted = graph._replace(
             vertices={keys[i]: graph.vertices[keys[i]] for i in swap},
             arcs=tuple((swap[s], swap[t], k) for s, t, k in graph.arcs),
         )
