@@ -28,7 +28,8 @@ Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
 stderr; a path or stdout that cannot be written, ``--help`` included, and an
 integer, read or computed, past Python's int-string limit are ``bad_input``,
-and running out of memory is ``out_of_memory``), and 2 on a usage error.
+and running out of memory is ``out_of_memory``; a closed or full stderr
+drops the record, not the status), and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -247,16 +248,25 @@ def _write(job: argparse.Namespace, formats, renderers: dict) -> None:
         _to_stdout(texts[job.format])
 
 
+def _write_through(stream, text: str) -> None:
+    """Write and flush ``stream``; on ``OSError`` point its fd at the null
+    device, since the buffer keeps what failed and the flush at exit would
+    fail again, and re-raise."""
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
 def _to_stdout(text: str) -> None:
     """Write and flush stdout; a closed or failing stdout is ``bad_input``."""
     if sys.stdout is None:  # closed when the process started
         raise BadInput("cannot write stdout: it is closed")
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        _write_through(sys.stdout, text)
     except OSError as exc:
-        # the buffer keeps what failed, and the flush at exit would fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise BadInput("cannot write stdout: %s" % exc) from exc
 
 
@@ -296,7 +306,11 @@ def main(argv=None) -> int:
         if "integer string conversion" not in str(exc):  # sys.get_int_max_str_digits()
             raise
         error = BadInput("a result integer is too long to write: %s" % exc)
-    sys.stderr.write(json.dumps(_error_payload(error)) + "\n")
+    if sys.stderr is not None:  # else closed when the process started
+        try:
+            _write_through(sys.stderr, json.dumps(_error_payload(error)) + "\n")
+        except OSError:  # nowhere left to report it; the exit status still does
+            pass
     return 1
 
 

@@ -2,24 +2,28 @@
 
 Every error carries a short machine-readable ``code``; the CLI turns a raised
 error into a ``{"error": code, "detail": ...}`` record on stderr and exit
-status 1.
+status 1.  A subclass's code is its class name in snake_case unless its body
+sets ``code`` itself.
 """
+
+import re
 
 
 class GreenfanError(Exception):
     code = "error"
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "code" not in cls.__dict__:
+            cls.code = re.sub(r"(?<=[a-z])(?=[A-Z])", "_", cls.__name__).lower()
+
 
 class NotSkewSymmetrizable(GreenfanError):
     """No positive integer diagonal D makes D*B skew-symmetric."""
 
-    code = "not_skew_symmetrizable"
-
 
 class BadDecomposition(GreenfanError):
     """The rescaled matrix diag(delta)^-1 * B is not skew-symmetric."""
-
-    code = "bad_decomposition"
 
 
 class SignIncoherent(GreenfanError):
@@ -29,13 +33,9 @@ class SignIncoherent(GreenfanError):
     the mutation engine itself is broken, not the input.
     """
 
-    code = "sign_incoherent"
-
 
 class CycleFound(GreenfanError):
     """A directed cycle in an oriented exchange graph."""
-
-    code = "cycle_found"
 
     def __init__(self, cycle):
         super().__init__("directed cycle found (length %d)" % len(cycle))
@@ -45,37 +45,25 @@ class CycleFound(GreenfanError):
 class IncompleteGraph(GreenfanError):
     """An operation that needs a fully enumerated graph got a truncated one."""
 
-    code = "incomplete_graph"
-
 
 class LevelMismatch(GreenfanError):
     """Two truncated elements live at incompatible levels."""
-
-    code = "level_mismatch"
 
 
 class NotLieElement(GreenfanError):
     """exp() was fed something that is not a combination of generators."""
 
-    code = "not_lie_element"
-
 
 class NotGrouplike(GreenfanError):
     """log() of the element is not a combination of single generators."""
-
-    code = "not_grouplike"
 
 
 class InvalidWalk(GreenfanError):
     """Consecutive steps of a mutation walk do not chain."""
 
-    code = "invalid_walk"
-
 
 class NotAllGreen(GreenfanError):
     """An all-green crossing sequence was required."""
-
-    code = "not_all_green"
 
 
 class InconsistencyFound(GreenfanError):
@@ -86,8 +74,6 @@ class InconsistencyFound(GreenfanError):
     product's log to its coefficient: the defect that witnesses the failure.
     """
 
-    code = "inconsistency_found"
-
     def __init__(self, loop, lowest, message="loop product is not the identity"):
         super().__init__(message)
         self.loop = tuple(loop)
@@ -95,34 +81,24 @@ class InconsistencyFound(GreenfanError):
 
 
 class NotRankTwo(GreenfanError):
-    code = "not_rank_two"
+    """A rank-2-only operation got an input of another rank."""
 
 
 class NonLaurent(GreenfanError):
     """An exchange-relation division failed to be exact."""
 
-    code = "non_laurent"
-
 
 class Inhomogeneous(GreenfanError):
     """A Laurent polynomial is not homogeneous for the principal grading."""
-
-    code = "inhomogeneous"
 
 
 class InternalError(GreenfanError, RuntimeError):
     """An invariant the engine itself guarantees failed: a bug, not the input."""
 
-    code = "internal_error"
-
 
 class OutOfMemory(GreenfanError):
     """The run exhausted memory; the CLI reports a ``MemoryError`` as this."""
 
-    code = "out_of_memory"
-
 
 class BadInput(GreenfanError):
     """Malformed JSON document or field."""
-
-    code = "bad_input"

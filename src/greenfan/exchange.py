@@ -524,16 +524,6 @@ def _svg_point(v):
     return float(x), float(y)
 
 
-def _svg_open():
-    half = _SVG_SIZE // 2
-    return [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="%d %d %d %d">' % (_SVG_SIZE, _SVG_SIZE, -half, -half, _SVG_SIZE, _SVG_SIZE),
-        '<rect x="%d" y="%d" width="%d" height="%d" fill="white"/>'
-        % (-half, -half, _SVG_SIZE, _SVG_SIZE),
-    ]
-
-
 def _svg_ray(v, color, width):
     x, y = _svg_point(v)
     return '<line x1="0" y1="0" x2="%.2f" y2="%.2f" stroke="%s" stroke-width="%.1f"/>' % (
@@ -555,14 +545,22 @@ def _svg_label(v, text, scale=1.12, size=11, color="#333"):
     )
 
 
-def _svg_chamber_labels(graph):
-    """``t<i>`` at the i-th chamber of a complete graph; nothing otherwise."""
-    labels = []
+def _svg_document(parts, graph) -> str:
+    """The canvas around ``parts``, with ``t<i>`` at the i-th chamber of a complete graph."""
+    half = _SVG_SIZE // 2
+    lines = [
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
+        'viewBox="%d %d %d %d">' % (_SVG_SIZE, _SVG_SIZE, -half, -half, _SVG_SIZE, _SVG_SIZE),
+        '<rect x="%d" y="%d" width="%d" height="%d" fill="white"/>'
+        % (-half, -half, _SVG_SIZE, _SVG_SIZE),
+        *parts,
+    ]
     if graph.status == "complete":
         for i, seed in enumerate(graph.vertices.values()):
             center = linalg.vec_add(seed.g_column(0), seed.g_column(1))
-            labels.append(_svg_label(center, "t%d" % i, scale=0.55, size=10, color="#777"))
-    return labels
+            lines.append(_svg_label(center, "t%d" % i, scale=0.55, size=10, color="#777"))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 def fan_to_svg(fd: FixedData, graph: OrientedExchangeGraph) -> str:
@@ -572,12 +570,10 @@ def fan_to_svg(fd: FixedData, graph: OrientedExchangeGraph) -> str:
     rays = dict.fromkeys(
         seed.g_column(j) for seed in graph.vertices.values() for j in range(2)
     )
-    parts = _svg_open()
+    parts = []
     for ray in rays:
         parts.append(_svg_ray(ray, "#111111", 1.5))
         parts.append(
             _svg_label(ray, "(%s)" % ",".join(str(x) for x in ray), size=10)
         )
-    parts.extend(_svg_chamber_labels(graph))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(parts, graph)

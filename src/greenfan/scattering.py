@@ -30,21 +30,20 @@ from .errors import (
     NotAllGreen,
     NotRankTwo,
 )
-# perfbench/spans.py wraps canonical_key and mutate_seed here
-from .exchange import (  # noqa: F401
+from .exchange import (
     FixedData,
     OrientedExchangeGraph,
     SeedKey,
     TropicalSeed,
     _column_sign,
-    _svg_chamber_labels,
+    _svg_document,
     _svg_label,
-    _svg_open,
     _svg_ray,
-    canonical_key,
     key_to_str,
     mutate_seed,
 )
+# unused here; perfbench/spans.py wraps scattering.canonical_key
+from .exchange import canonical_key  # noqa: F401
 from .liegroup import (
     GroupElement,
     PbwAlgebra,
@@ -566,7 +565,7 @@ def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram) -> str:
     """Static picture of a rank-2 diagram, chambers labeled when finite; deterministic bytes."""
     if fd.rank != 2:
         raise NotRankTwo("SVG output is rank-2 only")
-    parts = _svg_open()
+    parts = []
     for wall in diagram.walls:
         full_line = len(wall.rays) == 2
         for ray in wall.rays:
@@ -579,6 +578,4 @@ def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram) -> str:
         )
         parts.append(_svg_label(wall.rays[0], label))
     # the default budgets enumerate every finite rank-2 type (at most 8 seeds)
-    parts.extend(_svg_chamber_labels(exchange.enumerate_graph(fd)))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg_document(parts, exchange.enumerate_graph(fd))

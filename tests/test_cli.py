@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -165,6 +166,14 @@ ACCEPTED_FLAGS = {
     "emit-fan": ["--delta", "--matrix", "--max-depth", "--max-vertices", "--out"],
 }
 
+# every GreenfanError code, depth first over the subclasses in definition order
+ERROR_CODES = [
+    "error", "not_skew_symmetrizable", "bad_decomposition", "sign_incoherent", "cycle_found",
+    "incomplete_graph", "level_mismatch", "not_lie_element", "not_grouplike", "invalid_walk",
+    "not_all_green", "inconsistency_found", "not_rank_two", "non_laurent", "inhomogeneous",
+    "internal_error", "out_of_memory", "bad_input",
+]
+
 # every name the package exports; a new one needs a test and a README line
 PUBLIC_NAMES = [
     "AlgebraElement", "BadDecomposition", "BadInput", "ConsistencyReport", "Crossing",
@@ -203,17 +212,20 @@ STDOUT_ARTIFACTS = {
 
 
 HELP_ARGVS = [["--help"], ["explore", "--help"]]
-# a shell that runs its arguments with stdout closed
+# a shell that runs its arguments with stdout, or stderr, closed
 STDOUT_CLOSED = ["sh", "-c", '"$@" >&-', "sh"]
+STDERR_CLOSED = ["sh", "-c", '"$@" 2>&-', "sh"]
+# a run that ends in a domain error, so its payload goes to stderr
+NOT_SKEW = ["explore", "--matrix", "[[0,1],[1,0]]", "--delta", "[1,1]"]
 
 
-def run_buffered(argv, stdout=None, prefix=()):
+def run_buffered(argv, stdout=None, prefix=(), stderr=subprocess.PIPE):
     """Run the CLI, under the ``prefix`` command if any, with ``stdout``
     block-buffered, as it is by default."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     return subprocess.run(
         [*prefix, *CMD, *argv],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, env=env,
+        stdout=stdout, stderr=stderr, text=True, timeout=120, env=env,
     )
 
 
@@ -500,10 +512,28 @@ class TestContract:
 
         codes = [cls.code for cls in family(GreenfanError)]
         assert len(set(codes)) == len(codes) == 18
+        assert codes == ERROR_CODES
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
         table = readme.split("## Error codes", 1)[1].split("\n## ", 1)[0]
         documented = re.findall(r"^\| `([a-z_]+)` +\|", table, flags=re.M)
         assert sorted(documented) == sorted(codes)
+
+    def test_error_code_rule_in_a_fresh_interpreter(self):
+        """A new subclass gets its snake_case name unless it sets ``code``;
+        run apart, so the family above holds only the package's classes."""
+        script = (
+            "import json\n"
+            "from greenfan.errors import GreenfanError\n"
+            "class ShortProofFailed(GreenfanError): pass\n"
+            "class Custom(GreenfanError): code = 'custom'\n"
+            "class CustomChild(Custom): pass\n"
+            "print(json.dumps([ShortProofFailed.code, Custom.code, CustomChild.code]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["short_proof_failed", "custom", "custom_child"]
 
     @pytest.mark.parametrize("flag", ["--out", "--out-dot"])
     def test_unwritable_path_is_domain_error(self, flag, a2_path, tmp_path):
@@ -572,6 +602,38 @@ class TestContract:
             cli.main(argv)
         assert info.value.code == 0
         assert proc.stdout == printed.getvalue()
+
+    def test_stderr_closed_in_process_still_exits_1(self, monkeypatch):
+        monkeypatch.setattr(sys, "stderr", None)
+        assert cli.main(NOT_SKEW) == 1
+
+    def test_failing_stderr_in_process_still_exits_1(self, monkeypatch, tmp_path):
+        """The stream's fd then points at the null device, so no later flush fails."""
+        fd = os.open(tmp_path / "stderr", os.O_WRONLY | os.O_CREAT)
+
+        class FullStream:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stderr", FullStream())
+        try:
+            assert cli.main(NOT_SKEW) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
+    def test_stderr_closed_at_start_exits_1(self):
+        proc = run_buffered(NOT_SKEW, stdout=subprocess.PIPE, prefix=STDERR_CLOSED)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "")
+
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_full_stderr_device_exits_1(self):
+        with open("/dev/full", "w") as full:
+            proc = run_buffered(NOT_SKEW, stdout=subprocess.PIPE, stderr=full)
+        assert (proc.returncode, proc.stdout) == (1, "")
 
     def test_memory_exhaustion_is_domain_error(self):
         """A child under its own 64 MB address-space limit reports the payload."""

@@ -31,6 +31,8 @@ from greenfan import (
     enumerate_graph,
     factor_dilog_power,
     fan_to_svg,
+    graph_from_json,
+    graph_to_json,
     minimal_degree_obstruction,
     mutate_seed,
     path_ordered_product,
@@ -451,6 +453,26 @@ class TestLoopConsistency:
         for level in range(1, 9):
             report = verify_loop_consistency(fd, graph, level)
             assert report == per_cycle_loop_consistency(fd, graph, level)
+
+    @pytest.mark.parametrize("name, loops", [("A3", 8), ("D4", 51)])
+    def test_vertex_ids_out_of_breadth_first_order(self, name, loops, monkeypatch):
+        """Non-root vertices listed in reverse, so a larger id can sit higher
+        in the tree: the check then climbs from either end of a closing edge."""
+        fd = validate_fixed_data(*LOOP_PATTERNS[name])
+        doc = graph_to_json(enumerate_graph(fd))
+        root, *rest = doc["vertices"].items()
+        doc["vertices"] = dict([root, *reversed(rest)])
+        graph = graph_from_json(doc)
+        report = verify_loop_consistency(fd, graph, 4)
+        assert len(report.loops) == loops
+        assert all(loop.identity for loop in report.loops)
+        assert report == per_cycle_loop_consistency(fd, graph, 4)
+        src, dst, _ = graph.edges[len(graph.edges) // 2]
+        invert_edge_crossings(monkeypatch, graph, src, dst)
+        with pytest.raises(InconsistencyFound):
+            verify_loop_consistency(fd, graph, 4)
+        with pytest.raises(InconsistencyFound):
+            per_cycle_loop_consistency(fd, graph, 4)
 
     @pytest.mark.parametrize("edge", ["tree", "closing"])
     def test_injected_fault_fails_both_checks_alike(self, a3, edge, monkeypatch):
