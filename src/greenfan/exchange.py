@@ -144,7 +144,7 @@ class TropicalSeed(NamedTuple):
     path: tuple[int, ...] = ()
 
     def c_column(self, k) -> Vector:
-        return tuple(self.c[i][k] for i in range(len(self.c)))
+        return tuple([row[k] for row in self.c])
 
     def g_column(self, k) -> Vector:
         return tuple(self.g[i][k] for i in range(len(self.g)))
@@ -158,11 +158,11 @@ def root_seed(fd: FixedData) -> TropicalSeed:
     return TropicalSeed(b=fd.b, c=eye, g=eye, path=())
 
 
-def _column_sign(c: Matrix, k: int) -> int:
-    col = [row[k] for row in c]
+def _column_sign(col: Vector, k: int) -> int:
+    """The sign of ``col``, the c-vector of direction ``k``."""
     hi, lo = max(col), min(col)
     if hi > 0 > lo:
-        raise SignIncoherent("c-vector %r mixes signs" % (col,))
+        raise SignIncoherent("c-vector %r mixes signs" % (list(col),))
     if hi == lo == 0:
         raise SignIncoherent("c-vector of direction %d is zero" % k)
     return 1 if hi > 0 else -1
@@ -174,7 +174,7 @@ def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
     if not 0 <= k < r:
         raise IndexError("direction %d out of range for rank %d" % (k, r))
     b, c, g = seed.b, seed.c, seed.g
-    eps = _column_sign(c, k)
+    eps = _column_sign(seed.c_column(k), k)
     bk = b[k]
     # off row and column k, x_ij of B or C moves by |x_ik| * b_kj where x_ik * b_kj > 0,
     # so a row with x_ik = 0 is reused; G changes only in column k
@@ -301,9 +301,9 @@ def enumerate_graph(
             truncated = True
             continue
         came_by = seed.path[-1] if seed.path else None
-        cols = g_cols[v]
+        cols, c_cols = g_cols[v], tuple(zip(*seed.c))
         for k in range(fd.rank):
-            eps = _column_sign(seed.c, k)
+            eps = _column_sign(c_cols[k], k)
             if k == came_by:
                 continue
             ncols = cols[:k] + (_mutated_g_column(seed.b, cols, k, eps),) + cols[k + 1 :]

@@ -503,8 +503,13 @@ def _quotient(s, k: int):
 
 
 def _binomial_series(x, length: int) -> list:
-    """binom(x, k) for k = 0..length; ints when x is an integer."""
+    """binom(x, k) for k = 0..length; ints when x is an integer.
+
+    A nonnegative integer x ends the list at k = x, as every later term is 0.
+    """
     x = _exact(x)
+    if isinstance(x, int) and 0 <= x < length:
+        length = x
     out = [1]
     for k in range(1, length + 1):
         out.append(_quotient(out[-1] * (x - k + 1), k))
@@ -553,35 +558,47 @@ class TorusAction:
 
     ``steps[n][m]`` holds what an apply along ``n`` needs of the exponent
     ``m`` and nothing else: psi = deg(n) + omega(n, m) and the chain
-    ``m, m + n, m + 2n, ...`` of targets of degree <= level.  It is filled on
-    first use and belongs to this action and its copies, so it holds at most
-    one entry per normal applied and monomial of degree <= level.
+    ``m, m + n, m + 2n, ...`` of targets of degree <= level.  ``rows[n]`` is
+    omega(n, -), and ``binomials[x, length]`` the ``_binomial_series`` of a
+    dilog apply with x = c * psi.  The tables are filled on first use and
+    belong to this action and its copies, so they hold at most one entry per
+    normal applied and monomial of degree <= level, one row per normal, and
+    one series per distinct (x, length).
     """
 
-    __slots__ = ("omega", "level", "series", "steps")
+    __slots__ = ("omega", "level", "series", "steps", "rows", "binomials")
 
     def __init__(self, omega, level: int):
         self.omega = tuple(tuple(_exact(Fraction(x)) for x in row) for row in omega)
         self.level = level
         self.series: dict[Vector, object] = {(0,) * len(self.omega): 1}
         self.steps: dict[Vector, dict[Vector, tuple]] = {}
+        self.rows: dict[Vector, tuple] = {}
+        self.binomials: dict[tuple, list] = {}
 
     def copy(self) -> "TorusAction":
         """An independent action for the same element.
 
         The series dict is shared: ``_apply`` replaces it and never mutates
-        it.  So is the step table, whose entries never change once made.
+        it.  So are the tables, whose entries never change once made.
         """
         other = TorusAction.__new__(TorusAction)
-        other.omega, other.level = self.omega, self.level
-        other.series, other.steps = self.series, self.steps
+        other.omega, other.level, other.series = self.omega, self.level, self.series
+        other.steps, other.rows, other.binomials = self.steps, self.rows, self.binomials
         return other
 
     def apply_dilog(self, n: Vector, c) -> None:
         """Left-multiply by Psi[n]^c: y^m -> y^m (1 + y^n)^(c * psi)."""
-        c = _exact(Fraction(c))
+        if type(c) is not int:
+            c = _exact(Fraction(c))
         if c:
-            self._apply(tuple(n), lambda psi, length: _binomial_series(c * psi, length))
+            self._apply(tuple(n), lambda psi, length: self._binomial(c * psi, length))
+
+    def _binomial(self, x, length: int) -> list:
+        f = self.binomials.get((x, length))
+        if f is None:
+            f = self.binomials[x, length] = _binomial_series(x, length)
+        return f
 
     def apply_wall(self, log_terms) -> None:
         """Left-multiply by exp(sum_j c_j X_(jn)), given as ``{jn: c_j}``.
@@ -601,24 +618,25 @@ class TorusAction:
         """y^m -> y^m * F(y^n), F's coefficients from ``series(psi, length)``.
 
         psi and the chain of m come from ``steps``; psi is shared by many m,
-        so each F is built once per call.
+        so each F is built once per call.  F may stop short of the chain.
         """
         dn = degree(n)
         level = self.level
         if dn > level:
             return
-        table = self.steps.setdefault(n, {})
-        w = None  # omega(n, -), needed only to fill the table
+        table = self.steps.get(n)
+        if table is None:
+            table = self.steps[n] = {}
+            self.rows[n] = tuple(
+                sum(ni * row[j] for ni, row in zip(n, self.omega) if ni)
+                for j in range(len(self.omega))
+            )
+        w = self.rows[n]
         factors_by_psi = {}
         out: dict[Vector, object] = {}
         for m, coeff in self.series.items():
             step = table.get(m)
             if step is None:
-                if w is None:
-                    w = tuple(
-                        sum(ni * row[j] for ni, row in zip(n, self.omega) if ni)
-                        for j in range(len(self.omega))
-                    )
                 chain = [m]
                 for _ in range((level - degree(m)) // dn):
                     chain.append(tuple(map(add, chain[-1], n)))

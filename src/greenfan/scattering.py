@@ -49,6 +49,7 @@ from .liegroup import (
     PbwAlgebra,
     TorusAction,
     _check_level,
+    _exact,
     degree,
     delta_exponent,
     dilog_log_terms,
@@ -100,8 +101,9 @@ def validate_wall(fd: FixedData, wall: Wall) -> None:
 
 def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:
     """Sign of the c-vector of direction ``k`` and its positive representative."""
-    sign = _column_sign(seed.c, k)
-    return sign, tuple(sign * x for x in seed.c_column(k))
+    col = seed.c_column(k)
+    sign = _column_sign(col, k)
+    return sign, col if sign > 0 else tuple(-x for x in col)
 
 
 class ScatteringDiagram(NamedTuple):
@@ -252,9 +254,11 @@ def verify_loop_consistency(
     check.
 
     Everything runs on the graph's vertex ids.  Each undirected edge is
-    resolved once, into the g-vector each end loses across it; duality pairs
-    that g-vector with one c-vector whatever the labels, so the stored seed
-    of a vertex stands for every seed with its key.  The cycles come from a
+    resolved once, into the label at each end's stored seed of the g-vector
+    it loses across the edge: the arc's direction at its source, and the one
+    label of its target whose g-vector the source lacks.  Duality pairs that
+    g-vector with one c-vector whatever the labels, so the stored seed of a
+    vertex stands for every seed with its key.  The cycles come from a
     BFS tree: each non-tree edge (u, v), u before v, closes the cycle from u
     up to the meeting vertex and down to v.
 
@@ -276,26 +280,26 @@ def verify_loop_consistency(
     for key, cols in zip(keys, g_cols):
         if tuple(sorted(cols)) != key.g_columns:
             raise InvalidWalk("stored seed does not match its key %s" % key_to_str(key))
-    gone = {}  # (a, b) -> the g-vector a loses across the edge to b
-    for a, b, _ in graph.arcs:
-        lost = set(g_cols[a]).difference(g_cols[b])
-        if len(lost) != 1:
+    side = {}  # (a, b) -> the label of the g-vector a loses across the edge to b
+    for a, b, k in graph.arcs:
+        ends = set(g_cols[a])
+        lost = [j for j, g in enumerate(g_cols[b]) if g not in ends]
+        if len(lost) != 1 or g_cols[a][k] in g_cols[b]:
             raise InvalidWalk("cycle vertices are not adjacent in the pattern")
-        (gone[a, b],) = lost
-        (gone[b, a],) = set(g_cols[b]).difference(g_cols[a])
-    pairs = sorted(pair for pair in gone if pair[0] < pair[1])
+        side[a, b], (side[b, a],) = k, lost
+    pairs = sorted(pair for pair in side if pair[0] < pair[1])
     adj = [[] for _ in keys]
     for a, b in pairs:  # each list comes out in ascending id order
         adj[a].append(b)
         adj[b].append(a)
-    exponents = {}  # many edges share a normal
+    exponents = {}  # many edges share a normal; an int when integral
 
     def cross(action, a, b) -> TorusAction:
         """Apply the crossing out of chamber a into chamber b to ``action``."""
-        sign, normal = _crossing_normal(seeds[a], g_cols[a].index(gone[a, b]))
+        sign, normal = _crossing_normal(seeds[a], side[a, b])
         exponent = exponents.get(normal)
         if exponent is None:
-            exponent = exponents[normal] = delta_exponent(normal, fd.delta)
+            exponent = exponents[normal] = _exact(delta_exponent(normal, fd.delta))
         action.apply_dilog(normal, sign * exponent)
         return action
 
@@ -328,11 +332,11 @@ def verify_loop_consistency(
             for a, b in steps:
                 cross(action, a, b)
             raise InconsistencyFound([keys[i] for i in cycle], action.lowest_log_terms())
-        labels = list(g_cols[u])  # the g-vector of each label along the walk
+        label = {g: j for j, g in enumerate(g_cols[u])}  # of each g-vector along the walk
         directions = []
         for a, b in steps:
-            k = labels.index(gone[a, b])
-            labels[k] = gone[b, a]
+            k = label.pop(g_cols[a][side[a, b]])
+            label[g_cols[b][side[b, a]]] = k
             directions.append(k)
         reports.append(
             LoopReport(

@@ -180,7 +180,7 @@ def solve_columns(columns, target):
 
 def is_green(seed, k):
     """True when the c-vector of direction ``k`` is positive."""
-    return exchange._column_sign(seed.c, k) == 1
+    return exchange._column_sign(seed.c_column(k), k) == 1
 
 
 def key_from_str(text):

@@ -2,7 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import lcm
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -22,6 +22,7 @@ from greenfan import (
 )
 from greenfan.liegroup import (
     TorusAction,
+    _binomial_series,
     degree,
     dilog_log_terms,
     monomial_degree,
@@ -319,6 +320,37 @@ def apply_sequence(action, rng, level):
             action.apply_wall(random_ray_log(rng, rank, level))
 
 
+def closed_form_binomial(x, k):
+    """binom(x, k): ``math.comb`` for a nonnegative int x, else the falling factorial."""
+    if isinstance(x, int) and x >= 0:
+        return comb(x, k)
+    falling = 1
+    for i in range(k):
+        falling *= x - i
+    return Fraction(falling) / factorial(k)
+
+
+class TestBinomialSeries:
+    def test_matches_the_closed_form_padded_with_zeros(self):
+        """A nonnegative int x may end the list early, at k = x; the terms it
+        leaves out must all be 0."""
+        rng = random.Random("binomial-series")
+        xs = [0, 1, 2, 9, 10, 11] + [rng.randint(-12, 12) for _ in range(12)]
+        while len(xs) < 30:
+            x = Fraction(rng.randint(-30, 30), rng.randint(2, 6))
+            if x.denominator != 1:
+                xs.append(x)
+        for x in xs:
+            for length in range(11):
+                series = _binomial_series(x, length)
+                assert 1 <= len(series) <= length + 1, (x, length)
+                if isinstance(x, int):
+                    assert all(type(f) is int for f in series), (x, length)
+                padded = series + [0] * (length + 1 - len(series))
+                expected = [closed_form_binomial(x, k) for k in range(length + 1)]
+                assert padded == expected, (x, length)
+
+
 class TestRayCoefficients:
     def test_signed_record_acts_as_the_signed_log(self):
         """``apply_ray`` of ``ray_coefficients(n, log, sign)`` is ``apply_wall``
@@ -369,6 +401,28 @@ class TestTorusSteps:
                 assert degree(m) + len(chain) * degree(n) > 5  # the chain is complete
                 omega_nm = sum(n[i] * fd.omega[i][j] * m[j] for i in range(3) for j in range(3))
                 assert psi == degree(n) + omega_nm
+
+    def test_shared_tables_hold_what_they_name(self):
+        rng = random.Random("torus-tables")
+        built = 0
+        for trial in range(20):
+            fd = random_fixed_data(rng)
+            level = rng.randint(1, 6)
+            action = TorusAction(fd.omega, level)
+            apply_sequence(action, rng, level)
+            before = dict(action.series)
+            other = action.copy()
+            assert other.binomials is action.binomials and other.rows is action.rows
+            apply_sequence(other, rng, level)
+            assert action.series == before, trial
+            built += len(action.binomials)
+            for (x, length), series in action.binomials.items():
+                assert series == _binomial_series(x, length), trial
+            assert set(action.rows) == set(action.steps), trial
+            for n, row in action.rows.items():
+                r = range(fd.rank)
+                assert list(row) == [sum(n[i] * fd.omega[i][j] for i in r) for j in r], trial
+        assert built
 
     def test_copy_leaves_the_original_unchanged(self):
         rng = random.Random("torus-copy")

@@ -43,7 +43,7 @@ from greenfan import (
     verify_rank2_consistency,
     walk,
 )
-from greenfan import cli, exchange, linalg
+from greenfan import cli, exchange, liegroup, linalg
 from greenfan import scattering as scattering_module
 from greenfan.liegroup import TorusAction, degree
 
@@ -524,6 +524,78 @@ class TestLoopConsistency:
         verify_loop_consistency(fd, graph, 1)
         undirected = {frozenset((src, dst)) for src, dst, _ in graph.edges}
         assert len(calls) == len(undirected) == 2499
+
+    def test_each_binomial_and_row_is_built_once(self, monkeypatch):
+        """Every copy of the root action shares its tables, so a check builds
+        one binomial series per distinct (exponent * psi, length) and one
+        omega row per distinct normal."""
+        b, delta, _ = FINITE_TYPES["E6"]
+        fd = validate_fixed_data(b, delta)
+        graph = enumerate_graph(fd)
+        builds, roots, normals = [], [], set()
+        binomial_series, init, apply_dilog = (
+            liegroup._binomial_series, TorusAction.__init__, TorusAction.apply_dilog
+        )
+
+        def counted_build(x, length):
+            builds.append((x, length))
+            return binomial_series(x, length)
+
+        def tracked_init(self, omega, level):
+            init(self, omega, level)
+            roots.append(self)
+
+        def tracked_apply(self, n, c):
+            normals.add(tuple(n))
+            apply_dilog(self, n, c)
+
+        monkeypatch.setattr(liegroup, "_binomial_series", counted_build)
+        monkeypatch.setattr(TorusAction, "__init__", tracked_init)
+        monkeypatch.setattr(TorusAction, "apply_dilog", tracked_apply)
+        verify_loop_consistency(fd, graph, 6)
+        (root,) = roots
+        assert len(builds) == len(set(builds)) == len(root.binomials)
+        assert set(root.rows) == set(root.steps) == {n for n in normals if degree(n) <= 6}
+
+    @pytest.mark.parametrize("name", sorted(LOOP_PATTERNS))
+    def test_fraction_exponents_give_the_same_report(self, name, monkeypatch):
+        """The check applies each ``delta_exponent`` as an int when it is
+        integral, which it always is on a primitive normal, B3 and G2
+        included; left as Fractions they give the same reports and faults."""
+        fd = validate_fixed_data(*LOOP_PATTERNS[name])
+        graph = enumerate_graph(fd)
+        kinds = set()
+        apply_dilog = TorusAction.apply_dilog
+
+        def typed(self, n, c):
+            kinds.add(type(c))
+            apply_dilog(self, n, c)
+
+        def outcomes():
+            reports = [verify_loop_consistency(fd, graph, level) for level in (1, 4, 7)]
+            with monkeypatch.context() as faulty:
+                src, dst, _ = graph.edges[len(graph.edges) // 2]
+                invert_edge_crossings(faulty, graph, src, dst)
+                with pytest.raises(InconsistencyFound) as info:
+                    verify_loop_consistency(fd, graph, 7)
+            return reports, info.value.loop, info.value.lowest
+
+        monkeypatch.setattr(TorusAction, "apply_dilog", typed)
+        as_ints = outcomes()
+        assert kinds == {int}
+        kinds.clear()
+        monkeypatch.setattr(scattering_module, "_exact", lambda x: x)
+        assert outcomes() == as_ints
+        assert kinds == {Fraction}
+
+    def test_arc_whose_direction_keeps_its_g_vector_is_invalid_walk(self, a3):
+        """An arc names the label its source loses: a direction whose g-vector
+        the target still holds, or a loop on one vertex, is no exchange step."""
+        graph = enumerate_graph(a3)
+        src, dst, k = graph.arcs[-1]
+        for arc in ((src, dst, (k + 1) % a3.rank), (dst, dst, k)):
+            with pytest.raises(InvalidWalk):
+                verify_loop_consistency(a3, graph._replace(arcs=graph.arcs + (arc,)), 2)
 
     def test_edge_between_non_adjacent_vertices_is_invalid_walk(self, a3):
         graph = enumerate_graph(a3)
