@@ -219,6 +219,8 @@ def parse_args(argv) -> argparse.Namespace:
         parser.error("input document and --matrix are mutually exclusive")
     if ns.matrix is not None and ns.delta is None:
         parser.error("--matrix requires --delta")
+    if ns.delta is not None and ns.matrix is None:
+        parser.error("--delta requires --matrix")
     if getattr(ns, "level", 1) < 1:
         parser.error("--level must be >= 1")
     if getattr(ns, "max_depth", 0) < 0 or getattr(ns, "max_vertices", 1) < 1:

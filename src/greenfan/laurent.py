@@ -56,11 +56,7 @@ class LaurentPoly:
     def __add__(self, other):
         out = dict(self.terms)
         for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc:
-                out[e] = nc
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + c
         return LaurentPoly(self.nvars, out)
 
     def __sub__(self, other):
@@ -72,11 +68,7 @@ class LaurentPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                nc = out.get(e, 0) + c1 * c2
-                if nc:
-                    out[e] = nc
-                elif e in out:
-                    del out[e]
+                out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly(self.nvars, out)
 
     def __pow__(self, k: int):

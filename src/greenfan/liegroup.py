@@ -99,6 +99,13 @@ def dilog_log_terms(n: Vector, c, level: int) -> dict[Vector, Fraction]:
     }
 
 
+def _omega_row(omega, n: Vector) -> tuple:
+    """omega(n, -) = sum_i n_i omega[i], the row ``pairing`` and ``TorusAction`` share."""
+    return tuple(
+        sum(ni * row[j] for ni, row in zip(n, omega) if ni) for j in range(len(omega))
+    )
+
+
 def _check_level(level) -> None:
     if not is_int(level):
         raise ValueError("level must be an integer, got %r" % (level,))
@@ -143,11 +150,7 @@ class PbwAlgebra:
     # -- scalars and generators ---------------------------------------------
 
     def pairing(self, n: Vector, m: Vector) -> Fraction:
-        return sum(
-            (n[i] * sum(self.omega[i][j] * m[j] for j in range(self.rank) if m[j])
-             for i in range(self.rank) if n[i]),
-            _ZERO,
-        )
+        return sum(map(mul, _omega_row(self.omega, n), m), _ZERO)
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, {})
@@ -162,9 +165,8 @@ class PbwAlgebra:
             n = tuple(n)
             if not is_positive_vector(n) or len(n) != self.rank:
                 raise NotLieElement("bad generator index %r" % (n,))
-            c = Fraction(c)
-            if c and degree(n) <= self.level:
-                terms[(n,)] = c
+            if degree(n) <= self.level:
+                terms[(n,)] = Fraction(c)
         return AlgebraElement(self, terms)
 
     # -- straightening -------------------------------------------------------
@@ -194,11 +196,8 @@ class PbwAlgebra:
             if coef:
                 merged = word[:spot] + (vec_add(a, b),) + word[spot + 2:]
                 for mono, c in self._straighten(merged).items():
-                    nc = result.get(mono, _ZERO) + coef * c
-                    if nc:
-                        result[mono] = nc
-                    elif mono in result:
-                        del result[mono]
+                    result[mono] = result.get(mono, _ZERO) + coef * c
+                result = {mono: c for mono, c in result.items() if c}
         self._straighten_cache[word] = result
         return result
 
@@ -233,8 +232,6 @@ class PbwAlgebra:
         words = [((), _ONE, 0)]  # (sorted word, coefficient, degree)
         for v in sorted(log_terms, key=degree):
             d, c = degree(v), log_terms[v]
-            if not c:
-                continue
             powers = [_ONE]  # c^m / m!
             for m in range(1, self.level // d + 1):
                 powers.append(powers[-1] * c / m)
@@ -324,13 +321,14 @@ class AlgebraElement:
     """Finite Fraction-combination of PBW monomials at a fixed level.
 
     Instances are immutable by convention; arithmetic returns new elements.
+    Zero coefficients are dropped here, so arithmetic only adds.
     """
 
     __slots__ = ("algebra", "terms")
 
     def __init__(self, algebra: PbwAlgebra, terms: dict[Monomial, Fraction]):
         self.algebra = algebra
-        self.terms = terms
+        self.terms = {m: c for m, c in terms.items() if c}
 
     # comparisons ------------------------------------------------------------
 
@@ -352,11 +350,7 @@ class AlgebraElement:
         self.algebra._check_member(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, _ZERO) + c
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
+            out[m] = out.get(m, _ZERO) + c
         return AlgebraElement(self.algebra, out)
 
     def __neg__(self):
@@ -377,8 +371,6 @@ class AlgebraElement:
 
     def _scaled(self, scalar):
         c = Fraction(scalar)
-        if not c:
-            return AlgebraElement(self.algebra, {})
         return AlgebraElement(self.algebra, {m: c * v for m, v in self.terms.items()})
 
     def _product(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -394,11 +386,7 @@ class AlgebraElement:
                     continue
                 scale = cu * cv
                 for w, cw in alg._straighten(u + v).items():
-                    nc = out.get(w, _ZERO) + scale * cw
-                    if nc:
-                        out[w] = nc
-                    elif w in out:
-                        del out[w]
+                    out[w] = out.get(w, _ZERO) + scale * cw
         return AlgebraElement(alg, out)
 
     # structure ------------------------------------------------------------------
@@ -627,10 +615,7 @@ class TorusAction:
         table = self.steps.get(n)
         if table is None:
             table = self.steps[n] = {}
-            self.rows[n] = tuple(
-                sum(ni * row[j] for ni, row in zip(n, self.omega) if ni)
-                for j in range(len(self.omega))
-            )
+            self.rows[n] = _omega_row(self.omega, n)
         w = self.rows[n]
         factors_by_psi = {}
         out: dict[Vector, object] = {}
@@ -698,9 +683,8 @@ def element_from_json(doc, omega) -> AlgebraElement:
                 raise BadInput("monomial %r is not in PBW order" % (mono,))
             if monomial_degree(mono) > alg.level:
                 raise BadInput("monomial above the stated level")
-            if coeff:
-                terms[mono] = terms.get(mono, _ZERO) + coeff
-        return AlgebraElement(alg, {m: c for m, c in terms.items() if c})
+            terms[mono] = terms.get(mono, _ZERO) + coeff
+        return AlgebraElement(alg, terms)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise BadInput("malformed element document: %s" % exc) from exc
 

@@ -92,11 +92,7 @@ def validate_wall(fd: FixedData, wall: Wall) -> None:
             raise ValueError("ray must be a nonzero %d-vector, got %r" % (fd.rank, ray))
         if dual_pairing(fd.delta, wall.normal, ray) != 0:
             raise ValueError("ray %r is not orthogonal to %r" % (ray, wall.normal))
-    for n in wall.element.log_terms():
-        if linalg.primitive(n) != wall.normal:
-            raise ValueError(
-                "wall element is not supported on multiples of %r" % (wall.normal,)
-            )
+    ray_coefficients(wall.normal, wall.element.log_terms())  # raises off the ray
 
 
 def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:

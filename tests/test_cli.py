@@ -480,6 +480,13 @@ class TestContract:
             cli.main([command, a2_path] + flag)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("delta", ["[7,7]", "garbage"])
+    def test_delta_without_matrix_exits_two(self, delta, a2_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["explore", a2_path, "--delta", delta])
+        assert exc.value.code == 2
+        assert "--delta requires --matrix" in capsys.readouterr().err
+
     def test_accepted_flags_are_pinned(self):
         parser = cli._build_parser()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

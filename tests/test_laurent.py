@@ -36,6 +36,14 @@ class TestPolynomialArithmetic:
         )
         assert p == LaurentPoly.zero(2)
 
+    def test_sum_and_product_keep_no_zero_term(self):
+        x = LaurentPoly(2, {(1, 0): 2, (0, -1): -3})
+        y = LaurentPoly(2, {(0, 1): 1, (1, 0): 5})
+        assert (x - x).terms == {}
+        product = (x + y) * (x - y)
+        assert all(product.terms.values())
+        assert product == x * x - y * y  # the cross terms cancel
+
     def test_product_collects_terms(self):
         x = LaurentPoly.monomial(1, (1,))
         one = LaurentPoly.monomial(1, (0,))

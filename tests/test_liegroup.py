@@ -7,6 +7,7 @@ from math import comb, factorial, lcm
 import pytest
 
 from greenfan import (
+    AlgebraElement,
     GroupElement,
     BadInput,
     complete_rank2,
@@ -23,6 +24,7 @@ from greenfan import (
 from greenfan.liegroup import (
     TorusAction,
     _binomial_series,
+    _omega_row,
     degree,
     dilog_log_terms,
     monomial_degree,
@@ -68,6 +70,57 @@ class TestBracket:
         a = alg(6)
         assert a.pairing((2, 1), (0, 1)) == 2
         assert commutator(a, (2, 1), (0, 1)) == a.lie_element({(2, 2): 2})
+
+
+class TestOmegaRow:
+    """``pairing`` reads omega(n, -) from ``_omega_row``, as ``TorusAction.rows`` does."""
+
+    def test_pairing_is_the_explicit_sum(self, b2, g2):
+        rng = random.Random("omega-row")
+        for omega in [b2.omega, g2.omega] + [random_fixed_data(rng).omega for _ in range(30)]:
+            r = range(len(omega))
+            a = PbwAlgebra(omega, 4)
+            for _ in range(10):
+                n, m = (random_positive_vector(rng, len(omega)) for _ in range(2))
+                explicit = sum(n[i] * omega[i][j] * m[j] for i in r for j in r)
+                assert a.pairing(n, m) == explicit == -a.pairing(m, n)
+
+
+class TestZeroTerms:
+    """Elements drop zero coefficients when built, so arithmetic only adds."""
+
+    def test_zero_coefficient_is_dropped_on_construction(self):
+        a = alg(3)
+        m, m2 = ((1, 0),), ((1, 0), (0, 1))
+        with_zero = AlgebraElement(a, {m: Fraction(0), m2: Fraction(2)})
+        plain = AlgebraElement(a, {m2: Fraction(2)})
+        assert with_zero == plain and hash(with_zero) == hash(plain)
+        assert with_zero.terms == {m2: 2}
+
+    def test_arithmetic_keeps_no_zero_coefficient(self):
+        rng = random.Random("zero-terms")
+        for trial in range(100):
+            fd = random_fixed_data(rng)
+            level = rng.randint(2, 6)
+            a = PbwAlgebra(fd.omega, level)
+            x, y = random_algebra_element(a, rng), random_algebra_element(a, rng)
+            product = x * y
+            for result in (x - x, 0 * x, x + y, product, product - y * x):
+                assert all(result.terms.values()), trial
+            assert (x - x).terms == (0 * x).terms == {}
+            oracle = oracle_multiply(element_words(x), element_words(y), fd.omega, level)
+            assert element_words(product) == oracle, trial
+
+    def test_cancelling_records_read_back_as_zero(self):
+        doc = {
+            "level": 2,
+            "terms": [
+                {"monomial": [[1, 0]], "coeff": "3/2"},
+                {"monomial": [[1, 0]], "coeff": "-3/2"},
+            ],
+        }
+        x = element_from_json(doc, A2_OMEGA)
+        assert x == alg(2).zero() and x.terms == {}
 
 
 class TestStraightening:
@@ -422,6 +475,7 @@ class TestTorusSteps:
             for n, row in action.rows.items():
                 r = range(fd.rank)
                 assert list(row) == [sum(n[i] * fd.omega[i][j] for i in r) for j in r], trial
+                assert row == _omega_row(fd.omega, n), trial
         assert built
 
     def test_copy_leaves_the_original_unchanged(self):

@@ -61,6 +61,8 @@ from support import (
     oracle_multiply,
     pbw_sweep_product,
     per_cycle_loop_consistency,
+    random_fixed_data,
+    random_positive_vector,
     require_positive_wall,
     signed_log_sweep,
 )
@@ -217,6 +219,36 @@ class TestFacetWalls:
             validate_wall(a2, Wall((2, 0), ((0, 1),), alg.dilog((2, 0), 1)))
         with pytest.raises(ValueError):
             validate_wall(a2, Wall((1, 0), ((0, 1),), alg.dilog((0, 1), 1)))
+
+    def test_validate_wall_rejects_exactly_the_off_ray_logs(self):
+        rng = random.Random("validate-wall-ray")
+        outcomes = set()
+        for trial in range(100):
+            fd = random_fixed_data(rng, rank=2)
+            level = rng.randint(1, 6)
+            alg = PbwAlgebra(fd.omega, level)
+            normal = random_positive_vector(rng, 2, max_entry=2, primitive=True)
+            ray = (fd.delta[0] * normal[1], -fd.delta[1] * normal[0])
+            log = {}
+            for _ in range(rng.randint(1, 3)):
+                if rng.random() < 0.6:
+                    j = rng.randint(1, max(1, level // degree(normal)))
+                    v = tuple(j * x for x in normal)
+                else:
+                    v = random_positive_vector(rng, 2)
+                if degree(v) <= level:
+                    log[v] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 3), rng.randint(1, 2))
+            if not log:
+                continue
+            wall = Wall(normal, (ray,), alg.exp(alg.lie_element(log)))
+            off_ray = {linalg.primitive(v) for v in wall.element.log_terms()} != {normal}
+            outcomes.add(off_ray)
+            if off_ray:
+                with pytest.raises(ValueError):
+                    validate_wall(fd, wall)
+            else:
+                validate_wall(fd, wall)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize(
         "normal, rays",
