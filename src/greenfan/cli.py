@@ -15,14 +15,16 @@ additionally takes ``"crossings": [{"normal": [...], "sign": 1}]``.
 ``certify`` also accepts a previously exported graph document (recognized
 by its ``"vertices"`` key).
 
-``COMMANDS`` is the only table of what each subcommand takes and writes;
-a flag a command does not take is a usage error.  Each handler returns a
-``{format: render}`` map, and ``_write`` renders every requested artifact
-once before it writes any: the ``--out`` file first, then ``--out-json``,
-``--out-dot`` and ``--out-svg``, and stdout last, so a failed run leaves
-stdout empty.  Only the handlers that need the scattering layer import it,
-so ``explore``, ``certify`` and ``emit-fan`` load neither it nor the
-structure group.
+``COMMANDS`` is the only table of what each subcommand takes and writes,
+and of its help line; ``emit-fan`` is ``explore`` with only the ``svg``
+artifact.  A flag a command does not take is a usage error.  Each handler
+returns a ``{format: render}`` map, and ``_write`` renders every requested
+artifact once before it writes any: the ``--out`` file first, then
+``--out-json``, ``--out-dot`` and ``--out-svg``, and stdout last, so a
+failed run leaves stdout empty.  ``explore`` checks the rank-2 rule of a
+requested ``svg`` before it enumerates.  Only the handlers that need the
+scattering layer import it, so ``explore``, ``certify`` and ``emit-fan``
+load neither it nor the structure group.
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
@@ -85,8 +87,9 @@ def _explored(job: argparse.Namespace, fd) -> exchange.OrientedExchangeGraph:
 
 
 def _explore(job: argparse.Namespace, doc) -> dict:
-    """enumerate the oriented exchange graph"""
     fd = _fixed_data(doc)
+    if fd.rank != 2 and any(fmt == "svg" for fmt, _ in _requested(job)):
+        raise NotRankTwo("fan output is rank-2 only")
     graph = _explored(job, fd)
     order = exchange.certify_acyclic(graph) if graph.status == "complete" else None
     return {
@@ -97,7 +100,6 @@ def _explore(job: argparse.Namespace, doc) -> dict:
 
 
 def _certify(job: argparse.Namespace, doc) -> dict:
-    """topologically sort the graph, proving it acyclic"""
     if isinstance(doc, dict) and "vertices" in doc:
         graph = exchange.graph_from_json(doc)
     else:
@@ -113,7 +115,6 @@ def _certify(job: argparse.Namespace, doc) -> dict:
 
 
 def _consistency(job: argparse.Namespace, doc) -> dict:
-    """check loop products over a complete graph"""
     from . import scattering
 
     fd = _fixed_data(doc)
@@ -127,7 +128,6 @@ def _terms_json(terms) -> list:
 
 
 def _obstruct(job: argparse.Namespace, doc) -> dict:
-    """minimal-degree witness for an all-green crossing sequence"""
     from . import scattering
 
     fd = _fixed_data(doc)
@@ -150,7 +150,6 @@ def _obstruct(job: argparse.Namespace, doc) -> dict:
 
 
 def _scatter2(job: argparse.Namespace, doc) -> dict:
-    """complete the rank-2 scattering diagram"""
     from . import scattering
 
     fd = _fixed_data(doc)
@@ -162,28 +161,25 @@ def _scatter2(job: argparse.Namespace, doc) -> dict:
     }
 
 
-def _emit_fan(job: argparse.Namespace, doc) -> dict:
-    """draw the rank-2 cluster fan as SVG"""
-    fd = _fixed_data(doc)
-    if fd.rank != 2:
-        raise NotRankTwo("emit-fan needs a rank-2 input")
-    graph = _explored(job, fd)
-    return {"svg": lambda: exchange.fan_to_svg(fd, graph)}
-
-
-_DEFAULTS = {"--level": 8, "--max-depth": 12, "--max-vertices": 100000}
+# option -> (default, least value)
+_OPTIONS = {"--level": (8, 1), "--max-depth": (12, 0), "--max-vertices": (100000, 1)}
 _BUDGETS = ("--max-depth", "--max-vertices")
 
-# name -> (handler, whose docstring is the help, its extra options, the
-# artifact formats it writes, the first being the default stdout artifact;
-# only a command with more than one takes --format and --out-<fmt>)
+# name -> (help line, handler, its extra options, the artifact formats it
+# writes, the first being the default stdout artifact; only a command with
+# more than one takes --format and --out-<fmt>)
 COMMANDS = {
-    "explore": (_explore, _BUDGETS, ("json", "dot", "svg")),
-    "certify": (_certify, _BUDGETS, ("json",)),
-    "consistency": (_consistency, ("--level",) + _BUDGETS, ("json",)),
-    "obstruct": (_obstruct, (), ("json",)),
-    "scatter2": (_scatter2, ("--level",), ("json", "svg")),
-    "emit-fan": (_emit_fan, _BUDGETS, ("svg",)),
+    "explore": ("enumerate the oriented exchange graph",
+                _explore, _BUDGETS, ("json", "dot", "svg")),
+    "certify": ("topologically sort the graph, proving it acyclic",
+                _certify, _BUDGETS, ("json",)),
+    "consistency": ("check loop products over a complete graph",
+                    _consistency, ("--level",) + _BUDGETS, ("json",)),
+    "obstruct": ("minimal-degree witness for an all-green crossing sequence",
+                 _obstruct, (), ("json",)),
+    "scatter2": ("complete the rank-2 scattering diagram",
+                 _scatter2, ("--level",), ("json", "svg")),
+    "emit-fan": ("draw the rank-2 cluster fan as SVG", _explore, _BUDGETS, ("svg",)),
 }
 
 
@@ -194,14 +190,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-    for name, (handler, options, formats) in COMMANDS.items():
-        p = sub.add_parser(name, help=handler.__doc__)
+    for name, (help_line, _, options, formats) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("input", nargs="?", help="input JSON document")
         p.add_argument("--matrix", help="inline B matrix, JSON list of rows")
         p.add_argument("--delta", help="inline delta vector, JSON list")
         for option in options:
-            p.add_argument(option, type=int, default=_DEFAULTS[option])
-        p.set_defaults(format=formats[0])
+            p.add_argument(option, type=int, default=_OPTIONS[option][0])
+        p.set_defaults(format=formats[0], usage_error=p.error)
         p.add_argument("--out", help="write the artifact here instead of stdout")
         if len(formats) > 1:
             p.add_argument("--format", choices=formats, help="the artifact for stdout or --out")
@@ -211,32 +207,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
+    ns = _build_parser().parse_args(argv)
     if ns.input is None and ns.matrix is None:
-        parser.error("provide an input document or --matrix/--delta")
+        ns.usage_error("provide an input document or --matrix/--delta")
     if ns.input is not None and ns.matrix is not None:
-        parser.error("input document and --matrix are mutually exclusive")
+        ns.usage_error("input document and --matrix are mutually exclusive")
     if ns.matrix is not None and ns.delta is None:
-        parser.error("--matrix requires --delta")
+        ns.usage_error("--matrix requires --delta")
     if ns.delta is not None and ns.matrix is None:
-        parser.error("--delta requires --matrix")
-    if getattr(ns, "level", 1) < 1:
-        parser.error("--level must be >= 1")
-    if getattr(ns, "max_depth", 0) < 0 or getattr(ns, "max_vertices", 1) < 1:
-        parser.error("budgets must be positive")
+        ns.usage_error("--delta requires --matrix")
+    for option in COMMANDS[ns.command][2]:
+        if getattr(ns, option[2:].replace("-", "_")) < (least := _OPTIONS[option][1]):
+            ns.usage_error("%s must be >= %d" % (option, least))
     return ns
 
 
-def _write(job: argparse.Namespace, formats, renderers: dict) -> None:
+def _requested(job: argparse.Namespace) -> list:
+    """The ``(format, path)`` artifacts a run writes, a path of None being stdout."""
+    formats = COMMANDS[job.command][3]
+    return [(job.format, job.out)] + [
+        (fmt, path) for fmt in formats if (path := getattr(job, "out_" + fmt, None))
+    ]
+
+
+def _write(job: argparse.Namespace, renderers: dict) -> None:
     """Render each requested artifact once, then write the files and stdout last.
 
     A failed render writes nothing; a failed write keeps the files written
     before it and leaves stdout empty.
     """
-    outputs = [(job.format, job.out)] + [
-        (fmt, path) for fmt in formats if (path := getattr(job, "out_" + fmt, None))
-    ]
+    outputs = _requested(job)
     texts = {fmt: renderers[fmt]() for fmt in dict.fromkeys(fmt for fmt, _ in outputs)}
     for fmt, path in outputs:
         if path is None:
@@ -273,8 +273,7 @@ def _to_stdout(text: str) -> None:
 
 
 def run(job: argparse.Namespace) -> int:
-    handler, _, formats = COMMANDS[job.command]
-    _write(job, formats, handler(job, _load_document(job)))
+    _write(job, COMMANDS[job.command][1](job, _load_document(job)))
     return 0
 
 

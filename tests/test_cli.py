@@ -166,6 +166,16 @@ ACCEPTED_FLAGS = {
     "emit-fan": ["--delta", "--matrix", "--max-depth", "--max-vertices", "--out"],
 }
 
+# the line `greenfan --help` shows for each command
+HELP_LINES = {
+    "explore": "enumerate the oriented exchange graph",
+    "certify": "topologically sort the graph, proving it acyclic",
+    "consistency": "check loop products over a complete graph",
+    "obstruct": "minimal-degree witness for an all-green crossing sequence",
+    "scatter2": "complete the rank-2 scattering diagram",
+    "emit-fan": "draw the rank-2 cluster fan as SVG",
+}
+
 # every GreenfanError code, depth first over the subclasses in definition order
 ERROR_CODES = [
     "error", "not_skew_symmetrizable", "bad_decomposition", "sign_incoherent", "cycle_found",
@@ -417,6 +427,35 @@ class TestEmitFan:
         assert out.startswith("<svg")
         assert "t0" in out
 
+    def test_rank_two_rule_on_every_fan_route(self, tmp_path, monkeypatch, capsys):
+        """Each route to the fan checks the rule before it enumerates, and writes nothing."""
+        calls = {"enumerate": 0}
+        enumerate_graph_ = exchange.enumerate_graph
+
+        def counted_enumerate(*args, **kwargs):
+            calls["enumerate"] += 1
+            return enumerate_graph_(*args, **kwargs)
+
+        monkeypatch.setattr(exchange, "enumerate_graph", counted_enumerate)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps({"B": [[0, 1, 0], [-1, 0, 1], [0, -1, 0]], "delta": [1, 1, 1]}))
+        payloads = []
+        for command, *flags in (
+            ["emit-fan"],
+            ["explore", "--format", "svg"],
+            ["explore", "--out-svg", "f.svg"],
+            ["explore", "--out-json", "a.json", "--out-svg", "b.svg"],
+        ):
+            assert cli.main([command, str(path)] + flags) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            payloads.append(err)
+        (payload,) = set(payloads)
+        assert json.loads(payload) == {"error": "not_rank_two", "detail": "fan output is rank-2 only"}
+        assert calls == {"enumerate": 0}
+        assert os.listdir(tmp_path) == ["a3.json"]
+
 
 class TestContract:
     def test_idempotent_artifacts(self, a2_path):
@@ -461,13 +500,28 @@ class TestContract:
         assert err["error"] == "bad_input"
 
     def test_usage_errors_exit_two(self):
-        run_cli("explore", expect=2)  # no input at all
-        run_cli("frobnicate", expect=2)  # unknown command
-        run_cli("explore", "--matrix", "[[0]]", expect=2)  # missing --delta
+        """A usage error after the command is chosen shows that command's usage line."""
+        assert run_cli("frobnicate", expect=2).stderr.startswith("usage: greenfan [-h] command")
         inline = ["--matrix", "[[0]]", "--delta", "[1]"]
-        run_cli("consistency", *inline, "--level", "0", expect=2)
-        run_cli("explore", *inline, "--max-vertices", "0", expect=2)
-        run_cli("explore", *inline, "--max-depth", "-1", expect=2)
+        for argv, message in [
+            (["explore"], "provide an input document or --matrix/--delta"),
+            (["explore", "--matrix", "[[0]]"], "--matrix requires --delta"),
+            (["consistency", *inline, "--level", "0"], "--level must be >= 1"),
+            (["explore", *inline, "--max-vertices", "0"], "--max-vertices must be >= 1"),
+            (["explore", *inline, "--max-depth", "-1"], "--max-depth must be >= 0"),
+        ]:
+            stderr = run_cli(*argv, expect=2).stderr
+            assert stderr.startswith("usage: greenfan %s " % argv[0]), stderr
+            assert stderr.endswith("greenfan %s: error: %s\n" % (argv[0], message)), stderr
+
+    def test_help_lines_are_pinned(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        # a long command name puts its help on the next line
+        shown = re.findall(r"^    (\S+)\s+(.+)$", capsys.readouterr().out, flags=re.M)
+        assert dict(shown) == HELP_LINES
 
     @pytest.mark.parametrize(
         "command, flag", FOREIGN_FLAGS, ids=["%s%s" % (c, f[0]) for c, f in FOREIGN_FLAGS]

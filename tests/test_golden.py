@@ -91,6 +91,9 @@ GOLDEN = {
         "f5cd963e496615f4562e9216037205050ce530aa98b17b06cf4ab88be8da5fd7",
     ("emit-fan", "G2", ()):
         "89089397432ddfa678f287abb306b22f6f7343923beed54728cc2b08f4d9b915",
+    # the same fan through explore's svg artifact
+    ("explore", "G2", ("--format", "svg")):
+        "89089397432ddfa678f287abb306b22f6f7343923beed54728cc2b08f4d9b915",
     ("obstruct", "G2-crossings", ()):
         "ab82e0b0e67f5f8448f32a6b4bbd3c2d9ec92537c026806e57194becb7bcbdf6",
     ("obstruct", "B3-crossings", ()):
