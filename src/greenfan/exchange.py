@@ -275,24 +275,38 @@ def enumerate_graph(
     Directions are explored in ascending order, which makes vertex discovery
     order (and hence all serialized output) reproducible.  Every edge is
     recorded from its green side relative to the stored representative; on a
-    truncated run frontier vertices may be missing incident edges.  A vertex
-    skips the direction it was discovered by: the involution leads back to
-    the stored parent, and that edge was recorded at discovery.
+    truncated run frontier vertices may be missing incident edges.
 
-    A neighbour is identified by its g-vectors alone, so each direction costs
-    one new g-column and a lookup of the sorted columns; only a vertex seen
-    for the first time is mutated in full and keyed.  G fixes the rest of a
+    Each edge is resolved once, from the end expanded first.  Mutation is an
+    involution that commutes with relabeling, so when direction k of v
+    reaches u, direction j of u leads back to v, where j is the position of
+    the new g-column among u's labeled columns, and u skips j.  The arc is
+    recorded at once when it is green at v, or red at v with u's labeled
+    columns equal to the mutated ones.  Otherwise only u's direction j, green
+    there, names it: the arc waits until u reaches j, which keeps the arc
+    order of a visit from both ends, and a u at ``max_depth`` never records it.
+
+    A neighbour is identified by its g-vectors alone, so each edge costs one
+    new g-column and a lookup of the sorted columns; only a vertex seen for
+    the first time is mutated in full and keyed.  G fixes the rest of a
     seed: C = D^-1 (G^T)^-1 D by duality and B = G^-1 B_0 C (Nakanishi-
     Zelevinsky), so equal sorted g-columns mean equal keys, and equal
     labeled g-columns mean equal labeled seeds.  The sign coherence of every
     c-vector is checked at each expanded vertex.
+
+    ``max_vertices`` must be an int >= 1 and ``max_depth`` an int >= 0;
+    anything else raises ValueError before any work.
     """
+    linalg.require_int(max_vertices, "max_vertices", 1)
+    linalg.require_int(max_depth, "max_depth", 0)
     root = root_seed(fd)
     seeds = [root]  # by vertex id, in discovery order
     keys = [canonical_key(root)]
     g_cols = [tuple(zip(*root.g))]  # labeled g-columns
     id_of = {keys[0].g_columns: 0}  # sorted g-columns -> vertex id
-    edges: dict[tuple[int, int, int], None] = {}  # an ordered set of (src, dst, k)
+    arcs: list[tuple[int, int, int]] = []
+    # (u, j) resolved from its far end -> the arc u records on reaching j, or None
+    resolved: dict[tuple[int, int], tuple[int, int, int] | None] = {}
     truncated = False
     depth_reached = 0
     for v, seed in enumerate(seeds):  # breadth-first: visits what it appends
@@ -300,13 +314,16 @@ def enumerate_graph(
         if depth >= max_depth:
             truncated = True
             continue
-        came_by = seed.path[-1] if seed.path else None
         cols, c_cols = g_cols[v], tuple(zip(*seed.c))
         for k in range(fd.rank):
             eps = _column_sign(c_cols[k], k)
-            if k == came_by:
+            if (v, k) in resolved:
+                arc = resolved.pop((v, k))
+                if arc is not None:
+                    arcs.append(arc)
                 continue
-            ncols = cols[:k] + (_mutated_g_column(seed.b, cols, k, eps),) + cols[k + 1 :]
+            new = _mutated_g_column(seed.b, cols, k, eps)
+            ncols = cols[:k] + (new,) + cols[k + 1 :]
             u = id_of.get(tuple(sorted(ncols)))
             if u is None:
                 if len(seeds) >= max_vertices:
@@ -319,19 +336,15 @@ def enumerate_graph(
                 seeds.append(neighbor)
                 keys.append(key)
                 g_cols.append(ncols)
-            if eps > 0:
-                edge = (v, u, k)
-            elif g_cols[u] == ncols:
-                # Red from here means green from the neighbor; direction k is
-                # meaningful there only when the stored representative is the
-                # labeled seed mutation leads to.
-                edge = (u, v, k)
-            else:
-                continue  # the green side will record it when expanded
-            edges[edge] = None
+            j = g_cols[u].index(new)  # direction j of u leads back to v
+            if eps < 0 and g_cols[u] != ncols:
+                resolved[u, j] = (u, v, j)  # green at u, but only along its own label j
+                continue
+            arcs.append((v, u, k) if eps > 0 else (u, v, k))
+            resolved[u, j] = None
     return OrientedExchangeGraph(
         vertices=dict(zip(keys, seeds)),
-        arcs=tuple(edges),
+        arcs=tuple(arcs),
         status="truncated" if truncated else "complete",
         depth_reached=depth_reached,
     )
@@ -450,7 +463,7 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
     may point into the root, ``rank`` is the root's size, every direction
     lies in ``range(rank)``, ``depth_reached`` is at least 0, and the status
     is ``"complete"`` or ``"truncated"``.  The root gets id 0 and the other
-    vertices follow in listed order.
+    vertices follow in listed order.  No edge may be repeated.
     """
     try:
         seeds = {}  # name -> (key, seed), in listed order
@@ -466,7 +479,7 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         rank = len(seeds[doc["root"]][0].b)
         if not linalg.is_int(doc["rank"]) or doc["rank"] != rank:
             raise BadInput("rank must be the root's size %d, got %r" % (rank, doc["rank"]))
-        arcs = []
+        arcs: dict[tuple[int, int, int], None] = {}  # an ordered set of (src, dst, k)
         for e in linalg.require_list(doc["edges"], "edges"):
             k = e["direction"]
             if not linalg.is_int(k):
@@ -480,7 +493,12 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
             dst = ids[e["target"]]
             if dst == 0:
                 raise BadInput("edge %s -> %s points into the root" % (e["source"], e["target"]))
-            arcs.append((ids[e["source"]], dst, k))
+            arc = (ids[e["source"]], dst, k)
+            if arc in arcs:
+                raise BadInput(
+                    "edge %s -> %s along %d is repeated" % (e["source"], e["target"], k)
+                )
+            arcs[arc] = None
         depth = doc["depth_reached"]
         if not linalg.is_int(depth) or depth < 0:
             raise BadInput("depth_reached must be an integer >= 0, got %r" % (depth,))

@@ -35,7 +35,7 @@ from .errors import (
     NotGrouplike,
     NotLieElement,
 )
-from .linalg import is_int, primitive, require_list, vec_add, vec_scale
+from .linalg import is_int, primitive, require_int, require_list, vec_add, vec_scale
 
 Vector = tuple[int, ...]
 Monomial = tuple[Vector, ...]
@@ -107,10 +107,7 @@ def _omega_row(omega, n: Vector) -> tuple:
 
 
 def _check_level(level) -> None:
-    if not is_int(level):
-        raise ValueError("level must be an integer, got %r" % (level,))
-    if level < 1:
-        raise ValueError("level must be >= 1")
+    require_int(level, "level", 1)
 
 
 class PbwAlgebra:

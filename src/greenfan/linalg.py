@@ -18,6 +18,12 @@ def is_int(x) -> bool:
     return type(x) is int or isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_int(x, what: str, least: int) -> None:
+    """Raise ValueError unless ``x`` is an int >= ``least`` that is not a bool."""
+    if not is_int(x) or x < least:
+        raise ValueError("%s must be an integer >= %d, got %r" % (what, least, x))
+
+
 def require_list(x, what: str):
     """``x`` itself when it is a list or tuple; TypeError otherwise.
 

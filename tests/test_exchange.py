@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from greenfan import cli
+from greenfan import cli, exchange
 from greenfan import (
     BadDecomposition,
     BadInput,
@@ -58,6 +58,21 @@ ORACLE_CASES = {
     "Kronecker-33": ([[0, 3], [-3, 0]], [1, 1], {}),
     "E6-50-vertices": FINITE_TYPES["E6"][:2] + ({"max_vertices": 50},),
     "D5-depth-3": FINITE_TYPES["D5"][:2] + ({"max_depth": 3},),
+    # every depth and vertex cutoff of small patterns: an arc whose far end
+    # sits at the cutoff, and a first visit that finds the vertex budget full
+    **{
+        "sweep-%s-%s-%d" % (name, budget, n): (b, delta, {budget: n})
+        for name, (b, delta) in {
+            "A3": LOOP_PATTERNS["A3"],
+            "D4": LOOP_PATTERNS["D4"],
+            "Kronecker-22": ([[0, 2], [-2, 0]], [1, 1]),
+            "Markov": MARKOV,
+            "acyclic-222": ACYCLIC_222,
+            "rank-1": ([[0]], [1]),
+        }.items()
+        for budget, values in (("max_depth", range(7)), ("max_vertices", (1, 2, 5, 17)))
+        for n in values
+    },
 }
 
 
@@ -241,9 +256,64 @@ class TestEnumeration:
         assert graph.root == oracle.root
         assert graph.status == oracle.status
         assert graph.depth_reached == oracle.depth_reached
-        # only the finite types close; every other case exercises a budget
-        finite = name.startswith(("FZ-", "loop-"))
-        assert oracle.status == ("complete" if finite else "truncated")
+        # only the finite types close; every other named case exercises a
+        # budget, and the sweep runs on both sides of the cutoff
+        if not name.startswith("sweep-"):
+            finite = name.startswith(("FZ-", "loop-"))
+            assert oracle.status == ("complete" if finite else "truncated")
+
+    def test_budget_sweep_cuts_off_deferred_arcs(self):
+        # some depth cutoff of the sweep leaves out an edge with an expanded
+        # end, red there, that one more level records from its far end
+        dropped = []
+        for name, (b, delta, budget) in ORACLE_CASES.items():
+            if not name.startswith("sweep-") or "max_depth" not in budget:
+                continue
+            fd = validate_fixed_data(b, delta)
+            n = budget["max_depth"]
+            graph, deeper = enumerate_graph(fd, max_depth=n), enumerate_graph(fd, max_depth=n + 1)
+            seeds, found = graph.vertices, set(graph.edges)
+            dropped += [
+                name for src, dst, k in deeper.edges
+                if src in seeds and dst in seeds and (src, dst, k) not in found
+                and min(len(seeds[src].path), len(seeds[dst].path)) < n
+            ]
+        assert dropped
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            {"max_depth": 2.5},
+            {"max_depth": "3"},
+            {"max_depth": True},
+            {"max_depth": -1},
+            {"max_vertices": 5.5},
+            {"max_vertices": None},
+            {"max_vertices": False},
+            {"max_vertices": 0},
+        ],
+        ids=lambda budget: "%s=%r" % next(iter(budget.items())),
+    )
+    def test_bad_budget_is_value_error(self, a3, budget):
+        (name, _), = budget.items()
+        with pytest.raises(ValueError, match="%s must be an integer >= " % name):
+            enumerate_graph(a3, **budget)
+
+    @pytest.mark.parametrize("name,expected", [("D4", 149), ("E6", 3331)])
+    def test_one_g_column_per_edge_and_new_vertex(self, monkeypatch, name, expected):
+        # resolving each non-tree edge from both ends would make E6 compute 4998
+        calls = []
+        mutated_g_column = exchange._mutated_g_column
+
+        def counted(*args):
+            calls.append(args)
+            return mutated_g_column(*args)
+
+        monkeypatch.setattr(exchange, "_mutated_g_column", counted)
+        b, delta, _ = FINITE_TYPES[name]
+        graph = enumerate_graph(validate_fixed_data(b, delta), max_depth=64)
+        assert graph.status == "complete"
+        assert len(calls) == len(graph.arcs) + len(graph.vertices) - 1 == expected
 
     def test_a3_edge_count_matches_flip_count(self, a3):
         # 14 vertices of degree 3 in the unoriented exchange graph: 21 edges
@@ -373,12 +443,13 @@ class TestSerialization:
             # tuple() of a JSON object yields its keys: {} must not read as empty
             ("path", {}),
             ("edges", {}),
+            ("repeated-edge", None),
         ],
         ids=[
             "depth-string", "depth-fraction", "depth-bool", "depth-negative", "rank-wrong",
             "rank-fraction", "path-fraction", "path-string",
             "path-bool", "key-fraction", "key-bool", "edge-into-root", "seed-sizes-differ",
-            "path-object", "edges-object",
+            "path-object", "edges-object", "repeated-edge",
         ],
     )
     def test_malformed_document_is_bad_input(self, a2, field, value):
@@ -393,9 +464,11 @@ class TestSerialization:
             first["source"] = first["source"].replace('"g":[[0,1]', '"g":[[0,%s]' % (
                 json.dumps(value)
             ))
+        elif field == "repeated-edge":
+            doc["edges"].append(dict(first))
         else:
             first["source"], first["target"] = first["target"], first["source"]
-        with pytest.raises(BadInput):
+        with pytest.raises(BadInput, match="is repeated" if field == "repeated-edge" else None):
             graph_from_json(json.loads(json.dumps(doc)))
 
     def test_object_for_a_key_matrix_is_bad_input(self):
