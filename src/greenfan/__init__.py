@@ -54,14 +54,6 @@ _EXPORTS = {
         "root_seed",
         "validate_fixed_data",
     ),
-    "laurent": (
-        "LaurentPoly",
-        "SymbolicSeed",
-        "extract_c_matrix",
-        "extract_g_vector",
-        "root_symbolic_seed",
-        "symbolic_mutate",
-    ),
     "liegroup": (
         "AlgebraElement",
         "GroupElement",
@@ -95,7 +87,7 @@ _EXPORTS = {
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "linalg"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "laurent", "linalg"}
 
 __all__ = sorted(_SOURCE)
 

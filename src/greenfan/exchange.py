@@ -461,9 +461,9 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
     the vertex is listed under, so a seed record cannot stand under another
     vertex's name.  Root and edges are looked up among those names, no edge
     may point into the root, ``rank`` is the root's size, every direction
-    lies in ``range(rank)``, ``depth_reached`` is at least 0, and the status
-    is ``"complete"`` or ``"truncated"``.  The root gets id 0 and the other
-    vertices follow in listed order.  No edge may be repeated.
+    lies in ``range(rank)``, ``depth_reached`` is the longest vertex path, and
+    the status is ``"complete"`` or ``"truncated"``.  The root gets id 0 and
+    the other vertices follow in listed order.  No edge may be repeated.
     """
     try:
         seeds = {}  # name -> (key, seed), in listed order
@@ -500,8 +500,9 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
                 )
             arcs[arc] = None
         depth = doc["depth_reached"]
-        if not linalg.is_int(depth) or depth < 0:
-            raise BadInput("depth_reached must be an integer >= 0, got %r" % (depth,))
+        longest = max(len(seed.path) for _, seed in seeds.values())
+        if not linalg.is_int(depth) or depth != longest:
+            raise BadInput("depth_reached must be the longest path %d, got %r" % (longest, depth))
         status = doc["status"]
         if status not in ("complete", "truncated"):
             raise BadInput('status must be "complete" or "truncated", got %r' % (status,))

@@ -240,11 +240,6 @@ class PbwAlgebra:
             words += grown
         return {word: coeff for word, coeff, _ in words}
 
-    def log(self, g: "GroupElement") -> "AlgebraElement":
-        """Inverse of exp; raises NotGrouplike when the series is not Lie."""
-        self._check_member(g.carrier)
-        return self.lie_element(g.log_terms())
-
     def dilog(self, n, exponent) -> "GroupElement":
         """The wall element Psi[n]^exponent = exp(c * sum_j (-1)^(j+1)/j^2 X_{jn}).
 
@@ -436,15 +431,6 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         return GroupElement(self.carrier * other.carrier)
-
-    def inverse(self) -> "GroupElement":
-        # geometric series: (1 + u)^-1 = sum_k (-u)^k, finite by truncation
-        one = self.algebra.one()
-        result = _series(one, self.carrier - one, lambda k: (-1) ** k)
-        cached = self._log_terms
-        if cached is not None:
-            cached = {n: -c for n, c in cached.items()}
-        return GroupElement(result, cached)
 
     def log_terms(self) -> dict[Vector, Fraction]:
         """Coefficients of log(g) on the generators; NotGrouplike otherwise."""

@@ -41,6 +41,7 @@ from .exchange import (
     _svg_ray,
     key_to_str,
     mutate_seed,
+    root_seed,
 )
 # unused here; perfbench/spans.py wraps scattering.canonical_key
 from .exchange import canonical_key  # noqa: F401
@@ -247,7 +248,8 @@ def verify_loop_consistency(
     graph off its stored seeds, with no mutation, and requires the product
     to be the identity at level ``l``.  Projection to a coarser level maps
     the identity to the identity, so every level <= l is covered by this
-    check.
+    check.  A graph whose root seed is not ``root_seed(fd)`` was enumerated
+    from other data, and raises InvalidWalk before any product.
 
     Everything runs on the graph's vertex ids.  Each undirected edge is
     resolved once, into the label at each end's stored seed of the g-vector
@@ -272,6 +274,8 @@ def verify_loop_consistency(
         raise IncompleteGraph("loop consistency needs a complete graph")
     keys = list(graph.vertices)
     seeds = list(graph.vertices.values())
+    if not seeds[0].same_matrices(root_seed(fd)):
+        raise InvalidWalk("the graph was not enumerated from this fixed data")
     g_cols = [tuple(zip(*seed.g)) for seed in seeds]  # labeled g-vectors by id
     for key, cols in zip(keys, g_cols):
         if tuple(sorted(cols)) != key.g_columns:

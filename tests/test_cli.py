@@ -187,21 +187,19 @@ ERROR_CODES = [
 # every name the package exports; a new one needs a test and a README line
 PUBLIC_NAMES = [
     "AlgebraElement", "BadDecomposition", "BadInput", "ConsistencyReport", "Crossing",
-    "CrossingSequence", "CycleFound", "FixedData", "GreenfanError",
-    "GroupElement", "IncompleteGraph", "InconsistencyFound", "Inhomogeneous",
-    "InternalError", "InvalidWalk", "LaurentPoly", "LevelMismatch", "NonLaurent",
-    "NotAllGreen", "NotGrouplike", "NotLieElement", "NotRankTwo", "NotSkewSymmetrizable",
-    "Obstruction", "OrientedExchangeGraph", "PbwAlgebra", "ScatteringDiagram", "SeedKey",
-    "SignIncoherent", "SymbolicSeed", "TropicalSeed", "Wall", "canonical_key",
-    "certify_acyclic", "complete_rank2", "crossing_sequence",
-    "crossing_sequence_from_normals", "delta_exponent", "diagram_from_json",
-    "diagram_to_json", "diagram_to_svg", "dual_pairing", "element_from_json",
-    "element_to_json", "enumerate_graph", "extract_c_matrix", "extract_g_vector",
-    "factor_dilog_power", "fan_to_svg", "graph_from_json", "graph_to_dot", "graph_to_json",
-    "group_from_json", "key_to_str",
-    "minimal_degree_obstruction", "mutate_seed", "path_ordered_product", "root_seed",
-    "root_symbolic_seed", "symbolic_mutate", "validate_fixed_data", "validate_wall",
-    "verify_loop_consistency", "verify_rank2_consistency", "walk",
+    "CrossingSequence", "CycleFound", "FixedData", "GreenfanError", "GroupElement",
+    "IncompleteGraph", "InconsistencyFound", "Inhomogeneous", "InternalError",
+    "InvalidWalk", "LevelMismatch", "NonLaurent", "NotAllGreen", "NotGrouplike",
+    "NotLieElement", "NotRankTwo", "NotSkewSymmetrizable", "Obstruction",
+    "OrientedExchangeGraph", "PbwAlgebra", "ScatteringDiagram", "SeedKey",
+    "SignIncoherent", "TropicalSeed", "Wall", "canonical_key", "certify_acyclic",
+    "complete_rank2", "crossing_sequence", "crossing_sequence_from_normals",
+    "delta_exponent", "diagram_from_json", "diagram_to_json", "diagram_to_svg",
+    "dual_pairing", "element_from_json", "element_to_json", "enumerate_graph",
+    "factor_dilog_power", "fan_to_svg", "graph_from_json", "graph_to_dot",
+    "graph_to_json", "group_from_json", "key_to_str", "minimal_degree_obstruction",
+    "mutate_seed", "path_ordered_product", "root_seed", "validate_fixed_data",
+    "validate_wall", "verify_loop_consistency", "verify_rank2_consistency", "walk",
 ]
 
 
@@ -558,7 +556,7 @@ class TestContract:
 
     def test_public_names_are_pinned(self):
         assert greenfan.__all__ == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 65
+        assert len(PUBLIC_NAMES) == 59
 
     def test_readme_lists_every_export(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -802,18 +800,29 @@ foreign = [
 ]
 star = {}
 exec("from greenfan import *", star)
-try:
-    greenfan.no_such_name
-    unknown = None
-except AttributeError as exc:
-    unknown = str(exc)
+
+
+def missing(name):
+    try:
+        getattr(greenfan, name)
+    except AttributeError as exc:
+        return str(exc)
+
+
 print(json.dumps({
     "loaded": loaded,
     "foreign": foreign,
     "unbound": sorted(set(greenfan.__all__) - set(star)),
     "undir": sorted(set(greenfan.__all__) - set(dir(greenfan))),
     "exchange": greenfan.exchange is importlib.import_module("greenfan.exchange"),
-    "unknown": unknown,
+    "unknown": missing("no_such_name"),
+    "laurent": greenfan.laurent is importlib.import_module("greenfan.laurent"),
+    "laurent_in_dir": "laurent" in dir(greenfan),
+    "laurent_poly": missing("LaurentPoly"),
+    "laurent_exports": [
+        name for name in greenfan.__all__
+        if getattr(greenfan, name).__module__ == "greenfan.laurent"
+    ],
 }))
 """
 
@@ -830,4 +839,8 @@ def test_package_exports_resolve_lazily():
         "undir": [],
         "exchange": True,
         "unknown": "module 'greenfan' has no attribute 'no_such_name'",
+        "laurent": True,
+        "laurent_in_dir": True,
+        "laurent_poly": "module 'greenfan' has no attribute 'LaurentPoly'",
+        "laurent_exports": [],
     }

@@ -431,6 +431,7 @@ class TestSerialization:
             ("depth_reached", 1.5),
             ("depth_reached", True),
             ("depth_reached", -7),
+            ("depth_reached", 99),
             ("rank", 99),
             ("rank", 2.0),
             ("path", [1.5]),
@@ -446,7 +447,8 @@ class TestSerialization:
             ("repeated-edge", None),
         ],
         ids=[
-            "depth-string", "depth-fraction", "depth-bool", "depth-negative", "rank-wrong",
+            "depth-string", "depth-fraction", "depth-bool", "depth-negative", "depth-forged",
+            "rank-wrong",
             "rank-fraction", "path-fraction", "path-string",
             "path-bool", "key-fraction", "key-bool", "edge-into-root", "seed-sizes-differ",
             "path-object", "edges-object", "repeated-edge",

@@ -5,17 +5,19 @@ import pytest
 
 from greenfan import (
     Inhomogeneous,
-    LaurentPoly,
     NonLaurent,
-    extract_c_matrix,
-    extract_g_vector,
     mutate_seed,
     root_seed,
-    root_symbolic_seed,
-    symbolic_mutate,
     validate_fixed_data,
 )
-from greenfan.laurent import divide_exact
+from greenfan.laurent import (
+    LaurentPoly,
+    divide_exact,
+    extract_c_matrix,
+    extract_g_vector,
+    root_symbolic_seed,
+    symbolic_mutate,
+)
 
 from support import cluster_fingerprint
 

@@ -16,10 +16,10 @@ from greenfan import (
     enumerate_graph,
     minimal_degree_obstruction,
     root_seed,
-    root_symbolic_seed,
     validate_fixed_data,
     verify_loop_consistency,
 )
+from greenfan.laurent import root_symbolic_seed
 
 
 def a2():

@@ -363,7 +363,8 @@ class TestPathOrderedProducts:
         end = mutate_seed(g2, steps[-1][0], directions[-1])
         back_steps = walk(g2, end, list(reversed(directions)))
         backward = path_ordered_product(g2, crossing_sequence(g2, back_steps), 5)
-        assert backward == forward.inverse()
+        assert (backward * forward).is_identity()
+        assert (forward * backward).is_identity()
 
 
 class TestObstruction:
@@ -646,6 +647,17 @@ class TestLoopConsistency:
         vertices[last] = vertices[graph.root]
         with pytest.raises(InvalidWalk):
             verify_loop_consistency(a3, graph._replace(vertices=vertices), 2)
+
+    def test_graph_of_another_pattern_is_invalid_walk(self, a2, b2, a3, monkeypatch):
+        """Loops of another pattern's graph certify nothing about ``fd``: the
+        check refuses them before it applies a single crossing."""
+        applied = []
+        monkeypatch.setattr(TorusAction, "apply_dilog", lambda *args: applied.append(args))
+        reoriented_a3 = validate_fixed_data([[0, 1, 0], [-1, 0, -1], [0, 1, 0]], [1, 1, 1])
+        for fd, graph in ((reoriented_a3, enumerate_graph(a3)), (b2, enumerate_graph(a2))):
+            with pytest.raises(InvalidWalk, match="not enumerated from this fixed data"):
+                verify_loop_consistency(fd, graph, 3)
+        assert applied == []
 
     def test_truncated_graph_rejected(self, kronecker):
         graph = enumerate_graph(kronecker, max_depth=4)
