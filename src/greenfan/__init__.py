@@ -18,6 +18,13 @@ __version__ = "0.1.0"
 
 # submodule -> the names the package exports from it
 _EXPORTS = {
+    "crossings": (
+        "Crossing",
+        "CrossingSequence",
+        "Obstruction",
+        "crossing_sequence_from_normals",
+        "minimal_degree_obstruction",
+    ),
     "errors": (
         "BadDecomposition",
         "BadInput",
@@ -54,31 +61,26 @@ _EXPORTS = {
         "root_seed",
         "validate_fixed_data",
     ),
+    "linalg": ("delta_exponent",),
     "liegroup": (
         "AlgebraElement",
         "GroupElement",
         "PbwAlgebra",
-        "delta_exponent",
         "element_from_json",
         "element_to_json",
         "group_from_json",
     ),
     "scattering": (
         "ConsistencyReport",
-        "Crossing",
-        "CrossingSequence",
-        "Obstruction",
         "ScatteringDiagram",
         "Wall",
         "complete_rank2",
         "crossing_sequence",
-        "crossing_sequence_from_normals",
         "diagram_from_json",
         "diagram_to_json",
         "diagram_to_svg",
         "dual_pairing",
         "factor_dilog_power",
-        "minimal_degree_obstruction",
         "path_ordered_product",
         "validate_wall",
         "verify_loop_consistency",
@@ -87,7 +89,7 @@ _EXPORTS = {
     ),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "laurent", "linalg"}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli", "laurent"}
 
 __all__ = sorted(_SOURCE)
 

@@ -23,8 +23,9 @@ artifact once before it writes any: the ``--out`` file first, then
 ``--out-json``, ``--out-dot`` and ``--out-svg``, and stdout last, so a
 failed run leaves stdout empty.  ``explore`` checks the rank-2 rule of a
 requested ``svg`` before it enumerates.  Only the handlers that need the
-scattering layer import it, so ``explore``, ``certify`` and ``emit-fan``
-load neither it nor the structure group.
+scattering layer import it, so ``explore``, ``certify``, ``emit-fan`` and
+``obstruct`` load neither it nor the structure group.  A process builds the
+parser once, on its first ``parse_args``.
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
@@ -37,6 +38,7 @@ drops the record, not the status), and 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -128,7 +130,7 @@ def _terms_json(terms) -> list:
 
 
 def _obstruct(job: argparse.Namespace, doc) -> dict:
-    from . import scattering
+    from . import crossings
 
     fd = _fixed_data(doc)
     if not isinstance(doc.get("crossings"), list) or not doc["crossings"]:
@@ -139,8 +141,8 @@ def _obstruct(job: argparse.Namespace, doc) -> dict:
             pairs.append((rec["normal"], rec["sign"]))
         except (KeyError, TypeError) as exc:
             raise BadInput("malformed crossing record: %r" % (rec,)) from exc
-    cs = scattering.crossing_sequence_from_normals(fd, pairs)
-    obstruction = scattering.minimal_degree_obstruction(cs)
+    cs = crossings.crossing_sequence_from_normals(fd, pairs)
+    obstruction = crossings.minimal_degree_obstruction(cs)
     out = {
         "min_degree": obstruction.min_degree,
         "witness": _terms_json(obstruction.witness),
@@ -206,8 +208,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves no state on it, and the
+    help width and output streams are read when it prints."""
+    return _build_parser()
+
+
 def parse_args(argv) -> argparse.Namespace:
-    ns = _build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     if ns.input is None and ns.matrix is None:
         ns.usage_error("provide an input document or --matrix/--delta")
     if ns.input is not None and ns.matrix is not None:

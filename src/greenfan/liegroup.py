@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial
 from operator import add, mul
 
 from .errors import (
@@ -35,7 +35,12 @@ from .errors import (
     NotGrouplike,
     NotLieElement,
 )
-from .linalg import is_int, primitive, require_int, require_list, vec_add, vec_scale
+from .linalg import (
+    degree, is_int, is_positive_vector, letter_key, primitive, require_int, require_list,
+    vec_add, vec_scale,
+)
+# unused here; greenfan.liegroup.delta_exponent keeps its path
+from .linalg import delta_exponent  # noqa: F401
 
 Vector = tuple[int, ...]
 Monomial = tuple[Vector, ...]
@@ -44,48 +49,12 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def degree(n: Vector) -> int:
-    return sum(n)
-
-
-def is_positive_vector(n) -> bool:
-    return len(n) > 0 and all(is_int(x) and x >= 0 for x in n) and any(n)
-
-
-def letter_key(n: Vector):
-    """Total order on generator indices: degree first, then e_1 < e_2 < ...
-
-    Within a degree the tuple with the larger leading coordinates comes
-    first, so e.g. 2e1 < e1+e2 < 2e2.
-    """
-    return (degree(n), tuple(-x for x in n))
-
-
 def monomial_degree(m: Monomial) -> int:
     return sum(degree(n) for n in m)
 
 
 def monomial_key(m: Monomial):
     return (monomial_degree(m), tuple(letter_key(n) for n in m))
-
-
-def delta_exponent(n: Vector, delta) -> Fraction:
-    """Smallest positive rational t with ``t * n_i`` divisible by ``delta_i``.
-
-    Equals the rational lcm of the reduced fractions ``delta_i / n_i`` over
-    the support of ``n``; in particular it takes the value ``delta_i`` on the
-    i-th unit vector, and it can be a proper fraction on non-primitive input.
-    """
-    if not is_positive_vector(n) or len(n) != len(delta):
-        raise ValueError("expected a positive vector of length %d, got %r" % (len(delta), n))
-    num, den = 1, 0
-    for ni, di in zip(n, delta):
-        if ni == 0:
-            continue
-        f = Fraction(di, ni)
-        num = lcm(num, f.numerator)
-        den = gcd(den, f.denominator)
-    return Fraction(num, den)
 
 
 def dilog_log_terms(n: Vector, c, level: int) -> dict[Vector, Fraction]:

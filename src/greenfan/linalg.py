@@ -1,13 +1,15 @@
 """Small exact linear-algebra helpers over int and Fraction.
 
 Matrices are tuples of row tuples; vectors are plain tuples.  Everything here
-is exact -- no floats.
+is exact -- no floats.  Positive vectors index the generators ``X_n`` of the
+structure group and the normals of walls, graded by ``degree``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 
 def is_int(x) -> bool:
@@ -86,3 +88,39 @@ def primitive(v):
     if g == 0:
         raise ValueError("zero vector has no primitive part")
     return tuple(x // g for x in v)
+
+
+def degree(n) -> int:
+    return sum(n)
+
+
+def is_positive_vector(n) -> bool:
+    return len(n) > 0 and all(is_int(x) and x >= 0 for x in n) and any(n)
+
+
+def letter_key(n):
+    """Total order on generator indices: degree first, then e_1 < e_2 < ...
+
+    Within a degree the tuple with the larger leading coordinates comes
+    first, so e.g. 2e1 < e1+e2 < 2e2.
+    """
+    return (degree(n), tuple(-x for x in n))
+
+
+def delta_exponent(n, delta) -> Fraction:
+    """Smallest positive rational t with ``t * n_i`` divisible by ``delta_i``.
+
+    Equals the rational lcm of the reduced fractions ``delta_i / n_i`` over
+    the support of ``n``; in particular it takes the value ``delta_i`` on the
+    i-th unit vector, and it can be a proper fraction on non-primitive input.
+    """
+    if not is_positive_vector(n) or len(n) != len(delta):
+        raise ValueError("expected a positive vector of length %d, got %r" % (len(delta), n))
+    num, den = 1, 0
+    for ni, di in zip(n, delta):
+        if ni == 0:
+            continue
+        f = Fraction(di, ni)
+        num = lcm(num, f.numerator)
+        den = gcd(den, f.denominator)
+    return Fraction(num, den)

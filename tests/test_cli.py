@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import errno
+import importlib
 import io
 import json
 import os
@@ -752,28 +753,33 @@ sys.exit(code)
 
 HEAVY = {"greenfan.laurent", "greenfan.liegroup", "greenfan.scattering"}
 
-# (argv, the layers it must not load); A2, GRAPH and CROSSINGS name documents
+# (argv, the layers it must not load, the exit status); A2, GRAPH, CROSSINGS
+# and RED name documents
 COLD_STARTS = [
-    (["explore", "A2"], HEAVY),
-    (["explore", "A2", "--format", "dot"], HEAVY),
-    (["explore", "A2", "--format", "svg"], HEAVY),
-    (["certify", "A2"], HEAVY),
-    (["certify", "GRAPH"], HEAVY),
-    (["emit-fan", "A2"], HEAVY),
-    (["consistency", "A2", "--level", "4"], {"greenfan.laurent"}),
-    (["obstruct", "CROSSINGS"], {"greenfan.laurent"}),
-    (["scatter2", "A2", "--level", "4"], {"greenfan.laurent"}),
+    (["explore", "A2"], HEAVY, 0),
+    (["explore", "A2", "--format", "dot"], HEAVY, 0),
+    (["explore", "A2", "--format", "svg"], HEAVY, 0),
+    (["certify", "A2"], HEAVY, 0),
+    (["certify", "GRAPH"], HEAVY, 0),
+    (["emit-fan", "A2"], HEAVY, 0),
+    (["consistency", "A2", "--level", "4"], {"greenfan.laurent"}, 0),
+    (["obstruct", "CROSSINGS"], HEAVY, 0),
+    (["obstruct", "RED"], HEAVY, 1),
+    (["scatter2", "A2", "--level", "4"], {"greenfan.laurent"}, 0),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, unloaded", COLD_STARTS, ids=["-".join(a) for a, _ in COLD_STARTS]
+    "argv, unloaded, code", COLD_STARTS, ids=["-".join(a) for a, _, _ in COLD_STARTS]
 )
-def test_cli_loads_only_its_layers(argv, unloaded, tmp_path):
+def test_cli_loads_only_its_layers(argv, unloaded, code, tmp_path):
     documents = {
         "A2": A2,
         "GRAPH": a2_graph_doc(),
         "CROSSINGS": dict(A2, crossings=[{"normal": [1, 0], "sign": 1}]),
+        "RED": dict(
+            A2, crossings=[{"normal": [1, 0], "sign": 1}, {"normal": [0, 1], "sign": -1}]
+        ),
     }
     args = []
     for arg in argv:
@@ -785,8 +791,63 @@ def test_cli_loads_only_its_layers(argv, unloaded, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", RUN_MAIN] + args, capture_output=True, text=True, timeout=120
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert json.loads(proc.stderr)["error"] == "not_all_green"
     assert not set(proc.stdout.split()) & unloaded
+
+
+A2_INLINE = ["--matrix", "[[0,1],[-1,0]]", "--delta", "[1,1]"]
+# (COLUMNS, argv): a success, two usage errors, the help at two widths and
+# a domain error
+REPEATED_RUNS = [
+    ("80", ["explore", *A2_INLINE]),
+    ("80", ["explore", *A2_INLINE, "--max-depth", "-1"]),
+    ("80", ["explore", *A2_INLINE, "--format", "bogus"]),
+    ("80", ["explore", "--help"]),
+    ("200", ["explore", "--help"]),
+    ("80", NOT_SKEW),
+]
+
+
+def run_in_process(argv):
+    """``cli.main(argv)`` with fresh stdout and stderr buffers: its exit
+    status and what it wrote to each."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    build = cli._build_parser
+    builds = []
+
+    def counted():
+        builds.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counted)
+    cli._parser.cache_clear()
+    passes = []
+    try:
+        for _ in range(2):
+            runs = []
+            for columns, argv in REPEATED_RUNS:
+                monkeypatch.setenv("COLUMNS", columns)
+                runs.append(run_in_process(argv))
+            passes.append(runs)
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0]] == [0, 2, 2, 0, 0, 1]
+    (_, narrow, _), (_, wide, _) = passes[0][3:5]
+    assert max(map(len, narrow.splitlines())) <= 80 < max(map(len, wide.splitlines()))
+    assert json.loads(passes[0][5][2])["error"] == "not_skew_symmetrizable"
 
 
 PACKAGE_API = """
@@ -825,6 +886,32 @@ print(json.dumps({
     ],
 }))
 """
+
+
+# name -> its defining module, then every other module that holds it
+SHARED_NAMES = {
+    "Crossing": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
+    "CrossingSequence": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
+    "Obstruction": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
+    "crossing_sequence_from_normals": (
+        "greenfan.crossings", "greenfan", "greenfan.scattering"
+    ),
+    "minimal_degree_obstruction": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
+    "degree": ("greenfan.linalg", "greenfan.liegroup", "greenfan.scattering"),
+    "delta_exponent": (
+        "greenfan.linalg", "greenfan", "greenfan.liegroup", "greenfan.scattering"
+    ),
+    "is_positive_vector": ("greenfan.linalg", "greenfan.liegroup", "greenfan.scattering"),
+    "letter_key": ("greenfan.linalg", "greenfan.liegroup", "greenfan.scattering"),
+}
+
+
+@pytest.mark.parametrize("name", SHARED_NAMES)
+def test_shared_name_is_one_object(name):
+    home, *others = SHARED_NAMES[name]
+    value = getattr(importlib.import_module(home), name)
+    assert value.__module__ == home
+    assert all(getattr(importlib.import_module(m), name) is value for m in others)
 
 
 def test_package_exports_resolve_lazily():

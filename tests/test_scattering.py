@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -429,15 +431,29 @@ class TestObstruction:
                 assert product == alg.exp(alg.lie_element(result.witness))
                 assert not product.is_identity()
 
-    def test_needs_no_group_arithmetic(self, g2, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("the obstruction built a PBW algebra")
-
-        monkeypatch.setattr(scattering_module, "PbwAlgebra", refuse)
-        pairs = [((1, 1), 1), ((0, 1), 1), ((1, 0), 1), ((0, 1), 1)]
-        result = minimal_degree_obstruction(crossing_sequence_from_normals(g2, pairs))
-        assert result.min_degree == 1
-        assert result.witness == {(0, 1): Fraction(6), (1, 0): Fraction(1)}
+    def test_needs_no_group_arithmetic(self):
+        """The closed form runs in a fresh interpreter where importing the
+        structure group or the scattering layer fails, and loads neither."""
+        script = (
+            "import json, sys\n"
+            "sys.modules['greenfan.liegroup'] = sys.modules['greenfan.scattering'] = None\n"
+            "from greenfan import crossings, validate_fixed_data\n"
+            "g2 = validate_fixed_data([[0, 1], [-3, 0]], [1, 3])\n"
+            "pairs = [((1, 1), 1), ((0, 1), 1), ((1, 0), 1), ((0, 1), 1)]\n"
+            "cs = crossings.crossing_sequence_from_normals(g2, pairs)\n"
+            "result = crossings.minimal_degree_obstruction(cs)\n"
+            "loaded = sorted(m for m, v in sys.modules.items() if v and m.startswith('greenfan.'))\n"
+            "print(json.dumps([result.min_degree, result.pretty(), loaded]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            1,
+            "1*X(1,0) + 6*X(0,1)",
+            ["greenfan.crossings", "greenfan.errors", "greenfan.exchange", "greenfan.linalg"],
+        ]
 
 
 class TestLoopConsistency:
