@@ -30,6 +30,12 @@ class CrossingSequence(NamedTuple):
     crossings: tuple[Crossing, ...]
 
 
+def wall_crossing(fd: FixedData, normal: Vector, sign: int) -> Crossing:
+    """The crossing of the wall with positive normal ``normal`` in direction
+    ``sign``; its factor is Psi[normal]^(sign * delta_exponent(normal))."""
+    return Crossing(normal=normal, sign=sign, exponent=delta_exponent(normal, fd.delta))
+
+
 def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
     """Build a sequence directly from (normal, sign) pairs (no walk)."""
     crossings = []
@@ -46,9 +52,7 @@ def crossing_sequence_from_normals(fd: FixedData, pairs) -> CrossingSequence:
             )
         if not is_positive_vector(n):
             raise BadInput("crossing normal must be positive, got %r" % (n,))
-        crossings.append(
-            Crossing(normal=n, sign=sign, exponent=delta_exponent(n, fd.delta))
-        )
+        crossings.append(wall_crossing(fd, n, sign))
     return CrossingSequence(crossings=tuple(crossings))
 
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial
-from operator import add, mul
+from math import factorial, gcd
+from operator import add, itemgetter, mul
 
 from .errors import (
     BadInput,
@@ -175,39 +175,19 @@ class PbwAlgebra:
     def exp(self, a: "AlgebraElement") -> "GroupElement":
         """Exponential of a Lie element (combination of single generators).
 
-        When every letter is a multiple ``X_(v_k)``, ``v_k = j_k n``, of one
-        primitive ``n``, the letters commute and
-
-            exp(sum_k c_k X_(v_k)) = sum prod_k c_k^(m_k) / m_k!  v_1^(m_1) v_2^(m_2) ...
-
-        over the multiplicities (m_k) with sum_k m_k deg(v_k) <= level, the
-        letters sorted by degree.  Each such word is already in PBW normal
-        form, so the one-ray path straightens nothing; every wall element is
-        built this way.  Off one ray the power series sum_k a^k / k! is
-        multiplied out.  Either way the log is kept.
+        When every letter is a multiple of one primitive ``n``, the letters
+        commute, and the element keeps the log alone: its carrier is written
+        by ``_ray_words`` the first time ``carrier`` is read.  Every wall
+        element is built this way, and the rank-2 sweeps and diagram
+        documents read only its log.  Off one ray the power series
+        sum_k a^k / k! is multiplied out.  Either way the log is kept.
         """
         self._check_member(a)
         log_terms = _require_lie(a)
-        if len({primitive(n) for n in log_terms}) <= 1:
-            return GroupElement(AlgebraElement(self, self._ray_exp(log_terms)), log_terms)
+        if _on_one_ray(log_terms):
+            return GroupElement._of_ray_log(self, log_terms)
         carrier = _series(self.one(), a, lambda k: Fraction(1, factorial(k)))
         return GroupElement(carrier, log_terms)
-
-    def _ray_exp(self, log_terms) -> dict[Monomial, Fraction]:
-        """The carrier of exp on one ray, word by word (see ``exp``)."""
-        words = [((), _ONE, 0)]  # (sorted word, coefficient, degree)
-        for v in sorted(log_terms, key=degree):
-            d, c = degree(v), log_terms[v]
-            powers = [_ONE]  # c^m / m!
-            for m in range(1, self.level // d + 1):
-                powers.append(powers[-1] * c / m)
-            grown = []
-            for word, coeff, used in words:
-                for m in range(1, (self.level - used) // d + 1):
-                    word += (v,)
-                    grown.append((word, coeff * powers[m], used + m * d))
-            words += grown
-        return {word: coeff for word, coeff, _ in words}
 
     def dilog(self, n, exponent) -> "GroupElement":
         """The wall element Psi[n]^exponent = exp(c * sum_j (-1)^(j+1)/j^2 X_{jn}).
@@ -276,6 +256,45 @@ def _require_lie(a: "AlgebraElement") -> dict[Vector, Fraction]:
             raise NotLieElement("element has a non-generator monomial %r" % (m,))
         terms[m[0]] = c
     return terms
+
+
+def _on_one_ray(log_terms) -> bool:
+    return len({primitive(n) for n in log_terms}) <= 1
+
+
+def _ray_words(log_terms, level: int):
+    """Yield the words of exp(sum_v c_v X_v), every v on one ray, in
+    ``sorted_terms`` order, each with its coefficient as a numerator and a
+    positive denominator in lowest terms.
+
+    The letters commute, so
+
+        exp(sum_v c_v X_v) = sum prod_v c_v^(m_v) / m_v!  v_1^(m_1) v_2^(m_2) ...
+
+    over the multiplicities (m_v) with sum_v m_v deg(v) <= level, the letters
+    sorted by degree; each such word is already in PBW normal form.  Letters
+    on one ray have distinct degrees, which ``letter_key`` compares first, so
+    sorting by (total degree, letter degrees) is the ``monomial_key`` order.
+    Products run on int pairs, with one gcd per word.
+    """
+    words = [((), 1, 1, 0, ())]  # (sorted word, numerator, denominator, degree, letter degrees)
+    for v in sorted(log_terms, key=degree):
+        d, c = degree(v), log_terms[v]
+        nums, dens = [1], [1]  # c^m / m!
+        for m in range(1, level // d + 1):
+            nums.append(nums[-1] * c.numerator)
+            dens.append(dens[-1] * c.denominator * m)
+        grown = []
+        for word, num, den, used, degrees in words:
+            for m in range(1, (level - used) // d + 1):
+                word += (v,)
+                degrees += (d,)
+                grown.append((word, num * nums[m], den * dens[m], used + m * d, degrees))
+        words += grown
+    words.sort(key=itemgetter(3, 4))
+    for word, num, den, _, _ in words:
+        g = gcd(num, den)
+        yield word, num // g, den // g
 
 
 class AlgebraElement:
@@ -374,19 +393,35 @@ class GroupElement:
     The logarithm is cached when known (exp keeps it) and recovered by the
     usual series otherwise.  Products of grouplike elements are grouplike
     because the bracket of two generators is again a multiple of a generator.
+    An exp on one ray holds its log alone and builds ``carrier`` on first read.
     """
 
-    __slots__ = ("carrier", "_log_terms")
+    __slots__ = ("_algebra", "_carrier", "_log_terms")
 
     def __init__(self, carrier: AlgebraElement, log_terms=None):
         if carrier.constant() != 1:
             raise NotGrouplike("group elements must have constant term 1")
-        self.carrier = carrier
-        self._log_terms = log_terms
+        self._algebra, self._carrier, self._log_terms = carrier.algebra, carrier, log_terms
+
+    @classmethod
+    def _of_ray_log(cls, algebra: PbwAlgebra, log_terms) -> "GroupElement":
+        """exp of a log on one ray, its carrier left for ``carrier`` to build."""
+        g = cls.__new__(cls)
+        g._algebra, g._carrier, g._log_terms = algebra, None, log_terms
+        return g
 
     @property
     def algebra(self) -> PbwAlgebra:
-        return self.carrier.algebra
+        return self._algebra
+
+    @property
+    def carrier(self) -> AlgebraElement:
+        """The element in PBW normal form; read-only."""
+        if self._carrier is None:
+            words = _ray_words(self._log_terms, self._algebra.level)
+            terms = {word: Fraction(num, den) for word, num, den in words}
+            self._carrier = AlgebraElement(self._algebra, terms)
+        return self._carrier
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -467,16 +502,40 @@ def ray_coefficients(n: Vector, log_terms, sign=1) -> dict[int, object]:
     return a
 
 
-def _exp_series(a: dict, psi, length: int) -> list:
+def _exp_series(a: dict, psi, length: int, prefix=(1,)) -> list:
     """Coefficients e_0..e_length of exp(P(t)), where t P'(t) = psi * sum_j a_j t^j.
 
-    Differentiating E = exp(P) gives k e_k = psi * sum_j a_j e_(k-j).
+    Differentiating E = exp(P) gives k e_k = psi * sum_j a_j e_(k-j), so each
+    coefficient needs only the ones before it: the list continues ``prefix``,
+    the first coefficients of this same series.
     """
-    e = [1]
-    for k in range(1, length + 1):
+    e = list(prefix)
+    for k in range(len(e), length + 1):
         s = sum((a_j * e[k - j] for j, a_j in a.items() if j <= k), 0)
         e.append(_quotient(psi * s, k))
     return e
+
+
+class RaySeries:
+    """The factor series of an apply along one ray, for every psi it meets.
+
+    ``a`` holds the ``ray_coefficients`` of the log; calling with
+    ``(psi, length)`` returns at least e_0..e_length of ``_exp_series(a,
+    psi, length)``.  Each psi's series is kept and extended by prefix, so a
+    wall crossed by many sweeps builds each coefficient once.
+    """
+
+    __slots__ = ("a", "by_psi")
+
+    def __init__(self, a: dict):
+        self.a = a
+        self.by_psi: dict[object, list] = {}
+
+    def __call__(self, psi, length: int) -> list:
+        e = self.by_psi.get(psi)
+        if e is None or len(e) <= length:
+            e = self.by_psi[psi] = _exp_series(self.a, psi, length, e or (1,))
+        return e
 
 
 class TorusAction:
@@ -548,17 +607,18 @@ class TorusAction:
         """
         if log_terms:
             n = primitive(next(iter(log_terms)))
-            self.apply_ray(n, ray_coefficients(n, log_terms))
+            self.apply_ray(n, RaySeries(ray_coefficients(n, log_terms)))
 
-    def apply_ray(self, n: Vector, a: dict) -> None:
-        """``apply_wall`` of the log whose ``ray_coefficients`` along ``n`` are ``a``."""
-        self._apply(n, lambda psi, length: _exp_series(a, psi, length))
+    def apply_ray(self, n: Vector, series: RaySeries) -> None:
+        """``apply_wall`` of the log whose ``ray_coefficients`` along ``n`` are ``series.a``."""
+        self._apply(n, series)
 
     def _apply(self, n: Vector, series) -> None:
         """y^m -> y^m * F(y^n), F's coefficients from ``series(psi, length)``.
 
         psi and the chain of m come from ``steps``; psi is shared by many m,
-        so each F is built once per call.  F may stop short of the chain.
+        so each F is fetched once per call.  F may stop short of the chain or
+        run past it.
         """
         dn = degree(n)
         level = self.level
@@ -604,11 +664,32 @@ class TorusAction:
 
 
 def element_to_json(a: AlgebraElement) -> dict:
+    terms = ((m, c.numerator, c.denominator) for m, c in a.sorted_terms())
+    return _terms_to_json(a.algebra.level, terms)
+
+
+def group_to_json(g: GroupElement) -> dict:
+    """``element_to_json(g.carrier)``; a log on one ray writes its words
+    straight from ``_ray_words``, with no carrier and no sort by ``monomial_key``."""
+    log = g.log_terms()
+    level = g.algebra.level
+    if _on_one_ray(log):
+        return _terms_to_json(level, _ray_words(log, level))
+    return element_to_json(g.carrier)
+
+
+def _terms_to_json(level: int, terms) -> dict:
+    """The element document of ``(monomial, numerator, denominator)`` triples
+    in ``sorted_terms`` order, each coefficient in lowest terms as ``str`` of
+    a Fraction writes it."""
     return {
-        "level": a.algebra.level,
+        "level": level,
         "terms": [
-            {"monomial": [list(n) for n in m], "coeff": str(c)}
-            for m, c in a.sorted_terms()
+            {
+                "monomial": [list(n) for n in m],
+                "coeff": str(num) if den == 1 else "%d/%d" % (num, den),
+            }
+            for m, num, den in terms
         ],
     }
 

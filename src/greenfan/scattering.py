@@ -21,10 +21,10 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import exchange, linalg
-from .crossings import Crossing, CrossingSequence
+from .crossings import CrossingSequence, wall_crossing
 # unused here; greenfan.scattering keeps these paths
 from .crossings import (  # noqa: F401
-    Obstruction, crossing_sequence_from_normals, minimal_degree_obstruction,
+    Crossing, Obstruction, crossing_sequence_from_normals, minimal_degree_obstruction,
 )
 from .errors import (
     BadInput,
@@ -52,15 +52,18 @@ from .exchange import canonical_key  # noqa: F401
 from .liegroup import (
     GroupElement,
     PbwAlgebra,
+    RaySeries,
     TorusAction,
     _check_level,
     _exact,
     dilog_log_terms,
-    element_to_json,
     group_from_json,
+    group_to_json,
     ray_coefficients,
 )
-from .linalg import degree, delta_exponent, is_positive_vector, letter_key
+from .linalg import degree, is_positive_vector, letter_key
+# unused here; greenfan.scattering.delta_exponent keeps its path
+from .linalg import delta_exponent  # noqa: F401
 
 Vector = tuple[int, ...]
 
@@ -116,7 +119,7 @@ class ScatteringDiagram(NamedTuple):
 def _crossing(fd: FixedData, seed: TropicalSeed, k: int) -> Crossing:
     """The crossing of the facet of direction ``k`` out of the seed's chamber."""
     sign, normal = _crossing_normal(seed, k)
-    return Crossing(normal=normal, sign=sign, exponent=delta_exponent(normal, fd.delta))
+    return wall_crossing(fd, normal, sign)
 
 
 def walk(fd: FixedData, seed: TropicalSeed, directions) -> tuple:
@@ -234,7 +237,7 @@ def verify_loop_consistency(
         sign, normal = _crossing_normal(seeds[a], side[a, b])
         exponent = exponents.get(normal)
         if exponent is None:
-            exponent = exponents[normal] = _exact(delta_exponent(normal, fd.delta))
+            exponent = exponents[normal] = _exact(wall_crossing(fd, normal, sign).exponent)
         action.apply_dilog(normal, sign * exponent)
         return action
 
@@ -319,11 +322,12 @@ def _crossing_sign(delta, ray, normal) -> int:
 
 
 def _crossing_record(fd, ray, normal, log, clockwise=False):
-    """``(key, normal, coefficients)`` of the crossing at ``ray`` of the wall
-    with log ``log``, in a full sweep around the origin that crosses its
-    records in ascending ``key``: counterclockwise from (1, 1), or clockwise
-    from (-1, -1), the counterclockwise order of the mirrored rays (y, x).
-    The coefficients are the ``ray_coefficients`` of the signed log.
+    """``(key, normal, series)`` of the crossing at ``ray`` of the wall with
+    log ``log``, in a full sweep around the origin that crosses its records
+    in ascending ``key``: counterclockwise from (1, 1), or clockwise from
+    (-1, -1), the counterclockwise order of the mirrored rays (y, x).  The
+    series is the ``RaySeries`` of the signed log, so a record swept again at
+    a higher level extends the factor series it built before.
 
     A ray of n-perp, n positive, is t * (d1 n2, -d2 n1) with t != 0, so its
     entries never share a strict sign: it misses the line of the basepoints
@@ -334,16 +338,18 @@ def _crossing_record(fd, ray, normal, log, clockwise=False):
     """
     eps = _crossing_sign(fd.delta, ray, normal)
     if clockwise:
-        return _ccw_key((-1, -1), ray[::-1]), normal, ray_coefficients(normal, log, -eps)
-    return _ccw_key((1, 1), ray), normal, ray_coefficients(normal, log, eps)
+        key, eps = _ccw_key((-1, -1), ray[::-1]), -eps
+    else:
+        key = _ccw_key((1, 1), ray)
+    return key, normal, RaySeries(ray_coefficients(normal, log, eps))
 
 
 def _sweep_defect(fd, records, level) -> dict:
     """Lowest-degree log terms of the sweep's product at ``level``, first
     crossed rightmost, read off its torus action; empty when it is 1."""
     action = TorusAction(fd.omega, level)
-    for _, n, a in sorted(records, key=itemgetter(0)):
-        action.apply_ray(n, a)
+    for _, n, series in sorted(records, key=itemgetter(0)):
+        action.apply_ray(n, series)
     return action.lowest_log_terms()
 
 
@@ -365,8 +371,10 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     everything modulo degree > d, so each stage settles its degree for good.
     The letters on one ray commute, so one wall per ray carries the sum of
     its terms and each sweep crosses every ray once.  Completion and its
-    closing self-check run on logs alone; PBW builds only the emitted wall
-    elements, each by the one-ray ``exp``, which straightens nothing.
+    closing self-check run on logs alone.  A crossing record keeps its factor
+    series from stage to stage and is rebuilt only when its wall gains a
+    term.  Each emitted wall element is a one-ray ``exp``, which holds its log
+    and builds no PBW carrier until one is read.
     """
     if fd.rank != 2:
         raise NotRankTwo("completion is implemented for rank 2 only")
@@ -447,7 +455,7 @@ def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
             {
                 "normal": list(wall.normal),
                 "rays": [list(r) for r in wall.rays],
-                "element": element_to_json(wall.element.carrier),
+                "element": group_to_json(wall.element),
                 "factored": factor_dilog_power(fd, wall),
             }
         )
@@ -483,14 +491,19 @@ def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
 
 
 def report_to_json(report: ConsistencyReport) -> dict:
-    names = dict.fromkeys(k for loop in report.loops for k in loop.vertices)
-    names = {k: key_to_str(k) for k in names}  # loops share most vertices
+    # loops share most key objects: each is named once, through its id, as a
+    # key tuple does not cache its hash
+    names = {}
+    for loop in report.loops:
+        for k in loop.vertices:
+            if id(k) not in names:
+                names[id(k)] = key_to_str(k)
     return {
         "level": report.level,
         "loop_count": len(report.loops),
         "loops": [
             {
-                "vertices": [names[k] for k in loop.vertices],
+                "vertices": [names[i] for i in map(id, loop.vertices)],
                 "directions": list(loop.directions),
                 "max_degree_checked": loop.max_degree_checked,
                 "identity": loop.identity,

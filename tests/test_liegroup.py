@@ -22,8 +22,10 @@ from greenfan import (
     validate_fixed_data,
 )
 from greenfan.liegroup import (
+    RaySeries,
     TorusAction,
     _binomial_series,
+    _exp_series,
     _omega_row,
     degree,
     dilog_log_terms,
@@ -372,8 +374,9 @@ class TestBinomialSeries:
 
 class TestRayCoefficients:
     def test_signed_record_acts_as_the_signed_log(self):
-        """``apply_ray`` of ``ray_coefficients(n, log, sign)`` is ``apply_wall``
-        of the log times ``sign``, from any prior state."""
+        """``apply_ray`` of the ``RaySeries`` of ``ray_coefficients(n, log,
+        sign)`` is ``apply_wall`` of the log times ``sign``, from any prior
+        state."""
         rng = random.Random("ray-coefficients")
         for trial in range(60):
             fd = random_fixed_data(rng)
@@ -386,9 +389,31 @@ class TestRayCoefficients:
             record, signed = TorusAction(fd.omega, level), TorusAction(fd.omega, level)
             apply_sequence(record, random.Random(seed), level)
             apply_sequence(signed, random.Random(seed), level)
-            record.apply_ray(n, ray_coefficients(n, log, sign))
+            record.apply_ray(n, RaySeries(ray_coefficients(n, log, sign)))
             signed.apply_wall({v: sign * c for v, c in log.items()})
             assert record.series == signed.series, trial
+
+
+class TestRaySeries:
+    def test_extended_series_is_the_fresh_series(self):
+        """A ``RaySeries`` asked for random lengths in random order, each psi
+        extended by prefix, gives what a fresh ``_exp_series`` gives."""
+        rng = random.Random("ray-series")
+
+        def draw():
+            if rng.random() < 0.5:
+                return rng.randint(-4, 4)
+            return Fraction(rng.randint(-7, 7), rng.randint(1, 5))
+
+        for trial in range(60):
+            a = {j: draw() for j in rng.sample(range(1, 9), rng.randint(1, 5))}
+            psis = [draw() for _ in range(rng.randint(1, 4))]
+            series = RaySeries(a)
+            for _ in range(12):
+                psi, length = rng.choice(psis), rng.randint(0, 14)
+                got = series(psi, length)
+                assert len(got) > length, trial
+                assert got[:length + 1] == _exp_series(a, psi, length), (trial, psi, length)
 
 
 class TestTorusSteps:

@@ -30,6 +30,7 @@ from greenfan import (
     diagram_to_json,
     diagram_to_svg,
     dual_pairing,
+    element_to_json,
     enumerate_graph,
     factor_dilog_power,
     fan_to_svg,
@@ -63,6 +64,7 @@ from support import (
     oracle_multiply,
     pbw_sweep_product,
     per_cycle_loop_consistency,
+    power_series_exp,
     random_fixed_data,
     random_positive_vector,
     require_positive_wall,
@@ -1028,6 +1030,69 @@ class TestDiagramSerialization:
         assert fan == fan_to_svg(a2, enumerate_graph(a2))
         kg = enumerate_graph(kronecker, max_depth=5)
         assert fan_to_svg(kronecker, kg).startswith("<svg")
+
+    def test_equal_keys_in_distinct_objects_name_alike(self):
+        """``report_to_json`` names keys by object; equal keys held in
+        distinct objects must still write the same bytes."""
+        fd = validate_fixed_data(*LOOP_PATTERNS["A4"])
+        report = verify_loop_consistency(fd, enumerate_graph(fd), 3)
+        copies = []
+        for i, loop in enumerate(report.loops):
+            vertices = loop.vertices
+            if i % 2:  # every other loop holds copies; its neighbours keep the shared keys
+                vertices = tuple(type(k)._make(k) for k in vertices)
+                assert all(c == k and c is not k for c, k in zip(vertices, loop.vertices))
+            copies.append(loop._replace(vertices=vertices))
+        copied = report._replace(loops=tuple(copies))
+        want = json.dumps(scattering_module.report_to_json(report), indent=2)
+        assert json.dumps(scattering_module.report_to_json(copied), indent=2) == want
+
+
+class TestLogWrittenWalls:
+    """Wall elements are one-ray exps that hold their logs; their documents
+    are written from the log, and no rank-2 step builds a PBW carrier."""
+
+    @pytest.mark.parametrize("level", [7, 12, 20])
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", ["Kronecker", "(3,3)", "B2", "G2"])
+    def test_records_match_the_power_series(self, name, swapped, level):
+        fd = rank2_order(name, swapped)
+        diagram = complete_rank2(fd, level)
+        alg = PbwAlgebra(fd.omega, level)
+        records = diagram_to_json(fd, diagram)["walls"]
+        assert len(records) == len(diagram.walls)
+        for wall, record in zip(diagram.walls, records):
+            x = alg.lie_element(wall.element.log_terms())
+            want = json.dumps(element_to_json(power_series_exp(alg, x)), indent=2)
+            assert json.dumps(record["element"], indent=2) == want, wall.normal
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
+    def test_rank2_steps_build_no_wall_carrier(self, name, swapped, monkeypatch):
+        built = []  # every element with a constant term: a carrier, never a Lie element
+        init = liegroup.AlgebraElement.__init__
+
+        def recorded(self, algebra, terms):
+            init(self, algebra, terms)
+            if () in self.terms:
+                built.append(self)
+
+        monkeypatch.setattr(liegroup.AlgebraElement, "__init__", recorded)
+        fd = rank2_order(name, swapped)
+        diagram = complete_rank2(fd, 8)
+        assert verify_rank2_consistency(fd, diagram)
+        diagram_to_json(fd, diagram)
+        assert not built
+        monkeypatch.undo()
+        alg = PbwAlgebra(fd.omega, 8)
+        for wall in diagram.walls:
+            x = alg.lie_element(wall.element.log_terms())
+            assert wall.element.carrier == power_series_exp(alg, x), wall.normal
+
+    def test_carrier_is_read_only(self, a2):
+        wall = complete_rank2(a2, 3).walls[0]
+        with pytest.raises(AttributeError):
+            wall.element.carrier = wall.element.carrier
 
 
 A2_INLINE = ["--matrix", "[[0,1],[-1,0]]", "--delta", "[1,1]"]
