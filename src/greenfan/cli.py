@@ -18,14 +18,15 @@ by its ``"vertices"`` key).
 ``COMMANDS`` is the only table of what each subcommand takes and writes,
 and of its help line; ``emit-fan`` is ``explore`` with only the ``svg``
 artifact.  A flag a command does not take is a usage error.  Each handler
-returns a ``{format: render}`` map, and ``_write`` renders every requested
-artifact once before it writes any: the ``--out`` file first, then
-``--out-json``, ``--out-dot`` and ``--out-svg``, and stdout last, so a
-failed run leaves stdout empty.  ``explore`` checks the rank-2 rule of a
-requested ``svg`` before it enumerates.  Only the handlers that need the
-scattering layer import it, so ``explore``, ``certify``, ``emit-fan`` and
-``obstruct`` load neither it nor the structure group.  A process builds the
-parser once, on its first ``parse_args``.
+returns a ``{format: render}`` map of text batches (``_json_batches`` for
+JSON), and ``_write`` renders every requested artifact once before it writes
+any: the ``--out`` file first, then ``--out-json``, ``--out-dot`` and
+``--out-svg``, and stdout last, so a failed run leaves stdout empty.
+``explore`` checks the rank-2 rule of a requested ``svg`` before it
+enumerates.  Only the handlers that need the scattering layer import it, so
+``explore``, ``certify``, ``emit-fan`` and ``obstruct`` load neither it nor
+the structure group.  A process builds the parser once, on its first
+``parse_args``.
 
 Direction indices in all output are 0-based.  Exit status is 0 on success,
 1 on a domain error (a ``{"error": code, "detail": ...}`` record goes to
@@ -78,8 +79,47 @@ def _fixed_data(doc) -> exchange.FixedData:
     return validate_fixed_data(doc["B"], doc["delta"])
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+_BATCH = 4096  # pieces joined into one batch of text
+_encode_str = json.encoder.encode_basestring_ascii
+# a scalar's text by its exact type; json.dumps writes any other scalar, a
+# float or a subclass, and raises TypeError for what is not JSON
+_SCALARS = {str: _encode_str, int: int.__repr__, type(None): lambda o: "null",
+            bool: lambda o: "true" if o else "false"}
+
+
+def _json_batches(doc) -> list:
+    """``json.dumps(doc, indent=2) + "\\n"`` as a list of text batches.
+
+    A list of one scalar type is one ``str.join`` and one piece.  A batch is
+    cut only where a container opens, after about ``_BATCH`` pieces, so its
+    size in bytes has no bound.  Dict keys must be ``str``.
+    """
+    batches, out = [], []
+
+    def put(o, nl):  # nl: a newline and the indent of the line o starts on
+        if not isinstance(o, (list, tuple, dict)):
+            out.append(_SCALARS.get(type(o), json.dumps)(o))
+            return
+        is_dict, inner = isinstance(o, dict), nl + "  "
+        types = () if is_dict else set(map(type, o))
+        if len(types) == 1 and (text := _SCALARS.get(*types)):
+            out.append("[" + inner + ("," + inner).join(map(text, o)) + nl + "]")
+            return
+        if len(out) >= _BATCH:
+            batches.append("".join(out))
+            out.clear()
+        out.append("{" if is_dict else "[")
+        lead, sep = inner, "," + inner
+        keys = [_encode_str(k) + ": " for k in o] if is_dict else ("",) * len(o)
+        for key, v in zip(keys, o.values() if is_dict else o):
+            out.append(lead + key)
+            put(v, inner)
+            lead = sep
+        out.append((nl if o else "") + ("}" if is_dict else "]"))
+
+    put(doc, "\n")
+    out.append("\n")
+    return [*batches, "".join(out)]
 
 
 def _explored(job: argparse.Namespace, fd) -> exchange.OrientedExchangeGraph:
@@ -95,9 +135,9 @@ def _explore(job: argparse.Namespace, doc) -> dict:
     graph = _explored(job, fd)
     order = exchange.certify_acyclic(graph) if graph.status == "complete" else None
     return {
-        "json": lambda: _json_text(exchange.graph_to_json(graph, topological_order=order)),
-        "dot": lambda: exchange.graph_to_dot(graph),
-        "svg": lambda: exchange.fan_to_svg(fd, graph),
+        "json": lambda: _json_batches(exchange.graph_to_json(graph, topological_order=order)),
+        "dot": lambda: [exchange.graph_to_dot(graph)],
+        "svg": lambda: [exchange.fan_to_svg(fd, graph)],
     }
 
 
@@ -113,7 +153,7 @@ def _certify(job: argparse.Namespace, doc) -> dict:
         "root": key_to_str(graph.root),
         "topological_order": [key_to_str(k) for k in order],
     }
-    return {"json": lambda: _json_text(out)}
+    return {"json": lambda: _json_batches(out)}
 
 
 def _consistency(job: argparse.Namespace, doc) -> dict:
@@ -121,7 +161,7 @@ def _consistency(job: argparse.Namespace, doc) -> dict:
 
     fd = _fixed_data(doc)
     report = scattering.verify_loop_consistency(fd, _explored(job, fd), job.level)
-    return {"json": lambda: _json_text(scattering.report_to_json(report))}
+    return {"json": lambda: _json_batches(scattering.report_to_json(report))}
 
 
 def _terms_json(terms) -> list:
@@ -148,7 +188,7 @@ def _obstruct(job: argparse.Namespace, doc) -> dict:
         "witness": _terms_json(obstruction.witness),
         "pretty": obstruction.pretty(),
     }
-    return {"json": lambda: _json_text(out)}
+    return {"json": lambda: _json_batches(out)}
 
 
 def _scatter2(job: argparse.Namespace, doc) -> dict:
@@ -158,8 +198,8 @@ def _scatter2(job: argparse.Namespace, doc) -> dict:
     diagram = scattering.complete_rank2(fd, job.level)
     scattering.verify_rank2_consistency(fd, diagram)
     return {
-        "json": lambda: _json_text(scattering.diagram_to_json(fd, diagram)),
-        "svg": lambda: scattering.diagram_to_svg(fd, diagram),
+        "json": lambda: _json_batches(scattering.diagram_to_json(fd, diagram)),
+        "svg": lambda: [scattering.diagram_to_svg(fd, diagram)],
     }
 
 
@@ -240,10 +280,11 @@ def _requested(job: argparse.Namespace) -> list:
 
 
 def _write(job: argparse.Namespace, renderers: dict) -> None:
-    """Render each requested artifact once, then write the files and stdout last.
+    """Render each requested artifact once, as text batches, then write the
+    files and stdout last.
 
-    A failed render writes nothing; a failed write keeps the files written
-    before it and leaves stdout empty.
+    A failed render writes nothing; a failed write, on any batch, keeps the
+    files written before it and leaves stdout empty.
     """
     outputs = _requested(job)
     texts = {fmt: renderers[fmt]() for fmt in dict.fromkeys(fmt for fmt, _ in outputs)}
@@ -252,31 +293,32 @@ def _write(job: argparse.Namespace, renderers: dict) -> None:
             continue
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(texts[fmt])
+                fh.writelines(texts[fmt])
         except OSError as exc:
             raise BadInput("cannot write %s: %s" % (path, exc)) from exc
     if job.out is None:
         _to_stdout(texts[job.format])
 
 
-def _write_through(stream, text: str) -> None:
-    """Write and flush ``stream``; on ``OSError`` point its fd at the null
-    device, since the buffer keeps what failed and the flush at exit would
-    fail again, and re-raise."""
+def _write_through(stream, batches: list) -> None:
+    """Write ``batches`` to ``stream`` and flush it; on ``OSError`` point its
+    fd at the null device, since the buffer keeps what failed and the flush
+    at exit would fail again, and re-raise."""
     try:
-        stream.write(text)
+        for batch in batches:  # not writelines, which a stand-in stream may lack
+            stream.write(batch)
         stream.flush()
     except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         raise
 
 
-def _to_stdout(text: str) -> None:
+def _to_stdout(batches: list) -> None:
     """Write and flush stdout; a closed or failing stdout is ``bad_input``."""
     if sys.stdout is None:  # closed when the process started
         raise BadInput("cannot write stdout: it is closed")
     try:
-        _write_through(sys.stdout, text)
+        _write_through(sys.stdout, batches)
     except OSError as exc:
         raise BadInput("cannot write stdout: %s" % exc) from exc
 
@@ -305,7 +347,7 @@ def main(argv=None) -> int:
             job = parse_args(sys.argv[1:] if argv is None else argv)
         except SystemExit as exc:
             if exc.code == 0:  # --help, which argparse wrote to stdout unflushed
-                _to_stdout("")
+                _to_stdout([""])  # an unbuffered failed help write fails again
             raise
         return run(job)
     except GreenfanError as exc:
@@ -318,7 +360,7 @@ def main(argv=None) -> int:
         error = BadInput("a result integer is too long to write: %s" % exc)
     if sys.stderr is not None:  # else closed when the process started
         try:
-            _write_through(sys.stderr, json.dumps(_error_payload(error)) + "\n")
+            _write_through(sys.stderr, [json.dumps(_error_payload(error)) + "\n"])
         except OSError:  # nowhere left to report it; the exit status still does
             pass
     return 1

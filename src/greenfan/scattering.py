@@ -317,8 +317,12 @@ def _ccw_key(u0, v):
 
 
 def _crossing_sign(delta, ray, normal) -> int:
-    """+1 when the counterclockwise sweep exits the positive side of the wall at this ray."""
-    return 1 if dual_pairing(delta, normal, (-ray[1], ray[0])) < 0 else -1
+    """+1 when the counterclockwise sweep exits the positive side of the wall at this ray.
+
+    That is when ``dual_pairing(delta, normal, (-ray[1], ray[0])) < 0``,
+    compared here in ints, times delta[0] * delta[1] > 0.
+    """
+    return 1 if normal[1] * ray[0] * delta[0] < normal[0] * ray[1] * delta[1] else -1
 
 
 def _crossing_record(fd, ray, normal, log, clockwise=False):

@@ -226,6 +226,11 @@ STDOUT_CLOSED = ["sh", "-c", '"$@" >&-', "sh"]
 STDERR_CLOSED = ["sh", "-c", '"$@" 2>&-', "sh"]
 # a run that ends in a domain error, so its payload goes to stderr
 NOT_SKEW = ["explore", "--matrix", "[[0,1],[1,0]]", "--delta", "[1,1]"]
+# E6, whose graph document is several batches of text
+E6_INLINE = [
+    "--matrix", "[[0,1,0,0,0,0],[-1,0,1,0,0,0],[0,-1,0,1,0,1],[0,0,-1,0,1,0],[0,0,0,-1,0,0],[0,0,-1,0,0,0]]",
+    "--delta", "[1,1,1,1,1,1]",
+]
 
 
 def run_buffered(argv, stdout=None, prefix=(), stderr=subprocess.PIPE):
@@ -642,6 +647,15 @@ class TestContract:
             proc = run_buffered(argv, stdout=full)
         assert_stdout_payload(proc)
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_unbuffered_help_into_full_device_is_domain_error(self):
+        """Under ``-u`` argparse swallows the failed help write; the check after
+        it still reports the full device."""
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-u", "-m", "greenfan", "--help"],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert_stdout_payload(proc)
+
     @pytest.mark.parametrize("argv", HELP_ARGVS, ids=" ".join)
     def test_help_into_closed_pipe_is_domain_error(self, argv):
         read, write = os.pipe()
@@ -684,6 +698,48 @@ class TestContract:
             assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
         finally:
             os.close(fd)
+
+    def test_stdout_failing_on_a_later_batch_is_domain_error(self, monkeypatch, tmp_path):
+        """E6's graph document is several batches; a stdout that fails on the
+        second is bad_input, and its fd then points at the null device."""
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class FailsSecond:
+            def __init__(self):
+                self.batches = []
+
+            def write(self, text):
+                if self.batches:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                self.batches.append(text)
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return fd
+
+        stdout, err = FailsSecond(), io.StringIO()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "stderr", err)
+        try:
+            assert cli.main(["explore", *E6_INLINE]) == 1
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert len(stdout.batches) == 1 and stdout.batches[0].startswith('{\n  "rank": 6,')
+        assert "Traceback" not in err.getvalue()
+        payload = json.loads(err.getvalue())
+        assert payload["error"] == "bad_input" and "stdout" in payload["detail"]
+
+    def test_failed_render_writes_nothing(self, tmp_path):
+        """A render that fails leaves stdout empty and no --out file."""
+        files = [tmp_path / "graph.json", tmp_path / "graph.dot"]
+        argv = ["explore", *OVERLONG_RESULT, "--out-json", str(files[0]), "--out-dot", str(files[1])]
+        code, out, err = run_in_process(argv)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "bad_input"
+        assert not any(path.exists() for path in files)
 
     def test_stderr_closed_at_start_exits_1(self):
         proc = run_buffered(NOT_SKEW, stdout=subprocess.PIPE, prefix=STDERR_CLOSED)

@@ -161,6 +161,27 @@ def test_scatter2_documents_hold_positive_walls(case, tmp_path):
         require_positive_wall(fd, wall)
 
 
+# one case per JSON document kind
+DOCUMENT_KINDS = {
+    "graph": ("explore", "D4", ()),
+    "certificate": ("certify", "D4", ()),
+    "report": ("consistency", "B3", ("--level", "6")),
+    "obstruction": ("obstruct", "G2-crossings", ()),
+    "diagram": ("scatter2", "G2-swapped", ("--level", "10")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DOCUMENT_KINDS))
+def test_json_artifact_is_json_dumps_indent_2(kind, tmp_path, monkeypatch):
+    """stdout is ``json.dumps(doc, indent=2)`` and a newline of the very
+    document the command built."""
+    docs, write = [], cli._json_batches
+    monkeypatch.setattr(cli, "_json_batches", lambda doc: docs.append(doc) or write(doc))
+    out = _stdout(_case_argv(DOCUMENT_KINDS[kind], tmp_path))
+    assert len(docs) == 1
+    assert out == json.dumps(docs[0], indent=2) + "\n"
+
+
 def test_certificate_of_exported_graph_digest(tmp_path):
     pattern, graph = tmp_path / "D4.json", tmp_path / "D4-graph.json"
     pattern.write_text(json.dumps(PATTERNS["D4"]))

@@ -142,6 +142,23 @@ class TestGeometry:
         assert dual_pairing((1, 2), (0, 1), (0, 1)) == Fraction(1, 2)
         assert dual_pairing((1, 2), (1, 2), (2, -1)) == 1
 
+    def test_crossing_sign_is_the_sign_of_the_pairing(self):
+        """The int comparison reads the sign of the Fraction pairing, zero
+        pairings and rays with a zero entry included."""
+        rng = random.Random("crossing-sign")
+        signs = set()
+        for _ in range(2000):
+            delta = (rng.randint(1, 5), rng.randint(1, 5))
+            normal = (rng.randint(0, 6), rng.randint(0, 6))
+            ray = (rng.randint(-6, 6), rng.randint(-6, 6))
+            if rng.random() < 0.2:
+                ray = (0, ray[1]) if rng.random() < 0.5 else (ray[0], 0)
+            pairing = dual_pairing(delta, normal, (-ray[1], ray[0]))
+            signs.add((pairing > 0) - (pairing < 0))
+            want = 1 if pairing < 0 else -1
+            assert scattering_module._crossing_sign(delta, ray, normal) == want, (delta, ray, normal)
+        assert signs == {-1, 0, 1}
+
     def test_root_chamber_is_positive_orthant(self, a2):
         cone = cluster_chamber(root_seed(a2))
         assert cone.rays == ((0, 1), (1, 0))
