@@ -302,14 +302,20 @@ def _write(job: argparse.Namespace, renderers: dict) -> None:
 
 def _write_through(stream, batches: list) -> None:
     """Write ``batches`` to ``stream`` and flush it; on ``OSError`` point its
-    fd at the null device, since the buffer keeps what failed and the flush
-    at exit would fail again, and re-raise."""
+    fd, if it has one, at the null device, since the buffer keeps what failed
+    and the flush at exit would fail again, and re-raise that error."""
     try:
         for batch in batches:  # not writelines, which a stand-in stream may lack
             stream.write(batch)
         stream.flush()
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        try:
+            target = stream.fileno()
+        except (AttributeError, OSError, ValueError):  # an in-process stand-in has no fd
+            pass
+        else:
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), target)
         raise
 
 

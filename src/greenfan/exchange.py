@@ -170,14 +170,17 @@ def _column_sign(col: Vector, k: int) -> int:
 
 def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
     """Mutate the seed in direction ``k`` (0-based); an exact involution."""
-    r = fd.rank
-    if not 0 <= k < r:
-        raise IndexError("direction %d out of range for rank %d" % (k, r))
-    b, c, g = seed.b, seed.c, seed.g
-    eps = _column_sign(seed.c_column(k), k)
+    if not 0 <= k < fd.rank:
+        raise IndexError("direction %d out of range for rank %d" % (k, fd.rank))
+    g_cols = list(zip(*seed.g))
+    g_cols[k] = _mutated_g_column(seed.b, g_cols, k, _column_sign(seed.c_column(k), k))
+    return TropicalSeed(*_shear(seed.b, seed.c, k), tuple(zip(*g_cols)), seed.path + (k,))
+
+
+def _shear(b: Matrix, c: Matrix, k: int) -> tuple[Matrix, Matrix]:
+    """B and C mutated in direction ``k``: off row and column k, x_ij moves by
+    |x_ik| * b_kj where x_ik * b_kj > 0, so a row with x_ik = 0 is reused."""
     bk = b[k]
-    # off row and column k, x_ij of B or C moves by |x_ik| * b_kj where x_ik * b_kj > 0,
-    # so a row with x_ik = 0 is reused; G changes only in column k
     same_sign = ([j for j, x in enumerate(bk) if x < 0], [j for j, x in enumerate(bk) if x > 0])
 
     def shear(m):
@@ -196,11 +199,7 @@ def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
 
     new_b = shear(b)
     new_b[k] = tuple(-x for x in bk)
-    g_cols = list(zip(*g))
-    g_cols[k] = _mutated_g_column(b, g_cols, k, eps)
-    return TropicalSeed(
-        b=tuple(new_b), c=tuple(shear(c)), g=tuple(zip(*g_cols)), path=seed.path + (k,)
-    )
+    return tuple(new_b), tuple(shear(c))
 
 
 def _mutated_g_column(b: Matrix, g_cols, k: int, eps: int) -> Vector:
@@ -233,10 +232,15 @@ class SeedKey(NamedTuple):
 
 def canonical_key(seed: TropicalSeed) -> SeedKey:
     cols = tuple(zip(*seed.g))
-    if len(cols) < 2:
-        return SeedKey(g_columns=cols, b=tuple(map(tuple, seed.b)))
-    take = itemgetter(*sorted(range(len(cols)), key=cols.__getitem__))
-    return SeedKey(g_columns=take(cols), b=tuple(map(take, take(seed.b))))
+    return _seed_key(cols, tuple(sorted(cols)), seed.b)
+
+
+def _seed_key(cols, g_columns, b: Matrix) -> SeedKey:
+    """The key of labeled g-columns ``cols`` and B, ``g_columns`` sorting ``cols``."""
+    if len(cols) < 2:  # itemgetter of one index returns a scalar
+        return SeedKey(g_columns, tuple(map(tuple, b)))
+    take = itemgetter(*map(cols.index, g_columns))  # a seed's g-columns differ
+    return SeedKey(g_columns, tuple(map(take, take(b))))
 
 
 class OrientedExchangeGraph(NamedTuple):
@@ -287,12 +291,12 @@ def enumerate_graph(
     order of a visit from both ends, and a u at ``max_depth`` never records it.
 
     A neighbour is identified by its g-vectors alone, so each edge costs one
-    new g-column and a lookup of the sorted columns; only a vertex seen for
-    the first time is mutated in full and keyed.  G fixes the rest of a
-    seed: C = D^-1 (G^T)^-1 D by duality and B = G^-1 B_0 C (Nakanishi-
-    Zelevinsky), so equal sorted g-columns mean equal keys, and equal
-    labeled g-columns mean equal labeled seeds.  The sign coherence of every
-    c-vector is checked at each expanded vertex.
+    new g-column and a lookup of the sorted columns.  A first-seen vertex
+    keeps both as its G and its key's g-columns; only its B and C are sheared.
+    G fixes the rest of a seed: C = D^-1 (G^T)^-1 D by duality and B = G^-1
+    B_0 C (Nakanishi-Zelevinsky), so equal sorted g-columns mean equal keys,
+    and equal labeled g-columns mean equal labeled seeds.  The sign coherence
+    of every c-vector is checked at each expanded vertex.
 
     ``max_vertices`` must be an int >= 1 and ``max_depth`` an int >= 0;
     anything else raises ValueError before any work.
@@ -301,8 +305,8 @@ def enumerate_graph(
     linalg.require_int(max_depth, "max_depth", 0)
     root = root_seed(fd)
     seeds = [root]  # by vertex id, in discovery order
-    keys = [canonical_key(root)]
     g_cols = [tuple(zip(*root.g))]  # labeled g-columns
+    keys = [_seed_key(g_cols[0], tuple(sorted(g_cols[0])), root.b)]
     id_of = {keys[0].g_columns: 0}  # sorted g-columns -> vertex id
     arcs: list[tuple[int, int, int]] = []
     # (u, j) resolved from its far end -> the arc u records on reaching j, or None
@@ -324,17 +328,16 @@ def enumerate_graph(
                 continue
             new = _mutated_g_column(seed.b, cols, k, eps)
             ncols = cols[:k] + (new,) + cols[k + 1 :]
-            u = id_of.get(tuple(sorted(ncols)))
+            sorted_cols = tuple(sorted(ncols))
+            u = id_of.get(sorted_cols)
             if u is None:
                 if len(seeds) >= max_vertices:
                     truncated = True
                     continue
-                u = len(seeds)
-                neighbor = mutate_seed(fd, seed, k)
-                key = canonical_key(neighbor)
-                id_of[key.g_columns] = u
-                seeds.append(neighbor)
-                keys.append(key)
+                u = id_of[sorted_cols] = len(seeds)
+                b, c = _shear(seed.b, seed.c, k)
+                seeds.append(TropicalSeed(b, c, tuple(zip(*ncols)), seed.path + (k,)))
+                keys.append(_seed_key(ncols, sorted_cols, b))
                 g_cols.append(ncols)
             j = g_cols[u].index(new)  # direction j of u leads back to v
             if eps < 0 and g_cols[u] != ncols:

@@ -732,6 +732,31 @@ class TestContract:
         payload = json.loads(err.getvalue())
         assert payload["error"] == "bad_input" and "stdout" in payload["detail"]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("kind", ["no fd", "/dev/full"])
+    def test_full_stdout_keeps_its_error_and_leaks_no_fd(self, monkeypatch, kind):
+        """A full stdout with no fd (an in-process stand-in) or a real one: exit
+        1 with the ENOSPC in the payload, and three runs leave the fd count as
+        it was."""
+
+        class FullStandIn(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        argv = ["explore", "--matrix", json.dumps(A2["B"]), "--delta", json.dumps(A2["delta"])]
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            stdout = FullStandIn() if kind == "no fd" else open("/dev/full", "w")
+            err = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            monkeypatch.setattr(sys, "stderr", err)
+            with stdout:
+                assert cli.main(argv) == 1
+            payload = json.loads(err.getvalue())
+            assert payload["error"] == "bad_input"
+            assert "No space left on device" in payload["detail"]
+        assert len(os.listdir("/proc/self/fd")) == before
+
     def test_failed_render_writes_nothing(self, tmp_path):
         """A render that fails leaves stdout empty and no --out file."""
         files = [tmp_path / "graph.json", tmp_path / "graph.dot"]

@@ -29,7 +29,13 @@ from greenfan import (
     verify_loop_consistency,
 )
 
-from support import LOOP_PATTERNS, d4_cycle_graph_doc, key_from_str, per_cycle_loop_consistency
+from support import (
+    LOOP_PATTERNS,
+    d4_cycle_graph_doc,
+    full_mutation_enumerate_graph,
+    key_from_str,
+    per_cycle_loop_consistency,
+)
 
 
 @st.composite
@@ -54,6 +60,44 @@ def test_tree_loop_check_matches_per_cycle_oracle(fd, level):
     assert verify_loop_consistency(fd, graph, level) == per_cycle_loop_consistency(
         fd, graph, level
     )
+
+
+@st.composite
+def enumeration_budgets(draw):
+    """A pattern and a budget: a reoriented finite type, a drawn rank-3
+    ``diag(delta) * S`` with S skew (wild ones among them) at depth <= 5, or
+    rank 1; a vertex cutoff on half of the draws."""
+    family = draw(st.sampled_from(["reoriented", "rank-3", "rank-1"]))
+    if family == "reoriented":
+        fd, depth = draw(reoriented_patterns()), draw(st.integers(0, 12))
+    elif family == "rank-3":
+        delta = draw(st.lists(st.integers(1, 3), min_size=3, max_size=3))
+        s01, s02, s12 = (draw(st.integers(-3, 3)) for _ in range(3))
+        s = [[0, s01, s02], [-s01, 0, s12], [-s02, -s12, 0]]
+        b = [[delta[i] * s[i][j] for j in range(3)] for i in range(3)]
+        fd, depth = validate_fixed_data(b, delta), draw(st.integers(0, 5))
+    else:
+        fd, depth = validate_fixed_data([[0]], [draw(st.integers(1, 3))]), draw(st.integers(0, 3))
+    budget = {"max_depth": depth}
+    if draw(st.booleans()):
+        budget["max_vertices"] = draw(st.integers(1, 60))
+    return fd, budget
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(case=enumeration_budgets())
+@example(case=(validate_fixed_data([[0]], [2]), {"max_depth": 3}))  # rank 1, complete
+def test_enumeration_matches_full_mutation_oracle(case):
+    """New vertices are built from the edge that found them, not by
+    ``mutate_seed``; the oracle mutates and keys every neighbour in full."""
+    fd, budget = case
+    graph = enumerate_graph(fd, **budget)
+    oracle = full_mutation_enumerate_graph(fd, **budget)
+    assert list(graph.vertices) == list(oracle.vertices)
+    for seed, expected in zip(graph.vertices.values(), oracle.vertices.values()):
+        assert seed.same_matrices(expected) and seed.path == expected.path
+    assert graph.arcs == oracle.arcs
+    assert (graph.status, graph.depth_reached) == (oracle.status, oracle.depth_reached)
 
 
 # ---------------------------------------------------------------------------
