@@ -472,6 +472,8 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         seeds = {}  # name -> (key, seed), in listed order
         for name, record in doc["vertices"].items():
             seed = _seed_from_json(record)
+            if len(set(zip(*seed.g))) != len(seed.g):  # so _seed_key's cols.index is exact
+                raise BadInput("vertex %s has a repeated g-column" % name)
             key = canonical_key(seed)
             if key_to_str(key) != name:
                 raise BadInput("vertex %s holds the seed of %s" % (name, key_to_str(key)))

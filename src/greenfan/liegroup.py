@@ -39,8 +39,6 @@ from .linalg import (
     degree, is_int, is_positive_vector, letter_key, primitive, require_int, require_list,
     vec_add, vec_scale,
 )
-# unused here; greenfan.liegroup.delta_exponent keeps its path
-from .linalg import delta_exponent  # noqa: F401
 
 Vector = tuple[int, ...]
 Monomial = tuple[Vector, ...]
@@ -209,13 +207,12 @@ class PbwAlgebra:
             raise LevelMismatch(
                 "cannot project level %d up to %d" % (self.level, new_level)
             )
-        if isinstance(x, GroupElement):
-            carrier = self.project(x.carrier, new_level)
-            cached = x._log_terms
-            if cached is not None:
-                cached = {n: c for n, c in cached.items() if degree(n) <= new_level}
-            return GroupElement(carrier, cached)
         self._check_member(x)
+        if isinstance(x, GroupElement):
+            log = x._log_terms and {n: c for n, c in x._log_terms.items() if degree(n) <= new_level}
+            if x._carrier is None:  # a one-ray exp projects to the exp of its cut log
+                return GroupElement._of_ray_log(PbwAlgebra(self.omega, new_level), log)
+            return GroupElement(self.project(x.carrier, new_level), log)
         if new_level == self.level:
             return x
         target = PbwAlgebra(self.omega, new_level)
@@ -493,12 +490,12 @@ def _binomial_series(x, length: int) -> list:
 
 def ray_coefficients(n: Vector, log_terms, sign=1) -> dict[int, object]:
     """``{j: sign * j^2 * c_j}``, the ``apply_ray`` form of ``{jn: c_j}``, n primitive."""
-    a = {}
+    a, dn = {}, degree(n)
     for v, c in log_terms.items():
-        j = degree(v) // degree(n)
+        j = degree(v) // dn
         if vec_scale(j, n) != tuple(v):
             raise ValueError("wall log is not supported on multiples of %r" % (n,))
-        a[j] = _exact(Fraction(c) * (sign * j * j))
+        a[j] = _exact(c * (sign * j * j))  # c is an int or a Fraction
     return a
 
 
@@ -668,16 +665,6 @@ def element_to_json(a: AlgebraElement) -> dict:
     return _terms_to_json(a.algebra.level, terms)
 
 
-def group_to_json(g: GroupElement) -> dict:
-    """``element_to_json(g.carrier)``; a log on one ray writes its words
-    straight from ``_ray_words``, with no carrier and no sort by ``monomial_key``."""
-    log = g.log_terms()
-    level = g.algebra.level
-    if _on_one_ray(log):
-        return _terms_to_json(level, _ray_words(log, level))
-    return element_to_json(g.carrier)
-
-
 def _terms_to_json(level: int, terms) -> dict:
     """The element document of ``(monomial, numerator, denominator)`` triples
     in ``sorted_terms`` order, each coefficient in lowest terms as ``str`` of
@@ -723,14 +710,27 @@ def element_from_json(doc, omega) -> AlgebraElement:
 
 
 def group_from_json(doc, omega) -> GroupElement:
+    """The exp of the document's one-letter terms, its log, on one ray (else
+    BadInput).  Each word must be its parent (less its last letter v) times
+    c_v / m, m the copies of v, and hold each child ``word + (u,)``, u >= v,
+    that fits the level, else NotGrouplike: O(N x letters) for N terms."""
     carrier = element_from_json(doc, omega)
     if carrier.constant() != 1:
         raise BadInput("group element must have constant term 1")
-    # exp(a) holds X_n^k for all k <= level/d, d the lowest degree in a, so a
-    # carrier with no term above level - d is not grouplike: say so before the log
-    degrees = [monomial_degree(m) for m in carrier.terms if m]
-    if degrees and max(degrees) <= carrier.algebra.level - min(degrees):
-        raise NotGrouplike("no term above degree level - %d" % min(degrees))
-    g = GroupElement(carrier)
-    g.log_terms()  # eager grouplike validation
-    return g
+    terms, level = carrier.terms, carrier.algebra.level
+    log = {m[0]: c for m, c in terms.items() if len(m) == 1}
+    if not _on_one_ray(log):
+        raise BadInput("group element's one-letter terms are not on one ray")
+    letters = sorted(log, key=degree)
+    for word, c in terms.items():
+        if word:
+            v, parent = word[-1], terms.get(word[:-1])
+            if v not in log or parent is None or parent * log[v] != c * word.count(v):
+                raise NotGrouplike("term %r is not the exp of the one-letter terms" % (word,))
+        room = level - monomial_degree(word)
+        for u in letters[letters.index(word[-1]) if word else 0:]:
+            if degree(u) > room:
+                break
+            if word + (u,) not in terms:
+                raise NotGrouplike("exp of the one-letter terms has %r" % (word + (u,),))
+    return GroupElement(carrier, log)

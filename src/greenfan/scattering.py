@@ -21,11 +21,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import exchange, linalg
-from .crossings import CrossingSequence, wall_crossing
-# unused here; greenfan.scattering keeps these paths
-from .crossings import (  # noqa: F401
-    Crossing, Obstruction, crossing_sequence_from_normals, minimal_degree_obstruction,
-)
+from .crossings import Crossing, CrossingSequence, wall_crossing
 from .errors import (
     BadInput,
     IncompleteGraph,
@@ -56,14 +52,13 @@ from .liegroup import (
     TorusAction,
     _check_level,
     _exact,
+    _ray_words,
+    _terms_to_json,
     dilog_log_terms,
     group_from_json,
-    group_to_json,
     ray_coefficients,
 )
 from .linalg import degree, is_positive_vector, letter_key
-# unused here; greenfan.scattering.delta_exponent keeps its path
-from .linalg import delta_exponent  # noqa: F401
 
 Vector = tuple[int, ...]
 
@@ -455,11 +450,13 @@ _ORIGIN = "rank2-completion"  # every diagram comes from complete_rank2
 def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
     walls = []
     for wall in diagram.walls:
+        log, level = wall.element.log_terms(), wall.element.algebra.level
+        ray_coefficients(wall.normal, log)  # validate_wall's ValueError off the ray
         walls.append(
             {
                 "normal": list(wall.normal),
                 "rays": [list(r) for r in wall.rays],
-                "element": group_to_json(wall.element),
+                "element": _terms_to_json(level, _ray_words(log, level)),
                 "factored": factor_dilog_power(fd, wall),
             }
         )

@@ -42,8 +42,8 @@ from greenfan import (
     validate_fixed_data,
 )
 from greenfan import exchange, scattering
-from greenfan.linalg import as_int_matrix
-from greenfan.liegroup import TorusAction, degree, delta_exponent
+from greenfan.linalg import as_int_matrix, delta_exponent
+from greenfan.liegroup import TorusAction, degree
 from greenfan.scattering import LoopReport
 
 

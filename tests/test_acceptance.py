@@ -4,6 +4,7 @@ Each test prints exactly one PASS/FAIL line (run with ``-s`` to see them all
 live); every comparison is exact rational arithmetic, no tolerances anywhere.
 """
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -16,6 +17,8 @@ from greenfan import (
     complete_rank2,
     crossing_sequence_from_normals,
     delta_exponent,
+    diagram_from_json,
+    diagram_to_json,
     enumerate_graph,
     factor_dilog_power,
     minimal_degree_obstruction,
@@ -239,6 +242,26 @@ def test_criterion_5_rank_two_completions_at_level_20():
         if elapsed >= 1.0:
             failures.append("%s took %.2fs" % (name, elapsed))
     _report(5, failures, "l=20 completions re-verified (%s)" % ", ".join(timings))
+
+
+def test_criterion_5_kronecker_document_at_level_24():
+    """The Kronecker diagram at l=24 is written, read back and re-verified
+    under 10 s, and the read-back diagram writes the same bytes."""
+    failures = []
+    kron = validate_fixed_data([[0, 2], [-2, 0]], [1, 1])
+    start = time.perf_counter()
+    text = json.dumps(diagram_to_json(kron, complete_rank2(kron, 24)), indent=2)
+    back = diagram_from_json(json.loads(text), kron)
+    try:
+        verify_rank2_consistency(kron, back)
+    except Exception as exc:  # noqa: BLE001 - reported as a failure
+        failures.append("re-verification: %s" % exc)
+    elapsed = time.perf_counter() - start
+    if elapsed >= 10.0:
+        failures.append("took %.1fs" % elapsed)
+    if json.dumps(diagram_to_json(kron, back), indent=2) != text:
+        failures.append("the read-back diagram writes other bytes")
+    _report(5, failures, "Kronecker l=24 document read back and re-verified (%.2fs)" % elapsed)
 
 
 def _c_from_duality(fd, g_columns):

@@ -23,6 +23,7 @@ CMD = [sys.executable, "-m", "greenfan"]
 
 A2 = {"B": [[0, 1], [-1, 0]], "delta": [1, 1]}
 KRONECKER = {"B": [[0, 2], [-2, 0]], "delta": [1, 1]}
+A3_DATA = ([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], [1, 1, 1])
 
 
 UNKNOWN_KEY = '{"g":[[9,9],[1,0]],"B":[[0,1],[-1,0]]}'
@@ -43,6 +44,25 @@ def a2_swapped_seeds_doc():
     seeds = doc["vertices"]
     first, second = list(seeds)[1:3]
     seeds[first], seeds[second] = seeds[second], seeds[first]
+    return doc
+
+
+def a3_repeated_g_column_doc():
+    """Exported A3 graph whose first vertex after the root holds a seed with
+    two equal g-columns, listed under that seed's own rendered key."""
+    doc = graph_to_json(enumerate_graph(validate_fixed_data(*A3_DATA)))
+    old = list(doc["vertices"])[1]
+    record = dict(doc["vertices"][old], G=[[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+    seed = exchange.TropicalSeed(
+        *(tuple(map(tuple, record[f])) for f in "BCG"), path=tuple(record["path"])
+    )
+    new = exchange.key_to_str(exchange.canonical_key(seed))
+    doc["vertices"] = {new if k == old else k: record if k == old else v
+                       for k, v in doc["vertices"].items()}
+    for edge in doc["edges"]:
+        for end in ("source", "target"):
+            if edge[end] == old:
+                edge[end] = new
     return doc
 
 
@@ -117,6 +137,8 @@ DOMAIN_ERRORS = {
     # int() would truncate this onto the root's key
     "fractional-key-entry": (["certify"], a2_graph_doc(source=FRACTIONAL_ROOT), "bad_input"),
     "swapped-seeds": (["certify"], a2_swapped_seeds_doc(), "bad_input"),
+    # _seed_key would look both equal columns up at one index
+    "repeated-g-column": (["certify"], a3_repeated_g_column_doc(), "bad_input"),
     "reversed-root-edge": (
         ["certify"], a2_graph_doc(source=A2_FIRST_TARGET, target=A2_ROOT), "bad_input"
     ),
@@ -973,15 +995,11 @@ print(json.dumps({
 SHARED_NAMES = {
     "Crossing": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
     "CrossingSequence": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
-    "Obstruction": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
-    "crossing_sequence_from_normals": (
-        "greenfan.crossings", "greenfan", "greenfan.scattering"
-    ),
-    "minimal_degree_obstruction": ("greenfan.crossings", "greenfan", "greenfan.scattering"),
+    "Obstruction": ("greenfan.crossings", "greenfan"),
+    "crossing_sequence_from_normals": ("greenfan.crossings", "greenfan"),
+    "minimal_degree_obstruction": ("greenfan.crossings", "greenfan"),
     "degree": ("greenfan.linalg", "greenfan.liegroup", "greenfan.scattering"),
-    "delta_exponent": (
-        "greenfan.linalg", "greenfan", "greenfan.liegroup", "greenfan.scattering"
-    ),
+    "delta_exponent": ("greenfan.linalg", "greenfan"),
     "is_positive_vector": ("greenfan.linalg", "greenfan.liegroup", "greenfan.scattering"),
     "letter_key": ("greenfan.linalg", "greenfan.liegroup", "greenfan.scattering"),
 }
@@ -993,6 +1011,22 @@ def test_shared_name_is_one_object(name):
     value = getattr(importlib.import_module(home), name)
     assert value.__module__ == home
     assert all(getattr(importlib.import_module(m), name) is value for m in others)
+
+
+# (module, name) paths a module held only to re-export a name it never uses
+DROPPED_PATHS = [
+    ("greenfan.scattering", "Obstruction"),
+    ("greenfan.scattering", "crossing_sequence_from_normals"),
+    ("greenfan.scattering", "minimal_degree_obstruction"),
+    ("greenfan.scattering", "delta_exponent"),
+    ("greenfan.liegroup", "delta_exponent"),
+]
+
+
+@pytest.mark.parametrize("module, name", DROPPED_PATHS)
+def test_name_has_one_home(module, name):
+    with pytest.raises(AttributeError):
+        getattr(importlib.import_module(module), name)
 
 
 def test_package_exports_resolve_lazily():

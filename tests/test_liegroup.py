@@ -711,33 +711,52 @@ class TestSerialization:
             read(doc, A2_OMEGA)
 
     def test_grouplike_products_read_back(self):
-        # multi-ray products at every level pass the degree bound group_from_json
-        # applies before the log series
+        # a product on one ray, Psi[n]^a Psi[2n]^b, is the exp of its one-letter
+        # terms and reads back; one on two rays has one-letter terms on both
         rng = random.Random(31)
-        for _ in range(120):
+        for trial in range(120):
             fd = random_fixed_data(rng)
             a = PbwAlgebra(fd.omega, rng.randint(1, 6))
-            g = a.identity()
-            for _ in range(rng.randint(1, 3)):
-                n = random_positive_vector(rng, fd.rank)
-                g = a.dilog(n, rng.choice((-2, -1, 1, 2))) * g
-            assert group_from_json(element_to_json(g.carrier), fd.omega) == g
+            n = random_positive_vector(rng, fd.rank, max_entry=2, primitive=True)
+            g = a.dilog(n, rng.choice((-2, -1, 1, 2))) * a.dilog(
+                tuple(2 * x for x in n), rng.choice((-2, -1, 1, 2))
+            )
+            back = group_from_json(element_to_json(g.carrier), fd.omega)
+            assert back == g and back.log_terms() == g.log_terms(), trial
+            m = random_positive_vector(rng, fd.rank, max_entry=2, primitive=True)
+            if m != n and degree(m) <= a.level and degree(n) <= a.level:
+                g = a.dilog(m, rng.choice((-1, 1))) * g
+                with pytest.raises(BadInput, match="not on one ray"):
+                    group_from_json(element_to_json(g.carrier), fd.omega)
 
-    def test_outsized_level_is_not_grouplike_at_once(self):
-        """A dilog document relabelled to level 2**70, read in a capped child."""
-        doc = dict(element_to_json(alg(3).dilog((1, 0), 1).carrier), level=2**70)
+    @staticmethod
+    def refused_at_once(doc, error):
+        """Read ``doc`` in a child capped at 512 MB; it must raise ``error`` within 1 s."""
         code = (
-            "import resource, sys\n"
+            "import resource, sys, time\n"
             "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
-            "from greenfan import NotGrouplike, group_from_json\n"
+            "from greenfan import %s, group_from_json\n"
+            "start = time.perf_counter()\n"
             "try:\n"
             "    group_from_json(%r, %r)\n"
-            "except NotGrouplike:\n"
-            "    sys.exit(0)\n"
-            "sys.exit(3)\n" % (doc, A2_OMEGA)
+            "except %s:\n"
+            "    sys.exit(0 if time.perf_counter() - start < 1 else 4)\n"
+            "sys.exit(3)\n" % (error, doc, A2_OMEGA, error)
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
         assert proc.returncode == 0, proc.stderr
+
+    def test_outsized_level_is_not_grouplike_at_once(self):
+        """A dilog document relabelled to level 2**70."""
+        doc = dict(element_to_json(alg(3).dilog((1, 0), 1).carrier), level=2**70)
+        self.refused_at_once(doc, "NotGrouplike")
+
+    def test_one_ray_record_missing_its_powers_is_refused_at_once(self):
+        """1 + sum_(j <= 200) X_(j,j) at level 400: 201 terms, whose exp would
+        hold every partition of up to 200 into parts."""
+        terms = [{"monomial": [], "coeff": "1"}]
+        terms += [{"monomial": [[j, j]], "coeff": "1"} for j in range(1, 201)]
+        self.refused_at_once({"level": 400, "terms": terms}, "NotGrouplike")
 
     def test_rejects_non_grouplike_document(self):
         a = alg(2)

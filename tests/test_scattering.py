@@ -17,6 +17,7 @@ from greenfan import (
     InternalError,
     InvalidWalk,
     NotAllGreen,
+    NotGrouplike,
     NotRankTwo,
     PbwAlgebra,
     ScatteringDiagram,
@@ -943,12 +944,17 @@ class TestDiagramSerialization:
         assert back.level == diagram.level
         assert back.walls == diagram.walls
 
-    @pytest.mark.parametrize("name", ["A2", "B2", "G2", "Kronecker"])
-    def test_json_text_round_trip(self, name, a2, b2, g2, kronecker):
-        fd = {"A2": a2, "B2": b2, "G2": g2, "Kronecker": kronecker}[name]
-        doc = diagram_to_json(fd, complete_rank2(fd, 7))
-        back = diagram_from_json(json.loads(json.dumps(doc)), fd)
-        assert diagram_to_json(fd, back) == doc
+    @pytest.mark.parametrize("level", sorted(random.Random(33).sample(range(2, 21), 3)))
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
+    def test_json_text_round_trip(self, name, swapped, level):
+        """The walls come back equal, and the read-back diagram writes the same bytes."""
+        fd = rank2_order(name, swapped)
+        diagram = complete_rank2(fd, level)
+        text = json.dumps(diagram_to_json(fd, diagram), indent=2)
+        back = diagram_from_json(json.loads(text), fd)
+        assert back == diagram
+        assert json.dumps(diagram_to_json(fd, back), indent=2) == text
         assert verify_rank2_consistency(fd, back)
 
     def test_origin_is_the_one_constant(self, b2):
@@ -1083,10 +1089,11 @@ class TestLogWrittenWalls:
             want = json.dumps(element_to_json(power_series_exp(alg, x)), indent=2)
             assert json.dumps(record["element"], indent=2) == want, wall.normal
 
-    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
-    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
-    def test_rank2_steps_build_no_wall_carrier(self, name, swapped, monkeypatch):
-        built = []  # every element with a constant term: a carrier, never a Lie element
+    @staticmethod
+    def carriers_built(monkeypatch) -> list:
+        """Every element with a constant term built from now on: a carrier,
+        never a Lie element."""
+        built = []
         init = liegroup.AlgebraElement.__init__
 
         def recorded(self, algebra, terms):
@@ -1095,6 +1102,12 @@ class TestLogWrittenWalls:
                 built.append(self)
 
         monkeypatch.setattr(liegroup.AlgebraElement, "__init__", recorded)
+        return built
+
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
+    def test_rank2_steps_build_no_wall_carrier(self, name, swapped, monkeypatch):
+        built = self.carriers_built(monkeypatch)
         fd = rank2_order(name, swapped)
         diagram = complete_rank2(fd, 8)
         assert verify_rank2_consistency(fd, diagram)
@@ -1110,6 +1123,96 @@ class TestLogWrittenWalls:
         wall = complete_rank2(a2, 3).walls[0]
         with pytest.raises(AttributeError):
             wall.element.carrier = wall.element.carrier
+
+    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
+    def test_projection_builds_no_wall_carrier(self, name, monkeypatch):
+        fd = rank2_order(name, False)
+        diagram = complete_rank2(fd, 12)
+        built = self.carriers_built(monkeypatch)
+        projected = [wall.element.project(4) for wall in diagram.walls]
+        assert not built
+        monkeypatch.undo()
+        alg = PbwAlgebra(fd.omega, 12)
+        for wall, p in zip(diagram.walls, projected):
+            assert p.algebra == PbwAlgebra(fd.omega, 4)
+            assert p.carrier == alg.project(wall.element.carrier, 4), wall.normal
+
+
+def edited_terms(terms, edit, j):
+    """``terms`` with term ``j`` given twice its coefficient, or dropped."""
+    if edit == "coefficient":
+        return terms[:j] + [dict(terms[j], coeff=str(2 * Fraction(terms[j]["coeff"])))] + terms[j + 1:]
+    return terms[:j] + terms[j + 1:]
+
+
+class TestLogReadWalls:
+    """A wall element document is read as the exp of its one-letter terms,
+    which must lie on one ray; no reader step runs the PBW engine."""
+
+    @pytest.mark.parametrize("edit", ["coefficient", "dropped"])
+    def test_every_single_word_edit_is_not_grouplike(self, kronecker, edit):
+        """Each word but the constant term and a top log term: changing or
+        dropping one of those gives the record of another one-ray exp."""
+        doc = diagram_to_json(kronecker, complete_rank2(kronecker, 8))
+        edits = 0
+        for record in doc["walls"]:
+            terms = record["element"]["terms"]
+            in_words = {tuple(n) for t in terms if len(t["monomial"]) > 1 for n in t["monomial"]}
+            for j, term in enumerate(terms):
+                mono = term["monomial"]
+                if not mono or len(mono) == 1 and tuple(mono[0]) not in in_words:
+                    continue
+                record["element"]["terms"] = edited_terms(terms, edit, j)
+                with pytest.raises(NotGrouplike) as info:
+                    diagram_from_json(doc, kronecker)
+                assert info.value.code == "not_grouplike"
+                edits += 1
+            record["element"]["terms"] = terms
+        assert edits > 60
+        assert diagram_from_json(doc, kronecker).walls == complete_rank2(kronecker, 8).walls
+
+    @pytest.mark.parametrize(
+        "edit, error, code",
+        [
+            ("added word", NotGrouplike, "not_grouplike"),
+            ("one-letter term off the ray", BadInput, "bad_input"),
+        ],
+    )
+    def test_central_wall_edit_is_refused(self, kronecker, edit, error, code):
+        doc = diagram_to_json(kronecker, complete_rank2(kronecker, 8))
+        (wall,) = [w for w in doc["walls"] if w["normal"] == [1, 1]]
+        terms = wall["element"]["terms"]
+        if edit == "added word":
+            terms.append({"monomial": sorted([[1, 0], [0, 1]], key=linalg.letter_key), "coeff": "1"})
+        else:
+            (term,) = [t for t in terms if t["monomial"] == [[2, 2]]]
+            term["monomial"] = [[3, 1]]
+        with pytest.raises(error) as info:
+            diagram_from_json(doc, kronecker)
+        assert info.value.code == code
+
+    @pytest.mark.parametrize(
+        "log", [{(1, 0): 1}, {(1, 1): 1, (1, 0): 1}], ids=["another-ray", "two-rays"]
+    )
+    def test_off_ray_wall_is_not_written(self, a2, log):
+        alg = PbwAlgebra(a2.omega, 3)
+        wall = Wall(normal=(1, 1), rays=((1, -1),), element=alg.exp(alg.lie_element(log)))
+        with pytest.raises(ValueError, match="not supported on multiples of"):
+            diagram_to_json(a2, ScatteringDiagram(level=3, walls=(wall,)))
+
+    @pytest.mark.parametrize("matrix", ["[[0,2],[-2,0]]", "[[0,3],[-3,0]]"])
+    def test_scatter2_and_read_back_run_no_pbw_engine(self, matrix, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the PBW engine ran")
+
+        monkeypatch.setattr(liegroup, "_series", refuse)
+        monkeypatch.setattr(liegroup.PbwAlgebra, "_straighten", refuse)
+        monkeypatch.setattr(liegroup.AlgebraElement, "_product", refuse)
+        argv = ["scatter2", "--matrix", matrix, "--delta", "[1,1]", "--level", "12"]
+        assert cli.main(argv) == 0
+        fd = validate_fixed_data(json.loads(matrix), [1, 1])
+        diagram = diagram_from_json(json.loads(capsys.readouterr().out), fd)
+        assert verify_rank2_consistency(fd, diagram)
 
 
 A2_INLINE = ["--matrix", "[[0,1],[-1,0]]", "--delta", "[1,1]"]
