@@ -61,17 +61,10 @@ def _minimal_skew_symmetrizer(b):
     The ratios d_j/d_i are forced along every edge of the nonzero pattern of
     B, so a breadth-first propagation either produces a consistent positive
     rational assignment per connected component (then scaled to minimal
-    integers) or proves none exists.
+    integers) or proves none exists.  Every nonzero b_ij is visited, and
+    needs b_ji nonzero of the opposite sign, so a nonzero b_ii fails.
     """
     r = len(b)
-    for i in range(r):
-        if b[i][i] != 0:
-            return None
-        for j in range(r):
-            if (b[i][j] == 0) != (b[j][i] == 0):
-                return None
-            if b[i][j] * b[j][i] > 0:
-                return None
     ratio = [None] * r
     for start in range(r):
         if ratio[start] is not None:
@@ -82,6 +75,8 @@ def _minimal_skew_symmetrizer(b):
             for j in range(r):
                 if b[i][j] == 0:
                     continue
+                if b[i][j] * b[j][i] >= 0:  # a zero b_ij under b_ji != 0 is met from j
+                    return None
                 # d_i * b_ij = -d_j * b_ji  =>  d_j = d_i * (-b_ij / b_ji)
                 forced = ratio[i] * Fraction(-b[i][j], b[j][i])
                 if ratio[j] is None:

@@ -551,6 +551,8 @@ class TorusAction:
     part ``sum c_n X_n``, the series is ``1 + sum c_n deg(n) y^n`` plus terms
     of higher degree.  So the element is the identity exactly when the series
     is 1, and the lowest log terms read off as ``[y^n] series / deg(n)``.
+    g and h act alike exactly when h^-1 g = 1, whose lowest log terms read off
+    their series' difference the same way: h moves each y^n only by higher terms.
 
     ``steps[n][m]`` holds what an apply along ``n`` needs of the exponent
     ``m`` and nothing else: psi = deg(n) + omega(n, m) and the chain
@@ -575,7 +577,7 @@ class TorusAction:
     def copy(self) -> "TorusAction":
         """An independent action for the same element.
 
-        The series dict is shared: ``_apply`` replaces it and never mutates
+        The series dict is shared: ``apply_ray`` replaces it and never mutates
         it.  So are the tables, whose entries never change once made.
         """
         other = TorusAction.__new__(TorusAction)
@@ -588,7 +590,7 @@ class TorusAction:
         if type(c) is not int:
             c = _exact(Fraction(c))
         if c:
-            self._apply(tuple(n), lambda psi, length: self._binomial(c * psi, length))
+            self.apply_ray(tuple(n), lambda psi, length: self._binomial(c * psi, length))
 
     def _binomial(self, x, length: int) -> list:
         f = self.binomials.get((x, length))
@@ -606,12 +608,9 @@ class TorusAction:
             n = primitive(next(iter(log_terms)))
             self.apply_ray(n, RaySeries(ray_coefficients(n, log_terms)))
 
-    def apply_ray(self, n: Vector, series: RaySeries) -> None:
-        """``apply_wall`` of the log whose ``ray_coefficients`` along ``n`` are ``series.a``."""
-        self._apply(n, series)
-
-    def _apply(self, n: Vector, series) -> None:
-        """y^m -> y^m * F(y^n), F's coefficients from ``series(psi, length)``.
+    def apply_ray(self, n: Vector, series) -> None:
+        """y^m -> y^m * F(y^n), F's coefficients from ``series(psi, length)``,
+        a wall's ``RaySeries`` or a dilog's binomial series.
 
         psi and the chain of m come from ``steps``; psi is shared by many m,
         so each F is fetched once per call.  F may stop short of the chain or
@@ -648,12 +647,15 @@ class TorusAction:
         # the constant term is always 1: every factor fixes it
         return len(self.series) == 1
 
-    def lowest_log_terms(self) -> dict[Vector, Fraction]:
-        """Lowest-degree part of the log of the element; empty for the identity."""
-        low = min((degree(m) for m in self.series if any(m)), default=0)
-        return {
-            m: Fraction(c, low) for m, c in self.series.items() if low and degree(m) == low
-        }
+    def lowest_log_terms(self, base=None) -> dict[Vector, Fraction]:
+        """Lowest-degree part of the log of ``base^-1 * self``, or of self
+        when ``base`` is None; empty when that element is the identity."""
+        diff = dict(self.series)
+        for m, c in (base.series if base else {}).items():
+            diff[m] = diff.get(m, 0) - c
+        terms = {m: c for m, c in diff.items() if c and any(m)}
+        low = min(map(degree, terms), default=0)
+        return {m: Fraction(c, low) for m, c in terms.items() if degree(m) == low}
 
 
 # ---------------------------------------------------------------------------

@@ -198,9 +198,10 @@ def verify_loop_consistency(
     costs one apply per tree edge.  Crossing an edge backwards inverts its
     factor, so the cycle u -> ... -> v -> u closed by the crossing E_vu has
     product E_vu T_v T_u^-1, and it is the identity exactly when E_vu T_v and
-    T_u act alike: g z = h z gives h^-1 g = 1.  A failing loop's crossings
-    are applied again, in walk order, to one fresh action, and the error
-    carries that product's lowest-degree log terms; no PBW product is built.
+    T_u act alike: g z = h z gives h^-1 g = 1.  A failing loop's error
+    carries the lowest log terms of its product g h^-1 = h (h^-1 g) h^-1,
+    read off those two actions as those of h^-1 g: conjugation changes a log
+    only by brackets, which raise its degree.  No PBW product is built.
     """
     _check_level(level)
     if graph.status != "complete":
@@ -259,15 +260,12 @@ def verify_loop_consistency(
             up.append(parent[up[-1]])
             down.append(parent[down[-1]])
         cycle = up + down[-2::-1]  # u up to the meeting vertex, then down to v
-        steps = list(zip(cycle, cycle[1:] + cycle[:1]))
-        if cross(tree[v].copy(), v, u).series != tree[u].series:
-            action = TorusAction(fd.omega, level)
-            for a, b in steps:
-                cross(action, a, b)
-            raise InconsistencyFound([keys[i] for i in cycle], action.lowest_log_terms())
+        closed = cross(tree[v].copy(), v, u)
+        if closed.series != tree[u].series:
+            raise InconsistencyFound([keys[i] for i in cycle], closed.lowest_log_terms(tree[u]))
         label = {g: j for j, g in enumerate(g_cols[u])}  # of each g-vector along the walk
         directions = []
-        for a, b in steps:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             k = label.pop(g_cols[a][side[a, b]])
             label[g_cols[b][side[b, a]]] = k
             directions.append(k)

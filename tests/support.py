@@ -147,6 +147,31 @@ def det(m):
     return out
 
 
+def brute_force_symmetrizer(b):
+    """The least-sum D in 1..9^r with D*B skew-symmetric, or None.
+
+    Tries every D, entry by entry, and drops a partial one as soon as an
+    entry d_i b_ik + d_k b_ki (i <= k) it fixes is nonzero.  Within each
+    connected part of B the valid D are the multiples of the minimal one,
+    which is the one of least sum as long as its entries are at most 9.
+    """
+    r = len(b)
+    found = []
+
+    def extend(d):
+        k = len(d)
+        if k == r:
+            found.append(d)
+            return
+        for x in range(1, 10):
+            e = d + (x,)
+            if all(e[i] * b[i][k] == -x * b[k][i] for i in range(k + 1)):
+                extend(e)
+
+    extend(())
+    return min(found, key=sum, default=None)
+
+
 def solve_columns(columns, target):
     """Solve ``sum_i x_i * columns[i] = target`` exactly.
 

@@ -111,7 +111,15 @@ DOMAIN_ERRORS = {
     "too-short-normal": (
         ["obstruct"], dict(A2, crossings=[{"normal": [1], "sign": 1}]), "bad_input"
     ),
+    "zero-normal": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [0, 0], "sign": 1}]), "bad_input"
+    ),
+    "mixed-sign-normal": (
+        ["obstruct"], dict(A2, crossings=[{"normal": [-1, 1], "sign": 1}]), "bad_input"
+    ),
     "scalar-delta": (["explore"], dict(A2, delta=5), "bad_input"),
+    "short-delta": (["explore"], dict(A2, delta=[1]), "bad_decomposition"),
+    "nonpositive-delta": (["explore"], dict(A2, delta=[1, 0]), "bad_decomposition"),
     # tuple() of a JSON object yields its keys: {} must not read as a rank-0 matrix
     "object-B": (["certify"], {"B": {}, "delta": []}, "bad_input"),
     "scalar-D": (["explore"], dict(A2, D=3), "bad_input"),

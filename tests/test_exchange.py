@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -12,6 +13,7 @@ from greenfan import (
     CycleFound,
     NotSkewSymmetrizable,
     OrientedExchangeGraph,
+    SignIncoherent,
     canonical_key,
     certify_acyclic,
     enumerate_graph,
@@ -28,6 +30,7 @@ from greenfan.linalg import as_int_matrix
 from support import (
     FINITE_TYPES,
     LOOP_PATTERNS,
+    brute_force_symmetrizer,
     d4_cycle_graph_doc,
     dense_mutate_seed,
     det,
@@ -106,6 +109,26 @@ class TestValidation:
         with pytest.raises(NotSkewSymmetrizable):
             validate_fixed_data([[1, 1], [-1, 0]], [1, 1])
 
+    @pytest.mark.parametrize(
+        "rank, above, below, diagonal",
+        [
+            (1, (), (), range(-3, 4)),
+            (2, range(-3, 4), range(-3, 4), range(-3, 4)),
+            (3, range(-1, 2), range(-3, 4), (0,)),
+            (3, (1,), (-1, 0), range(-3, 4)),
+        ],
+        ids=["rank-1", "rank-2", "rank-3-zero-diagonal", "rank-3-diagonal"],
+    )
+    def test_minimal_symmetrizer_matches_brute_force(self, rank, above, below, diagonal):
+        """Every B of the given rank with entries above, below and on its
+        diagonal in the given ranges: same-sign pairs, a zero over a nonzero
+        entry in either order, nonzero diagonals and inconsistent triangles."""
+        cells = [(i, j) for i in range(rank) for j in range(rank)]
+        ranges = [diagonal if i == j else above if i < j else below for i, j in cells]
+        for entries in itertools.product(*ranges):
+            b = [list(entries[i * rank:(i + 1) * rank]) for i in range(rank)]
+            assert exchange._minimal_skew_symmetrizer(b) == brute_force_symmetrizer(b), b
+
     def test_rejects_bad_symmetrizer(self):
         # B determines D, so a pattern document that states one is refused
         with pytest.raises(BadInput, match='"D"'):
@@ -113,6 +136,11 @@ class TestValidation:
 
 
 class TestMutation:
+    @pytest.mark.parametrize("c", [((1, 0), (-1, 1)), ((0, 0), (0, 1))], ids=["mixed", "zero"])
+    def test_sign_incoherent_c_vector_is_refused(self, a2, c):
+        with pytest.raises(SignIncoherent):
+            mutate_seed(a2, root_seed(a2)._replace(c=c), 0)
+
     def test_root_is_identity_data(self, a2):
         seed = root_seed(a2)
         assert seed.c == ((1, 0), (0, 1))

@@ -243,6 +243,29 @@ class TestExpLog:
         with pytest.raises(NotLieElement):
             a.exp(quadratic)
 
+    @pytest.mark.parametrize("omega", [((0, 1),), ((0, 1), (1, 0))], ids=["non-square", "non-skew"])
+    def test_algebra_rejects_bad_omega(self, omega):
+        with pytest.raises(ValueError, match="square|skew"):
+            PbwAlgebra(omega, 2)
+
+    @pytest.mark.parametrize("n", [(0, 0), (-1, 1), (1,), (1, 0, 0)])
+    def test_bad_generator_index(self, n):
+        a = alg(3)
+        with pytest.raises(NotLieElement):
+            a.lie_element({n: 1})
+        with pytest.raises(NotLieElement):
+            a.dilog(n, 1)
+
+    @pytest.mark.parametrize("constant", [0, 2])
+    def test_group_element_needs_constant_term_one(self, constant):
+        a = alg(2)
+        with pytest.raises(NotGrouplike):
+            GroupElement(a.one() * constant + a.lie_element({(1, 0): 1}))
+
+    def test_zero_vector_has_no_primitive_part(self):
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive((0, 0))
+
     def test_log_rejects_non_grouplike(self):
         a = alg(2)
         fake = a.one() + a.lie_element({(1, 0): 1}) * a.lie_element({(0, 1): 1})

@@ -48,9 +48,11 @@ from greenfan import (
     walk,
 )
 from greenfan import cli, exchange, liegroup, linalg
+from greenfan import crossings as crossings_module
 from greenfan import scattering as scattering_module
 from greenfan.liegroup import TorusAction, degree
 
+import support
 from support import (
     FINITE_TYPES,
     LOOP_PATTERNS,
@@ -91,6 +93,16 @@ def invert_edge_crossings(monkeypatch, graph, a, b):
         return (-sign if (seed.g, k) in faulty else sign), normal
 
     monkeypatch.setattr(scattering_module, "_crossing_normal", inverted)
+
+
+def shift_exponent(monkeypatch, normal):
+    """Raise the ``delta_exponent`` of one normal by 1 where the loop check
+    and its oracles read it, so every crossing of that normal is faulty."""
+    for module in (crossings_module, support):
+        def shifted(n, delta, exponent=module.delta_exponent):
+            return exponent(n, delta) + (tuple(n) == normal)
+
+        monkeypatch.setattr(module, "delta_exponent", shifted)
 
 
 RANK2_PATTERNS = {
@@ -568,6 +580,53 @@ class TestLoopConsistency:
         if edge == "closing":
             assert loop == tuple(cycle)
 
+    @pytest.mark.parametrize("fault", ["inverted-edge", "shifted-exponent"])
+    @pytest.mark.parametrize("name", sorted(LOOP_PATTERNS))
+    def test_failing_loop_witness_matches_oracles(self, name, fault, monkeypatch):
+        """The witness read off the two compared actions is the lowest log
+        part of the loop's product: the per-cycle oracle's, and the PBW one."""
+        fd = validate_fixed_data(*LOOP_PATTERNS[name])
+        graph = enumerate_graph(fd)
+        rng = random.Random("%s-%s" % (name, fault))
+        normals = sorted({
+            scattering_module._crossing_normal(seed, k)[1]
+            for seed in graph.vertices.values() for k in range(fd.rank)
+        })
+        keys = list(graph.vertices)
+        for level in range(2, 7):
+            with monkeypatch.context() as faulty:
+                if fault == "inverted-edge":
+                    src, dst, _ = rng.choice(graph.arcs)
+                    invert_edge_crossings(faulty, graph, keys[src], keys[dst])
+                else:  # a loop crosses n both ways, so only brackets can show it
+                    shift_exponent(faulty, rng.choice([n for n in normals if degree(n) < level]))
+                with pytest.raises(InconsistencyFound) as tree:
+                    verify_loop_consistency(fd, graph, level)
+                with pytest.raises(InconsistencyFound) as oracle:
+                    per_cycle_loop_consistency(fd, graph, level)
+                product = loop_product(fd, graph, tree.value.loop, level)
+            assert tree.value.loop == oracle.value.loop, level
+            assert tree.value.lowest == oracle.value.lowest == lowest_log_part(product), level
+
+    def test_failing_check_builds_one_action(self, a3, monkeypatch):
+        """The witness comes from the actions the check compared: no second
+        action is built for it (copies do not call ``__init__``)."""
+        graph = enumerate_graph(a3)
+        src, dst, _ = graph.edges[len(graph.edges) // 2]
+        invert_edge_crossings(monkeypatch, graph, src, dst)
+        built = []
+        init = TorusAction.__init__
+
+        def counted(self, omega, level):
+            built.append(self)
+            init(self, omega, level)
+
+        monkeypatch.setattr(TorusAction, "__init__", counted)
+        with pytest.raises(InconsistencyFound) as info:
+            verify_loop_consistency(a3, graph, 4)
+        assert len(built) == 1
+        assert info.value.lowest
+
     def test_e6_loops_at_level_6(self):
         b, delta, _ = FINITE_TYPES["E6"]
         fd = validate_fixed_data(b, delta)
@@ -817,9 +876,21 @@ class TestRankTwoCompletion:
         with pytest.raises(ValueError):
             complete_rank2(a2, level)
 
-    def test_rank_three_rejected(self, a3):
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fd: complete_rank2(fd, 3),
+            lambda fd: verify_rank2_consistency(fd, ScatteringDiagram(3, ())),
+            lambda fd: diagram_to_svg(fd, ScatteringDiagram(3, ())),
+            lambda fd: fan_to_svg(fd, enumerate_graph(fd)),
+        ],
+        ids=["complete_rank2", "verify_rank2_consistency", "diagram_to_svg", "fan_to_svg"],
+    )
+    def test_rank_three_rejected(self, a3, call):
+        """Of these guards the CLI reaches only completion's: it checks the
+        rank before it draws a fan, and ``scatter2`` stops at completion."""
         with pytest.raises(NotRankTwo):
-            complete_rank2(a3, 3)
+            call(a3)
 
     def test_pbw_builds_only_the_emitted_walls(self, kronecker, monkeypatch):
         calls = []
