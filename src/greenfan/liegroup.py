@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import factorial, gcd
-from operator import add, itemgetter, mul
+from operator import add, mul
 
 from .errors import (
     BadInput,
@@ -75,6 +76,12 @@ def _omega_row(omega, n: Vector) -> tuple:
 
 def _check_level(level) -> None:
     require_int(level, "level", 1)
+
+
+def _check_index(n, rank: int, error=NotLieElement) -> None:
+    """A generator index is a nonzero nonnegative vector of the rank."""
+    if not is_positive_vector(n) or len(n) != rank:
+        raise error("bad generator index %r" % (n,))
 
 
 class PbwAlgebra:
@@ -127,8 +134,7 @@ class PbwAlgebra:
         terms = {}
         for n, c in coefficients.items():
             n = tuple(n)
-            if not is_positive_vector(n) or len(n) != self.rank:
-                raise NotLieElement("bad generator index %r" % (n,))
+            _check_index(n, self.rank)
             if degree(n) <= self.level:
                 terms[(n,)] = Fraction(c)
         return AlgebraElement(self, terms)
@@ -194,8 +200,7 @@ class PbwAlgebra:
         all the X_{jn} commute with one another.
         """
         n = tuple(n)
-        if not is_positive_vector(n) or len(n) != self.rank:
-            raise NotLieElement("dilog index must be a nonzero nonnegative vector")
+        _check_index(n, self.rank)
         return self.exp(self.lie_element(dilog_log_terms(n, exponent, self.level)))
 
     # -- projection ------------------------------------------------------------
@@ -269,29 +274,27 @@ def _ray_words(log_terms, level: int):
         exp(sum_v c_v X_v) = sum prod_v c_v^(m_v) / m_v!  v_1^(m_1) v_2^(m_2) ...
 
     over the multiplicities (m_v) with sum_v m_v deg(v) <= level, the letters
-    sorted by degree; each such word is already in PBW normal form.  Letters
-    on one ray have distinct degrees, which ``letter_key`` compares first, so
-    sorting by (total degree, letter degrees) is the ``monomial_key`` order.
-    Products run on int pairs, with one gcd per word.
+    sorted by degree; each such word is already in PBW normal form, and is
+    its parent (less its last letter v) times c_v / m, m the copies of v.
+    Letters on one ray have distinct degrees, which ``letter_key`` compares
+    first, so a heap keyed by (total degree, letter degrees) pops the words
+    in ``monomial_key`` order: each pop yields a word, with one gcd, and
+    pushes its children, whose keys exceed its own.
     """
-    words = [((), 1, 1, 0, ())]  # (sorted word, numerator, denominator, degree, letter degrees)
-    for v in sorted(log_terms, key=degree):
-        d, c = degree(v), log_terms[v]
-        nums, dens = [1], [1]  # c^m / m!
-        for m in range(1, level // d + 1):
-            nums.append(nums[-1] * c.numerator)
-            dens.append(dens[-1] * c.denominator * m)
-        grown = []
-        for word, num, den, used, degrees in words:
-            for m in range(1, (level - used) // d + 1):
-                word += (v,)
-                degrees += (d,)
-                grown.append((word, num * nums[m], den * dens[m], used + m * d, degrees))
-        words += grown
-    words.sort(key=itemgetter(3, 4))
-    for word, num, den, _, _ in words:
+    letters = sorted((degree(v), v, c.numerator, c.denominator) for v, c in log_terms.items())
+    # (degree, letter degrees, word, numerator, denominator, last letter, its copies)
+    heap = [(0, (), (), 1, 1, 0, 0)]
+    while heap:
+        used, degrees, word, num, den, last, copies = heappop(heap)
         g = gcd(num, den)
-        yield word, num // g, den // g
+        num, den = num // g, den // g
+        yield word, num, den
+        for k in range(last, len(letters)):
+            d, v, cn, cd = letters[k]
+            if used + d > level:
+                break
+            m = copies + 1 if k == last else 1
+            heappush(heap, (used + d, degrees + (d,), word + (v,), num * cn, den * cd * m, k, m))
 
 
 class AlgebraElement:
@@ -390,7 +393,7 @@ class GroupElement:
     The logarithm is cached when known (exp keeps it) and recovered by the
     usual series otherwise.  Products of grouplike elements are grouplike
     because the bracket of two generators is again a multiple of a generator.
-    An exp on one ray holds its log alone and builds ``carrier`` on first read.
+    An exp on one ray, or one read back, holds its log alone until ``carrier`` is read.
     """
 
     __slots__ = ("_algebra", "_carrier", "_log_terms")
@@ -589,8 +592,7 @@ class TorusAction:
         """Left-multiply by Psi[n]^c: y^m -> y^m (1 + y^n)^(c * psi)."""
         if type(c) is not int:
             c = _exact(Fraction(c))
-        if c:
-            self.apply_ray(tuple(n), lambda psi, length: self._binomial(c * psi, length))
+        self.apply_ray(tuple(n), lambda psi, length: self._binomial(c * psi, length))
 
     def _binomial(self, x, length: int) -> list:
         f = self.binomials.get((x, length))
@@ -604,6 +606,8 @@ class TorusAction:
         The terms must lie on multiples of one primitive ``n``, so that they
         commute; then y^m -> y^m exp(psi * h(y^n)) with h(t) = sum_j j c_j t^j.
         """
+        for v in log_terms:
+            _check_index(v, len(self.omega))
         if log_terms:
             n = primitive(next(iter(log_terms)))
             self.apply_ray(n, RaySeries(ray_coefficients(n, log_terms)))
@@ -614,14 +618,15 @@ class TorusAction:
 
         psi and the chain of m come from ``steps``; psi is shared by many m,
         so each F is fetched once per call.  F may stop short of the chain or
-        run past it.
+        run past it.  A bad ``n`` is NotLieElement, checked while it has no table.
         """
         dn = degree(n)
         level = self.level
-        if dn > level:
-            return
         table = self.steps.get(n)
         if table is None:
+            _check_index(n, len(self.omega))
+            if dn > level:
+                return
             table = self.steps[n] = {}
             self.rows[n] = _omega_row(self.omega, n)
         w = self.rows[n]
@@ -699,8 +704,7 @@ def element_from_json(doc, omega) -> AlgebraElement:
                 raise BadInput("coefficient must be an integer, p or p/q, got %r" % (coeff,))
             coeff = Fraction(coeff)
             for n in mono:
-                if not is_positive_vector(n) or len(n) != alg.rank:
-                    raise BadInput("bad generator index %r" % (n,))
+                _check_index(n, alg.rank, BadInput)
             if list(mono) != sorted(mono, key=letter_key):
                 raise BadInput("monomial %r is not in PBW order" % (mono,))
             if monomial_degree(mono) > alg.level:
@@ -713,26 +717,21 @@ def element_from_json(doc, omega) -> AlgebraElement:
 
 def group_from_json(doc, omega) -> GroupElement:
     """The exp of the document's one-letter terms, its log, on one ray (else
-    BadInput).  Each word must be its parent (less its last letter v) times
-    c_v / m, m the copies of v, and hold each child ``word + (u,)``, u >= v,
-    that fits the level, else NotGrouplike: O(N x letters) for N terms."""
+    BadInput), holding that log alone.  Each word ``_ray_words`` yields from
+    it must be in the record with that coefficient, the walk stopping at the
+    first that is not, and no other word may be: else NotGrouplike."""
     carrier = element_from_json(doc, omega)
     if carrier.constant() != 1:
         raise BadInput("group element must have constant term 1")
-    terms, level = carrier.terms, carrier.algebra.level
+    terms, algebra = carrier.terms, carrier.algebra
     log = {m[0]: c for m, c in terms.items() if len(m) == 1}
     if not _on_one_ray(log):
         raise BadInput("group element's one-letter terms are not on one ray")
-    letters = sorted(log, key=degree)
-    for word, c in terms.items():
-        if word:
-            v, parent = word[-1], terms.get(word[:-1])
-            if v not in log or parent is None or parent * log[v] != c * word.count(v):
-                raise NotGrouplike("term %r is not the exp of the one-letter terms" % (word,))
-        room = level - monomial_degree(word)
-        for u in letters[letters.index(word[-1]) if word else 0:]:
-            if degree(u) > room:
-                break
-            if word + (u,) not in terms:
-                raise NotGrouplike("exp of the one-letter terms has %r" % (word + (u,),))
-    return GroupElement(carrier, log)
+    for word, num, den in _ray_words(log, algebra.level):
+        c = terms.pop(word, _ZERO)
+        if c.numerator != num or c.denominator != den:
+            raise NotGrouplike("exp of the one-letter terms has %r with coefficient %s"
+                               % (word, Fraction(num, den)))
+    if terms:
+        raise NotGrouplike("term %r is not the exp of the one-letter terms" % (next(iter(terms)),))
+    return GroupElement._of_ray_log(algebra, log)

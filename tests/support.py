@@ -101,7 +101,7 @@ def power_series_exp(alg, a):
     """exp(a) as the power series sum_k a^k / k!, multiplied out in PBW.
 
     ``PbwAlgebra.exp`` sums this series only off one ray; on one ray it
-    writes the sorted words of a partition formula instead, with no
+    yields the words of a partition formula in order instead, with no
     products, and is held against this oracle.
     """
     result = power = alg.one()

@@ -21,12 +21,14 @@ from greenfan import (
     group_from_json,
     validate_fixed_data,
 )
+from greenfan import liegroup
 from greenfan.liegroup import (
     RaySeries,
     TorusAction,
     _binomial_series,
     _exp_series,
     _omega_row,
+    _ray_words,
     degree,
     dilog_log_terms,
     monomial_degree,
@@ -342,6 +344,29 @@ class TestOneRayExp:
             assert g.log_terms() == log
             assert GroupElement(g.carrier).log_terms() == log
 
+    @pytest.mark.parametrize(
+        "letters", [None, (2, 5), (3,), (1, 4), (2, 3, 7)], ids=["random", "2-5", "3", "1-4", "2-3-7"]
+    )
+    def test_ray_words_come_in_sorted_terms_order(self, letters):
+        """The ordered words and coefficients of ``_ray_words`` are the power
+        series' ``sorted_terms``, for logs with gaps in letter degree too."""
+        rng = random.Random("ray-words-order-%s" % (letters,))
+        for trial in range(30):
+            fd = random_fixed_data(rng)
+            level = rng.randint(1, 14)
+            if letters is None:
+                log = random_ray_log(rng, fd.rank, level)
+            else:
+                n = random_positive_vector(rng, fd.rank, max_entry=2, primitive=True)
+                log = {
+                    tuple(j * x for x in n): Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                    for j in letters
+                    if j * degree(n) <= level
+                }
+            a = PbwAlgebra(fd.omega, level)
+            words = [(w, Fraction(num, den)) for w, num, den in _ray_words(log, level)]
+            assert words == power_series_exp(a, a.lie_element(log)).sorted_terms(), trial
+
     @pytest.mark.parametrize("name", sorted(WALL_PATTERNS))
     def test_completion_never_straightens(self, name, monkeypatch):
         def refuse(self, word):
@@ -504,6 +529,43 @@ class TestTorusSteps:
             other.apply_dilog((1,) + (0,) * (fd.rank - 1), 1)
             assert action.series == before, trial
             assert other.series != before, trial
+
+
+class TestTorusNormals:
+    """An apply's normal, or a wall's log key, must be a generator index."""
+
+    @pytest.mark.parametrize(
+        "n", [(0, 0), (-1, 1), (1, -1), (-1, 5), (1,), (1, 0, 0)],
+        ids=["zero", "mixed", "mixed-2", "mixed-above-level", "short", "long"],
+    )
+    @pytest.mark.parametrize("c", [1, 0, Fraction(1, 2)])
+    def test_bad_dilog_normal_is_not_lie_element(self, n, c):
+        action = TorusAction(A2_OMEGA, 3)
+        with pytest.raises(NotLieElement):
+            action.apply_dilog(n, c)
+        assert action.series == {(0, 0): 1}
+
+    @pytest.mark.parametrize(
+        "log",
+        [{(-1, 1): 1}, {(0, 0): 1}, {(1, 0): 1, (0, 0): 1}, {(1, 0): 1, (2, -1): 1}, {(1, 0, 0): 1}],
+        ids=["mixed", "zero", "zero-beside", "mixed-beside", "long"],
+    )
+    def test_bad_wall_key_is_not_lie_element(self, log):
+        action = TorusAction(A2_OMEGA, 3)
+        with pytest.raises(NotLieElement):
+            action.apply_wall(log)
+        assert action.series == {(0, 0): 1}
+
+    def test_normal_is_checked_once_per_table(self, monkeypatch):
+        """Applies along a tabled normal, in this action or a copy, pay no check."""
+        checked = []
+        check = liegroup._check_index
+        monkeypatch.setattr(liegroup, "_check_index", lambda n, rank: checked.append(n) or check(n, rank))
+        action = TorusAction(A2_OMEGA, 3)
+        for _ in range(3):
+            for n in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+                action.copy().apply_dilog(n, 1)
+        assert checked == [(1, 0), (0, 1), (1, 1), (2, 1)]
 
 
 class TestDilog:
@@ -780,6 +842,46 @@ class TestSerialization:
         terms = [{"monomial": [], "coeff": "1"}]
         terms += [{"monomial": [[j, j]], "coeff": "1"} for j in range(1, 201)]
         self.refused_at_once({"level": 400, "terms": terms}, "NotGrouplike")
+
+    def test_sparse_letter_at_outsized_level_is_refused_at_once(self):
+        """1 + X_(1000000, 0) at level 2**70: its square is the first word
+        missing, whatever the degrees up to the level hold."""
+        terms = [{"monomial": [], "coeff": "1"}, {"monomial": [[1000000, 0]], "coeff": "1"}]
+        self.refused_at_once({"level": 2**70, "terms": terms}, "NotGrouplike")
+
+    def test_identity_at_outsized_level_reads_at_once(self):
+        """The constant term alone at level 2**70 is the identity."""
+        code = (
+            "import resource, sys, time\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
+            "from greenfan import group_from_json\n"
+            "start = time.perf_counter()\n"
+            "g = group_from_json(%r, %r)\n"
+            "assert g.log_terms() == {} and g.is_identity()\n"
+            "sys.exit(0 if time.perf_counter() - start < 1 else 4)\n"
+            % ({"level": 2**70, "terms": [{"monomial": [], "coeff": "1"}]}, A2_OMEGA)
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_added_words_are_named_in_record_order(self):
+        """Every word of the exp is there, so the walk passes; the first
+        record word it never yielded is named."""
+        a = alg(4)
+        doc = element_to_json(a.exp(a.lie_element({(1, 0): 1})).carrier)
+        doc["terms"] += [
+            {"monomial": [[2, 0], [2, 0]], "coeff": "1"},
+            {"monomial": [[1, 0], [0, 1]], "coeff": "1"},
+        ]
+        with pytest.raises(NotGrouplike, match=r"term \(\(2, 0\), \(2, 0\)\) is not"):
+            group_from_json(doc, A2_OMEGA)
+
+    def test_wrong_coefficient_is_named(self):
+        doc = element_to_json(alg(4).dilog((1, 0), 1).carrier)
+        (term,) = [t for t in doc["terms"] if t["monomial"] == [[1, 0], [1, 0]]]
+        term["coeff"] = "1"
+        with pytest.raises(NotGrouplike, match=r"has \(\(1, 0\), \(1, 0\)\) with coefficient 1/2"):
+            group_from_json(doc, A2_OMEGA)
 
     def test_rejects_non_grouplike_document(self):
         a = alg(2)

@@ -1262,6 +1262,19 @@ class TestLogReadWalls:
             diagram_from_json(doc, kronecker)
         assert info.value.code == code
 
+    def test_read_wall_holds_its_log_alone(self, kronecker, monkeypatch):
+        """Each wall read back builds its carrier on first read, once."""
+        walls = complete_rank2(kronecker, 8).walls
+        read = diagram_from_json(diagram_to_json(kronecker, ScatteringDiagram(8, walls)), kronecker)
+        built = TestLogWrittenWalls.carriers_built(monkeypatch)
+        for wall, back in zip(walls, read.walls):
+            assert back.element.log_terms() == wall.element.log_terms()
+            assert not built
+            carrier = back.element.carrier
+            assert built == [carrier] and back.element.carrier is carrier, wall.normal
+            assert carrier == wall.element.carrier
+            built.clear()
+
     @pytest.mark.parametrize(
         "log", [{(1, 0): 1}, {(1, 1): 1, (1, 0): 1}], ids=["another-ray", "two-rays"]
     )
