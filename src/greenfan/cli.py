@@ -225,7 +225,10 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves no state on it, and the
+    help width and output streams are read when it prints."""
     parser = argparse.ArgumentParser(
         prog="greenfan",
         description="mutation graphs, loop products, and rank-2 scattering diagrams",
@@ -246,13 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
             for fmt in formats:
                 p.add_argument("--out-" + fmt, help="also write the %s artifact here" % fmt)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of the process: parsing leaves no state on it, and the
-    help width and output streams are read when it prints."""
-    return _build_parser()
 
 
 def parse_args(argv) -> argparse.Namespace:

@@ -458,10 +458,10 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
     Each vertex's key is derived from its seed and must render to the name
     the vertex is listed under, so a seed record cannot stand under another
     vertex's name.  Root and edges are looked up among those names, no edge
-    may point into the root, ``rank`` is the root's size, every direction
-    lies in ``range(rank)``, ``depth_reached`` is the longest vertex path, and
-    the status is ``"complete"`` or ``"truncated"``.  The root gets id 0 and
-    the other vertices follow in listed order.  No edge may be repeated.
+    may point into the root, ``rank`` is every seed's size, every direction
+    and path entry lies in ``range(rank)``, ``depth_reached`` is the longest
+    path, and the status is ``"complete"`` or ``"truncated"``.  The root gets
+    id 0 and the others follow in listed order.  No edge may be repeated.
     """
     try:
         seeds = {}  # name -> (key, seed), in listed order
@@ -479,6 +479,10 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
         rank = len(seeds[doc["root"]][0].b)
         if not linalg.is_int(doc["rank"]) or doc["rank"] != rank:
             raise BadInput("rank must be the root's size %d, got %r" % (rank, doc["rank"]))
+        for name, (_, seed) in seeds.items():
+            if len(seed.b) != rank or not all(0 <= k < rank for k in seed.path):
+                raise BadInput("vertex %s: a %d x %d seed with path %s does not fit rank %d"
+                               % (name, len(seed.b), len(seed.b), [*seed.path], rank))
         arcs: dict[tuple[int, int, int], None] = {}  # an ordered set of (src, dst, k)
         for e in linalg.require_list(doc["edges"], "edges"):
             k = e["direction"]

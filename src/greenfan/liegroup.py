@@ -492,11 +492,11 @@ def _binomial_series(x, length: int) -> list:
 
 
 def ray_coefficients(n: Vector, log_terms, sign=1) -> dict[int, object]:
-    """``{j: sign * j^2 * c_j}``, the ``apply_ray`` form of ``{jn: c_j}``, n primitive."""
+    """``{j: sign * j^2 * c_j}``, the ``apply_ray`` form of ``{jn: c_j}``, n primitive, j >= 1."""
     a, dn = {}, degree(n)
     for v, c in log_terms.items():
         j = degree(v) // dn
-        if vec_scale(j, n) != tuple(v):
+        if j < 1 or vec_scale(j, n) != tuple(v):
             raise ValueError("wall log is not supported on multiples of %r" % (n,))
         a[j] = _exact(c * (sign * j * j))  # c is an int or a Fraction
     return a
@@ -557,24 +557,23 @@ class TorusAction:
     g and h act alike exactly when h^-1 g = 1, whose lowest log terms read off
     their series' difference the same way: h moves each y^n only by higher terms.
 
-    ``steps[n][m]`` holds what an apply along ``n`` needs of the exponent
-    ``m`` and nothing else: psi = deg(n) + omega(n, m) and the chain
-    ``m, m + n, m + 2n, ...`` of targets of degree <= level.  ``rows[n]`` is
-    omega(n, -), and ``binomials[x, length]`` the ``_binomial_series`` of a
-    dilog apply with x = c * psi.  The tables are filled on first use and
-    belong to this action and its copies, so they hold at most one entry per
-    normal applied and monomial of degree <= level, one row per normal, and
-    one series per distinct (x, length).
+    ``steps[n]`` is ``(row, chains)``: ``row`` is omega(n, -), and ``chains[m]``
+    holds what an apply along ``n`` needs of the exponent ``m`` and nothing
+    else: psi = deg(n) + omega(n, m) and the chain ``m, m + n, m + 2n, ...`` of
+    targets of degree <= level.  ``binomials[x, length]`` is the
+    ``_binomial_series`` of a dilog apply with x = c * psi.  The tables are
+    filled on first use and belong to this action and its copies, so they hold
+    one row per normal applied, at most one chain per normal and monomial of
+    degree <= level, and one series per distinct (x, length).
     """
 
-    __slots__ = ("omega", "level", "series", "steps", "rows", "binomials")
+    __slots__ = ("omega", "level", "series", "steps", "binomials")
 
     def __init__(self, omega, level: int):
         self.omega = tuple(tuple(_exact(Fraction(x)) for x in row) for row in omega)
         self.level = level
         self.series: dict[Vector, object] = {(0,) * len(self.omega): 1}
-        self.steps: dict[Vector, dict[Vector, tuple]] = {}
-        self.rows: dict[Vector, tuple] = {}
+        self.steps: dict[Vector, tuple[tuple, dict[Vector, tuple]]] = {}
         self.binomials: dict[tuple, list] = {}
 
     def copy(self) -> "TorusAction":
@@ -585,7 +584,7 @@ class TorusAction:
         """
         other = TorusAction.__new__(TorusAction)
         other.omega, other.level, other.series = self.omega, self.level, self.series
-        other.steps, other.rows, other.binomials = self.steps, self.rows, self.binomials
+        other.steps, other.binomials = self.steps, self.binomials
         return other
 
     def apply_dilog(self, n: Vector, c) -> None:
@@ -622,14 +621,13 @@ class TorusAction:
         """
         dn = degree(n)
         level = self.level
-        table = self.steps.get(n)
-        if table is None:
+        entry = self.steps.get(n)
+        if entry is None:
             _check_index(n, len(self.omega))
             if dn > level:
                 return
-            table = self.steps[n] = {}
-            self.rows[n] = _omega_row(self.omega, n)
-        w = self.rows[n]
+            entry = self.steps[n] = (_omega_row(self.omega, n), {})
+        w, table = entry
         factors_by_psi = {}
         out: dict[Vector, object] = {}
         for m, coeff in self.series.items():

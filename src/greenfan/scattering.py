@@ -448,8 +448,10 @@ _ORIGIN = "rank2-completion"  # every diagram comes from complete_rank2
 def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
     walls = []
     for wall in diagram.walls:
+        validate_wall(fd, wall)  # the ValueError of every wall the reader refuses
         log, level = wall.element.log_terms(), wall.element.algebra.level
-        ray_coefficients(wall.normal, log)  # validate_wall's ValueError off the ray
+        if level != diagram.level:
+            raise ValueError("wall element is not at the diagram level %d" % diagram.level)
         walls.append(
             {
                 "normal": list(wall.normal),

@@ -576,7 +576,7 @@ class TestContract:
         assert "--delta requires --matrix" in capsys.readouterr().err
 
     def test_accepted_flags_are_pinned(self):
-        parser = cli._build_parser()
+        parser = cli._parser.__wrapped__()
         (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         accepted = {
             name: sorted(
@@ -934,14 +934,6 @@ def run_in_process(argv):
 
 
 def test_parser_is_built_once_per_process(monkeypatch):
-    build = cli._build_parser
-    builds = []
-
-    def counted():
-        builds.append(None)
-        return build()
-
-    monkeypatch.setattr(cli, "_build_parser", counted)
     cli._parser.cache_clear()
     passes = []
     try:
@@ -951,9 +943,11 @@ def test_parser_is_built_once_per_process(monkeypatch):
                 monkeypatch.setenv("COLUMNS", columns)
                 runs.append(run_in_process(argv))
             passes.append(runs)
+        info = cli._parser.cache_info()
     finally:
         cli._parser.cache_clear()
-    assert len(builds) == 1
+    assert info.misses == info.currsize == 1
+    assert info.hits == 2 * len(REPEATED_RUNS) - 1
     assert passes[0] == passes[1]
     assert [code for code, _, _ in passes[0]] == [0, 2, 2, 0, 0, 1]
     (_, narrow, _), (_, wide, _) = passes[0][3:5]

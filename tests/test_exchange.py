@@ -474,13 +474,17 @@ class TestSerialization:
             ("path", {}),
             ("edges", {}),
             ("repeated-edge", None),
+            ("extra-vertex", ([[0]], [1])),
+            ("path", [99]),
+            ("path", [-1]),
         ],
         ids=[
             "depth-string", "depth-fraction", "depth-bool", "depth-negative", "depth-forged",
             "rank-wrong",
             "rank-fraction", "path-fraction", "path-string",
             "path-bool", "key-fraction", "key-bool", "edge-into-root", "seed-sizes-differ",
-            "path-object", "edges-object", "repeated-edge",
+            "path-object", "edges-object", "repeated-edge", "vertex-of-another-rank",
+            "path-past-rank", "path-negative",
         ],
     )
     def test_malformed_document_is_bad_input(self, a2, field, value):
@@ -497,9 +501,16 @@ class TestSerialization:
             ))
         elif field == "repeated-edge":
             doc["edges"].append(dict(first))
+        elif field == "extra-vertex":
+            # a rank-1 seed under its own key
+            other = graph_to_json(enumerate_graph(validate_fixed_data(*value)))
+            doc["vertices"][other["root"]] = other["vertices"][other["root"]]
         else:
             first["source"], first["target"] = first["target"], first["source"]
-        with pytest.raises(BadInput, match="is repeated" if field == "repeated-edge" else None):
+        match = {"repeated-edge": "is repeated", "extra-vertex": "does not fit rank 2"}.get(field)
+        if value in ([99], [-1]):
+            match = re.escape("with path %s does not fit rank 2" % value)
+        with pytest.raises(BadInput, match=match):
             graph_from_json(json.loads(json.dumps(doc)))
 
     def test_object_for_a_key_matrix_is_bad_input(self):

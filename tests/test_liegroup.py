@@ -77,7 +77,7 @@ class TestBracket:
 
 
 class TestOmegaRow:
-    """``pairing`` reads omega(n, -) from ``_omega_row``, as ``TorusAction.rows`` does."""
+    """``pairing`` reads omega(n, -) from ``_omega_row``, as ``TorusAction.steps`` does."""
 
     def test_pairing_is_the_explicit_sum(self, b2, g2):
         rng = random.Random("omega-row")
@@ -441,6 +441,11 @@ class TestRayCoefficients:
             signed.apply_wall({v: sign * c for v, c in log.items()})
             assert record.series == signed.series, trial
 
+    @pytest.mark.parametrize("log", [{(-1, -1): 1}, {(0, 0): 5}], ids=["negative", "zero"])
+    def test_non_positive_multiple_is_off_the_ray(self, log):
+        with pytest.raises(ValueError, match="not supported on multiples of"):
+            ray_coefficients((1, 1), log)
+
 
 class TestRaySeries:
     def test_extended_series_is_the_fresh_series(self):
@@ -486,7 +491,8 @@ class TestTorusSteps:
         fd = random_fixed_data(rng, rank=3)
         action = TorusAction(fd.omega, 5)
         apply_sequence(action, rng, 5)
-        for n, table in action.steps.items():
+        for n, (row, table) in action.steps.items():
+            assert row == _omega_row(fd.omega, n)
             for m, (psi, chain) in table.items():
                 assert degree(m) <= 5
                 assert chain[0] == m and all(degree(t) <= 5 for t in chain)
@@ -504,14 +510,13 @@ class TestTorusSteps:
             apply_sequence(action, rng, level)
             before = dict(action.series)
             other = action.copy()
-            assert other.binomials is action.binomials and other.rows is action.rows
+            assert other.binomials is action.binomials and other.steps is action.steps
             apply_sequence(other, rng, level)
             assert action.series == before, trial
             built += len(action.binomials)
             for (x, length), series in action.binomials.items():
                 assert series == _binomial_series(x, length), trial
-            assert set(action.rows) == set(action.steps), trial
-            for n, row in action.rows.items():
+            for n, (row, _) in action.steps.items():
                 r = range(fd.rank)
                 assert list(row) == [sum(n[i] * fd.omega[i][j] for i in r) for j in r], trial
                 assert row == _omega_row(fd.omega, n), trial

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from greenfan import (
     GreenfanError,
     PbwAlgebra,
+    ScatteringDiagram,
+    Wall,
     cli,
     complete_rank2,
     diagram_from_json,
@@ -28,6 +31,7 @@ from greenfan import (
     validate_fixed_data,
     verify_loop_consistency,
 )
+from greenfan.linalg import primitive
 
 from support import (
     LOOP_PATTERNS,
@@ -296,3 +300,58 @@ def test_readers_fail_only_with_greenfan_errors(reader, mutations):
         read(doc)
     except GreenfanError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the diagram writer: a wall it writes reads back, and it refuses every other
+
+
+_RANK2 = [
+    validate_fixed_data(b, delta)
+    for b, delta in [
+        ([[0, 1], [-1, 0]], [1, 1]),
+        ([[0, 1], [-2, 0]], [1, 2]),
+        ([[0, 1], [-3, 0]], [1, 3]),
+        ([[0, 2], [-2, 0]], [1, 1]),
+    ]
+]
+
+
+def _one_ray_wall(fd, level, normal, rays, letter, coeffs):
+    """A one-wall diagram whose log is ``sum_j coeffs[j - 1] X_(j * letter)``."""
+    alg = PbwAlgebra(fd.omega, level)
+    log = {tuple(j * x for x in letter): c for j, c in enumerate(coeffs, 1) if c}
+    wall = Wall(normal=normal, rays=rays, element=alg.exp(alg.lie_element(log)))
+    return fd, ScatteringDiagram(level=level, walls=(wall,))
+
+
+@st.composite
+def one_ray_walls(draw):
+    """A hand-built wall with its log on one ray, and a normal and rays drawn
+    near the valid ones, so that some of them break ``validate_wall``."""
+    fd = draw(st.sampled_from(_RANK2))
+    level = draw(st.integers(1, 5))
+    letters = [v for v in itertools.product(range(3), repeat=2) if 0 < sum(v) <= level]
+    letter = draw(st.sampled_from(letters))
+    entry = st.integers(-1, 3)
+    normal = draw(st.one_of(st.just(primitive(letter)), st.tuples(entry, entry)))
+    on_wall = (fd.delta[0] * normal[1], -fd.delta[1] * normal[0])
+    ray = st.one_of(st.just(on_wall), st.tuples(entry, entry))
+    rays = tuple(draw(st.lists(ray, min_size=1, max_size=2)))
+    coeff = st.sampled_from([0, 1, -2, Fraction(1, 2)])
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=level // sum(letter)))
+    return _one_ray_wall(fd, level, normal, rays, letter, coeffs)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=one_ray_walls())
+@example(case=_one_ray_wall(G2, 3, (1, 1), ((1, -3),), (1, 1), [1]))  # written
+@example(case=_one_ray_wall(G2, 3, (1, 1), ((1, 0),), (1, 1), [1]))  # ray off the wall
+@example(case=_one_ray_wall(G2, 3, (1, 1), (), (1, 1), [1]))  # no ray
+def test_diagram_writer_refuses_what_the_reader_refuses(case):
+    fd, diagram = case
+    try:
+        doc = diagram_to_json(fd, diagram)
+    except ValueError:
+        return
+    assert diagram_from_json(json.loads(json.dumps(doc)), fd) == diagram

@@ -660,14 +660,21 @@ class TestLoopConsistency:
         b, delta, _ = FINITE_TYPES["E6"]
         fd = validate_fixed_data(b, delta)
         graph = enumerate_graph(fd)
-        builds, roots, normals = [], [], set()
-        binomial_series, init, apply_dilog = (
-            liegroup._binomial_series, TorusAction.__init__, TorusAction.apply_dilog
+        builds, rows, roots, normals = [], [], [], set()
+        binomial_series, omega_row, init, apply_dilog = (
+            liegroup._binomial_series,
+            liegroup._omega_row,
+            TorusAction.__init__,
+            TorusAction.apply_dilog,
         )
 
         def counted_build(x, length):
             builds.append((x, length))
             return binomial_series(x, length)
+
+        def counted_row(omega, n):
+            rows.append(n)
+            return omega_row(omega, n)
 
         def tracked_init(self, omega, level):
             init(self, omega, level)
@@ -678,12 +685,16 @@ class TestLoopConsistency:
             apply_dilog(self, n, c)
 
         monkeypatch.setattr(liegroup, "_binomial_series", counted_build)
+        monkeypatch.setattr(liegroup, "_omega_row", counted_row)
         monkeypatch.setattr(TorusAction, "__init__", tracked_init)
         monkeypatch.setattr(TorusAction, "apply_dilog", tracked_apply)
         verify_loop_consistency(fd, graph, 6)
         (root,) = roots
         assert len(builds) == len(set(builds)) == len(root.binomials)
-        assert set(root.rows) == set(root.steps) == {n for n in normals if degree(n) <= 6}
+        assert len(rows) == len(set(rows)) == len(root.steps)
+        assert set(root.steps) == {n for n in normals if degree(n) <= 6}
+        for n, (row, _) in root.steps.items():
+            assert row == omega_row(fd.omega, n)
 
     @pytest.mark.parametrize("name", sorted(LOOP_PATTERNS))
     def test_fraction_exponents_give_the_same_report(self, name, monkeypatch):
@@ -1282,6 +1293,23 @@ class TestLogReadWalls:
         alg = PbwAlgebra(a2.omega, 3)
         wall = Wall(normal=(1, 1), rays=((1, -1),), element=alg.exp(alg.lie_element(log)))
         with pytest.raises(ValueError, match="not supported on multiples of"):
+            diagram_to_json(a2, ScatteringDiagram(level=3, walls=(wall,)))
+
+    @pytest.mark.parametrize(
+        "normal, rays, level, message",
+        [
+            ((1, 1), ((1, 0),), 3, r"ray \(1, 0\) is not orthogonal to \(1, 1\)"),
+            ((1, 1), ((0, 0),), 3, "ray must be a nonzero 2-vector"),
+            ((2, 2), ((1, -1),), 3, "wall normal must be primitive"),
+            ((1, 1), (), 3, "rays must not be empty"),
+            ((1, 1), ((1, -1),), 2, "wall element is not at the diagram level 3"),
+        ],
+        ids=["off-wall-ray", "zero-ray", "non-primitive-normal", "no-ray", "element-level"],
+    )
+    def test_writer_refuses_each_wall_the_reader_refuses(self, a2, normal, rays, level, message):
+        alg = PbwAlgebra(a2.omega, level)
+        wall = Wall(normal=normal, rays=rays, element=alg.dilog((1, 1), 1))
+        with pytest.raises(ValueError, match=message):
             diagram_to_json(a2, ScatteringDiagram(level=3, walls=(wall,)))
 
     @pytest.mark.parametrize("matrix", ["[[0,2],[-2,0]]", "[[0,3],[-3,0]]"])
