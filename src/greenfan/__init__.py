@@ -79,7 +79,6 @@ _EXPORTS = {
         "diagram_from_json",
         "diagram_to_json",
         "diagram_to_svg",
-        "dual_pairing",
         "factor_dilog_power",
         "path_ordered_product",
         "validate_wall",

@@ -165,8 +165,8 @@ def _column_sign(col: Vector, k: int) -> int:
 
 def mutate_seed(fd: FixedData, seed: TropicalSeed, k: int) -> TropicalSeed:
     """Mutate the seed in direction ``k`` (0-based); an exact involution."""
-    if not 0 <= k < fd.rank:
-        raise IndexError("direction %d out of range for rank %d" % (k, fd.rank))
+    if not linalg.is_int(k) or not 0 <= k < fd.rank:
+        raise IndexError("direction %r out of range for rank %d" % (k, fd.rank))
     g_cols = list(zip(*seed.g))
     g_cols[k] = _mutated_g_column(seed.b, g_cols, k, _column_sign(seed.c_column(k), k))
     return TropicalSeed(*_shear(seed.b, seed.c, k), tuple(zip(*g_cols)), seed.path + (k,))

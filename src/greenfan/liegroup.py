@@ -78,6 +78,17 @@ def _check_level(level) -> None:
     require_int(level, "level", 1)
 
 
+def _skew_omega(omega, level: int) -> tuple:
+    """``omega`` in Fractions; ValueError unless it is square and skew, and ``level`` an int >= 1."""
+    omega = tuple(tuple(Fraction(x) for x in row) for row in omega)
+    if any(len(row) != len(omega) for row in omega):
+        raise ValueError("omega must be square")
+    if any(omega[i][j] != -omega[j][i] for i in range(len(omega)) for j in range(len(omega))):
+        raise ValueError("omega must be skew-symmetric")
+    _check_level(level)
+    return omega
+
+
 def _check_index(n, rank: int, error=NotLieElement) -> None:
     """A generator index is a nonzero nonnegative vector of the rank."""
     if not is_positive_vector(n) or len(n) != rank:
@@ -95,15 +106,8 @@ class PbwAlgebra:
     __slots__ = ("rank", "omega", "level", "_straighten_cache")
 
     def __init__(self, omega, level: int):
-        self.omega = tuple(tuple(Fraction(x) for x in row) for row in omega)
+        self.omega = _skew_omega(omega, level)
         self.rank = len(self.omega)
-        if any(len(row) != self.rank for row in self.omega):
-            raise ValueError("omega must be square")
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if self.omega[i][j] != -self.omega[j][i]:
-                    raise ValueError("omega must be skew-symmetric")
-        _check_level(level)
         self.level = level
         self._straighten_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
 
@@ -491,14 +495,14 @@ def _binomial_series(x, length: int) -> list:
     return out
 
 
-def ray_coefficients(n: Vector, log_terms, sign=1) -> dict[int, object]:
-    """``{j: sign * j^2 * c_j}``, the ``apply_ray`` form of ``{jn: c_j}``, n primitive, j >= 1."""
+def ray_coefficients(n: Vector, log_terms) -> dict[int, object]:
+    """``{j: j^2 * c_j}``, the ``apply_ray`` form of ``{jn: c_j}``, n primitive, j >= 1."""
     a, dn = {}, degree(n)
     for v, c in log_terms.items():
         j = degree(v) // dn
         if j < 1 or vec_scale(j, n) != tuple(v):
             raise ValueError("wall log is not supported on multiples of %r" % (n,))
-        a[j] = _exact(c * (sign * j * j))  # c is an int or a Fraction
+        a[j] = _exact(c * (j * j))  # c is an int or a Fraction
     return a
 
 
@@ -570,7 +574,7 @@ class TorusAction:
     __slots__ = ("omega", "level", "series", "steps", "binomials")
 
     def __init__(self, omega, level: int):
-        self.omega = tuple(tuple(_exact(Fraction(x)) for x in row) for row in omega)
+        self.omega = tuple(tuple(map(_exact, row)) for row in _skew_omega(omega, level))
         self.level = level
         self.series: dict[Vector, object] = {(0,) * len(self.omega): 1}
         self.steps: dict[Vector, tuple[tuple, dict[Vector, tuple]]] = {}

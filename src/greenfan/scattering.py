@@ -16,7 +16,7 @@ composed right-to-left: the first wall crossed sits rightmost.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -63,9 +63,9 @@ from .linalg import degree, is_positive_vector, letter_key
 Vector = tuple[int, ...]
 
 
-def dual_pairing(delta, n, m) -> Fraction:
-    """<n, m> with m written in the f-basis: sum n_i m_i / delta_i."""
-    return sum((Fraction(a * b, d) for a, b, d in zip(n, m, delta)), Fraction(0))
+def _pairing(delta, n, m) -> int:
+    """<n, m> times lcm(delta), with m in the f-basis: sum n_i m_i (lcm / delta_i), in ints."""
+    return sum(a * b * lcm(*delta) // d for a, b, d in zip(n, m, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ class Wall(NamedTuple):
     element: GroupElement
 
 
-def validate_wall(fd: FixedData, wall: Wall) -> None:
+def validate_wall(fd: FixedData, wall: Wall) -> dict[int, object]:
     if len(wall.normal) != fd.rank or not is_positive_vector(wall.normal):
         raise ValueError("wall normal must be a positive %d-vector, got %r" % (fd.rank, wall.normal))
     if gcd(*wall.normal) != 1:
@@ -90,9 +90,9 @@ def validate_wall(fd: FixedData, wall: Wall) -> None:
     for ray in wall.rays:
         if len(ray) != fd.rank or not any(ray):
             raise ValueError("ray must be a nonzero %d-vector, got %r" % (fd.rank, ray))
-        if dual_pairing(fd.delta, wall.normal, ray) != 0:
+        if _pairing(fd.delta, wall.normal, ray):
             raise ValueError("ray %r is not orthogonal to %r" % (ray, wall.normal))
-    ray_coefficients(wall.normal, wall.element.log_terms())  # raises off the ray
+    return ray_coefficients(wall.normal, wall.element.log_terms())  # its table; raises off the ray
 
 
 def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:
@@ -105,6 +105,16 @@ def _crossing_normal(seed: TropicalSeed, k: int) -> tuple[int, Vector]:
 class ScatteringDiagram(NamedTuple):
     level: int
     walls: tuple[Wall, ...]
+
+
+def _checked_walls(fd: FixedData, diagram: ScatteringDiagram):
+    """Each wall and its ``validate_wall`` table; the ValueError of a diagram the reader refuses."""
+    _check_level(diagram.level)
+    for wall in diagram.walls:
+        table = validate_wall(fd, wall)
+        if wall.element.algebra.level != diagram.level:
+            raise ValueError("wall element is not at the diagram level %d" % diagram.level)
+        yield wall, table
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +147,8 @@ def crossing_sequence(fd: FixedData, steps) -> CrossingSequence:
     steps = list(steps)
     crossings = []
     for i, (seed, k) in enumerate(steps):
-        if not 0 <= k < fd.rank:
-            raise InvalidWalk("direction %d out of range at step %d" % (k, i))
+        if not linalg.is_int(k) or not 0 <= k < fd.rank:
+            raise InvalidWalk("direction %r out of range at step %d" % (k, i))
         nxt = mutate_seed(fd, seed, k)
         if i + 1 < len(steps) and not nxt.same_matrices(steps[i + 1][0]):
             raise InvalidWalk("steps %d -> %d do not chain" % (i, i + 1))
@@ -310,21 +320,17 @@ def _ccw_key(u0, v):
 
 
 def _crossing_sign(delta, ray, normal) -> int:
-    """+1 when the counterclockwise sweep exits the positive side of the wall at this ray.
-
-    That is when ``dual_pairing(delta, normal, (-ray[1], ray[0])) < 0``,
-    compared here in ints, times delta[0] * delta[1] > 0.
-    """
-    return 1 if normal[1] * ray[0] * delta[0] < normal[0] * ray[1] * delta[1] else -1
+    """+1 when the counterclockwise sweep leaves the wall's positive side: <n, (-r1, r0)> < 0."""
+    return 1 if _pairing(delta, normal, (-ray[1], ray[0])) < 0 else -1
 
 
-def _crossing_record(fd, ray, normal, log, clockwise=False):
-    """``(key, normal, series)`` of the crossing at ``ray`` of the wall with
-    log ``log``, in a full sweep around the origin that crosses its records
-    in ascending ``key``: counterclockwise from (1, 1), or clockwise from
-    (-1, -1), the counterclockwise order of the mirrored rays (y, x).  The
-    series is the ``RaySeries`` of the signed log, so a record swept again at
-    a higher level extends the factor series it built before.
+def _crossing_record(fd, ray, normal, table, clockwise=False):
+    """``(key, normal, series)`` of the crossing at ``ray`` of the wall with log
+    ``ray_coefficients`` ``table``, in a full sweep around the origin that
+    crosses its records in ascending ``key``: counterclockwise from (1, 1), or
+    clockwise from (-1, -1), the counterclockwise order of the mirrored rays
+    (y, x).  The series is the ``RaySeries`` of the signed table, so a record
+    swept again at a higher level extends the factor series it built before.
 
     A ray of n-perp, n positive, is t * (d1 n2, -d2 n1) with t != 0, so its
     entries never share a strict sign: it misses the line of the basepoints
@@ -338,7 +344,7 @@ def _crossing_record(fd, ray, normal, log, clockwise=False):
         key, eps = _ccw_key((-1, -1), ray[::-1]), -eps
     else:
         key = _ccw_key((1, 1), ray)
-    return key, normal, RaySeries(ray_coefficients(normal, log, eps))
+    return key, normal, RaySeries({j: eps * c for j, c in table.items()})
 
 
 def _sweep_defect(fd, records, level) -> dict:
@@ -383,7 +389,8 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
         rays = (direction, linalg.vec_neg(direction))
         initial.append((rays, n, dilog_log_terms(n, fd.delta[i], level)))
     # (ray, normal) -> crossing record of the wall there, rebuilt when it gains a term
-    records = {(ray, n): _crossing_record(fd, ray, n, log) for rays, n, log in initial for ray in rays}
+    records = {(ray, n): _crossing_record(fd, ray, n, ray_coefficients(n, log))
+               for rays, n, log in initial for ray in rays}
     scattered: dict[tuple, dict] = {}  # (ray, normal) -> log of the wall there
     for d in range(2, level + 1):
         defect = _sweep_defect(fd, records.values(), d)
@@ -396,7 +403,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
             ray = _outgoing_ray(fd, n_pr)
             log = scattered.setdefault((ray, n_pr), {})
             log[n] = -_crossing_sign(fd.delta, ray, n_pr) * defect[n]
-            records[ray, n_pr] = _crossing_record(fd, ray, n_pr, log)
+            records[ray, n_pr] = _crossing_record(fd, ray, n_pr, ray_coefficients(n_pr, log))
     _require_trivial_sweep(fd, records.values(), level, "completion failed to cancel all defects")
     order = sorted(scattered, key=lambda key: (records[key][0][0],) + key)
     alg = PbwAlgebra(fd.omega, level)
@@ -411,17 +418,14 @@ def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
     """Re-check a rank-2 diagram with an independently oriented sweep.
 
     Uses a clockwise loop from the opposite basepoint, so the crossing order
-    and all the signs differ from the ones the completion used.  A wall that
-    fails ``validate_wall`` raises its ValueError first.
+    and all the signs differ from the ones the completion used.  A diagram
+    that ``diagram_to_json`` refuses raises its ValueError first.
     """
     if fd.rank != 2:
         raise NotRankTwo("rank-2 verification needs rank 2")
-    _check_level(diagram.level)
     records = []
-    for wall in diagram.walls:
-        validate_wall(fd, wall)
-        log = wall.element.log_terms()
-        records += [_crossing_record(fd, ray, wall.normal, log, clockwise=True) for ray in wall.rays]
+    for wall, table in _checked_walls(fd, diagram):
+        records += [_crossing_record(fd, ray, wall.normal, table, clockwise=True) for ray in wall.rays]
     _require_trivial_sweep(fd, records, diagram.level)
     return True
 
@@ -446,21 +450,17 @@ _ORIGIN = "rank2-completion"  # every diagram comes from complete_rank2
 
 
 def diagram_to_json(fd: FixedData, diagram: ScatteringDiagram) -> dict:
-    walls = []
-    for wall in diagram.walls:
-        validate_wall(fd, wall)  # the ValueError of every wall the reader refuses
-        log, level = wall.element.log_terms(), wall.element.algebra.level
-        if level != diagram.level:
-            raise ValueError("wall element is not at the diagram level %d" % diagram.level)
+    walls, level = [], diagram.level
+    for wall, _ in _checked_walls(fd, diagram):
         walls.append(
             {
                 "normal": list(wall.normal),
                 "rays": [list(r) for r in wall.rays],
-                "element": _terms_to_json(level, _ray_words(log, level)),
+                "element": _terms_to_json(level, _ray_words(wall.element.log_terms(), level)),
                 "factored": factor_dilog_power(fd, wall),
             }
         )
-    return {"level": diagram.level, "origin": _ORIGIN, "walls": walls}
+    return {"level": level, "origin": _ORIGIN, "walls": walls}
 
 
 def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:

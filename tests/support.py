@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd
+from math import comb, gcd
 
 from greenfan import (
     BadInput,
@@ -33,7 +33,6 @@ from greenfan import (
     TropicalSeed,
     Wall,
     canonical_key,
-    dual_pairing,
     enumerate_graph,
     graph_to_json,
     key_to_str,
@@ -45,6 +44,15 @@ from greenfan import exchange, scattering
 from greenfan.linalg import as_int_matrix, delta_exponent
 from greenfan.liegroup import TorusAction, degree
 from greenfan.scattering import LoopReport
+
+
+def dual_pairing(delta, n, m) -> Fraction:
+    """<n, m> with m written in the f-basis: sum n_i m_i / delta_i.
+
+    The oracle of the integer pairing ``scattering`` tests orthogonality and
+    crossing signs with.
+    """
+    return sum((Fraction(a * b, d) for a, b, d in zip(n, m, delta)), Fraction(0))
 
 
 def word_key(n):
@@ -532,6 +540,34 @@ def wall_factor_exponents(n, log, level):
             e[k] * (-1) ** (j // k + 1) * Fraction(k, j) for k in e if j % k == 0
         )
     return e
+
+
+def wall_function(n, log, length):
+    """f_0..f_length of f(t) = exp(sum_j j c_j t^j), the wall function of the
+    log ``{jn: c_j}``, n primitive: f' = P' f gives k f_k = sum_j j^2 c_j f_(k-j)."""
+    a = {}  # j -> j^2 c_j
+    for v, c in log.items():
+        j = degree(v) // degree(n)
+        a[j] = j * j * Fraction(c)
+    f = [Fraction(1)]
+    for k in range(1, length + 1):
+        f.append(sum((a_j * f[k - j] for j, a_j in a.items() if j <= k), Fraction(0)) / k)
+    return f
+
+
+def central_wall_closed_form(m, length):
+    """f_0..f_length of (sum_k C((m-1)^2 k, k) / ((m^2 - 2m) k + 1) t^k)^m.
+
+    By Reineke's theorem, conjectured by Gross-Pandharipande-Siebert ("The
+    tropical vertex", arXiv:0902.0779), this is the function of the central
+    ray (1, 1) of the consistent completion of (1 + tx)^m and (1 + ty)^m:
+    the wall function of the (1, 1) wall for B = [[0, m], [-m, 0]], delta (1, 1).
+    """
+    base = [Fraction(comb((m - 1) ** 2 * k, k), (m * m - 2 * m) * k + 1) for k in range(length + 1)]
+    f = [Fraction(1)] + [Fraction(0)] * length
+    for _ in range(m):
+        f = [sum(f[i] * base[k - i] for i in range(k + 1)) for k in range(length + 1)]
+    return f
 
 
 def require_positive_wall(fd, wall):

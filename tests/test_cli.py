@@ -226,7 +226,7 @@ PUBLIC_NAMES = [
     "SignIncoherent", "TropicalSeed", "Wall", "canonical_key", "certify_acyclic",
     "complete_rank2", "crossing_sequence", "crossing_sequence_from_normals",
     "delta_exponent", "diagram_from_json", "diagram_to_json", "diagram_to_svg",
-    "dual_pairing", "element_from_json", "element_to_json", "enumerate_graph",
+    "element_from_json", "element_to_json", "enumerate_graph",
     "factor_dilog_power", "fan_to_svg", "graph_from_json", "graph_to_dot",
     "graph_to_json", "group_from_json", "key_to_str", "minimal_degree_obstruction",
     "mutate_seed", "path_ordered_product", "root_seed", "validate_fixed_data",
@@ -592,7 +592,7 @@ class TestContract:
 
     def test_public_names_are_pinned(self):
         assert greenfan.__all__ == PUBLIC_NAMES
-        assert len(PUBLIC_NAMES) == 59
+        assert len(PUBLIC_NAMES) == 58
 
     def test_readme_lists_every_export(self):
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

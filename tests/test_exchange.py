@@ -192,6 +192,13 @@ class TestMutation:
         with pytest.raises(IndexError):
             mutate_seed(a2, root_seed(a2), 2)
 
+    # True once mutated direction 1 and wrote True into the path; 1.0 raised
+    # a bare TypeError from tuple indexing
+    @pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+    def test_direction_must_be_an_int(self, a2, k):
+        with pytest.raises(IndexError, match="direction %r out of range" % (k,)):
+            mutate_seed(a2, root_seed(a2), k)
+
     def test_b2_duality_after_mutation(self, b2):
         seed = mutate_seed(b2, root_seed(b2), 0)
         assert seed.g == ((-1, 0), (2, 1))

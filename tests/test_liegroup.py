@@ -250,6 +250,27 @@ class TestExpLog:
         with pytest.raises(ValueError, match="square|skew"):
             PbwAlgebra(omega, 2)
 
+    @pytest.mark.parametrize(
+        "omega, level, message",
+        [
+            (((0, 1), (-1, 0)), 0, "level must be an integer >= 1"),
+            (((0, 1), (-1, 0)), -1, "level must be an integer >= 1"),
+            (((0, 1), (-1, 0)), True, "level must be an integer >= 1"),
+            (((0, 1), (-1, 0)), 2.5, "level must be an integer >= 1"),
+            (((0, 1), (-1, 0)), "3", "level must be an integer >= 1"),
+            (((0, 1), (1, 0)), 3, "omega must be skew-symmetric"),
+            (((0, 1), (-1,)), 3, "omega must be square"),
+        ],
+        ids=["level-0", "level-neg", "level-bool", "level-float", "level-str", "non-skew", "ragged"],
+    )
+    @pytest.mark.parametrize("engine", [PbwAlgebra, TorusAction])
+    def test_engines_refuse_the_same_inputs(self, engine, omega, level, message):
+        """The torus action checks omega and the level as the algebra does:
+        a bad level once gave an identity action or a bare TypeError on the
+        first apply, and a bad omega computed."""
+        with pytest.raises(ValueError, match=message):
+            engine(omega, level)
+
     @pytest.mark.parametrize("n", [(0, 0), (-1, 1), (1,), (1, 0, 0)])
     def test_bad_generator_index(self, n):
         a = alg(3)
@@ -422,9 +443,9 @@ class TestBinomialSeries:
 
 class TestRayCoefficients:
     def test_signed_record_acts_as_the_signed_log(self):
-        """``apply_ray`` of the ``RaySeries`` of ``ray_coefficients(n, log,
-        sign)`` is ``apply_wall`` of the log times ``sign``, from any prior
-        state."""
+        """``apply_ray`` of the ``RaySeries`` of ``ray_coefficients(n, log)``
+        times ``sign``, as a crossing record signs it, is ``apply_wall`` of
+        the log times ``sign``, from any prior state."""
         rng = random.Random("ray-coefficients")
         for trial in range(60):
             fd = random_fixed_data(rng)
@@ -437,7 +458,8 @@ class TestRayCoefficients:
             record, signed = TorusAction(fd.omega, level), TorusAction(fd.omega, level)
             apply_sequence(record, random.Random(seed), level)
             apply_sequence(signed, random.Random(seed), level)
-            record.apply_ray(n, RaySeries(ray_coefficients(n, log, sign)))
+            table = ray_coefficients(n, log)
+            record.apply_ray(n, RaySeries({j: sign * c for j, c in table.items()}))
             signed.apply_wall({v: sign * c for v, c in log.items()})
             assert record.series == signed.series, trial
 

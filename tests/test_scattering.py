@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -30,7 +32,6 @@ from greenfan import (
     diagram_from_json,
     diagram_to_json,
     diagram_to_svg,
-    dual_pairing,
     element_to_json,
     enumerate_graph,
     factor_dilog_power,
@@ -60,7 +61,9 @@ from support import (
     _cycle_crossings,
     _fundamental_cycles,
     cluster_chamber,
+    central_wall_closed_form,
     cluster_fan_diagram,
+    dual_pairing,
     element_words,
     facet_cone,
     facet_wall,
@@ -72,6 +75,7 @@ from support import (
     random_positive_vector,
     require_positive_wall,
     signed_log_sweep,
+    wall_function,
 )
 
 
@@ -170,6 +174,26 @@ class TestGeometry:
             signs.add((pairing > 0) - (pairing < 0))
             want = 1 if pairing < 0 else -1
             assert scattering_module._crossing_sign(delta, ray, normal) == want, (delta, ray, normal)
+        assert signs == {-1, 0, 1}
+
+    def test_integer_pairing_has_the_sign_of_the_oracle(self):
+        """``_pairing`` is lcm(delta) times the Fraction pairing, an int with
+        the same sign and the same zeros, on ranks 1 to 4."""
+        rng = random.Random("integer-pairing")
+        signs = set()
+        for _ in range(2000):
+            rank = rng.randint(1, 4)
+            delta = tuple(rng.randint(1, 6) for _ in range(rank))
+            n = tuple(rng.randint(0, 5) for _ in range(rank))
+            m = [rng.randint(-5, 5) for _ in range(rank)]
+            if rank > 1 and rng.random() < 0.3:  # a point of n-perp
+                i, j = rng.sample(range(rank), 2)
+                m = [0] * rank
+                m[i], m[j] = delta[i] * n[j], -delta[j] * n[i]
+            want = dual_pairing(delta, n, m)
+            got = scattering_module._pairing(delta, n, m)
+            assert type(got) is int and got == want * math.lcm(*delta), (delta, n, m)
+            signs.add((want > 0) - (want < 0))
         assert signs == {-1, 0, 1}
 
     def test_root_chamber_is_positive_orthant(self, a2):
@@ -345,6 +369,13 @@ class TestCrossingSequences:
     def test_out_of_range_direction_rejected(self, a2, k):
         with pytest.raises(InvalidWalk, match="out of range at step 0"):
             crossing_sequence(a2, [(root_seed(a2), k)])
+
+    @pytest.mark.parametrize("k", [True, 1.0], ids=["bool", "float"])
+    def test_direction_must_be_an_int(self, a2, k):
+        with pytest.raises(IndexError, match="out of range"):
+            walk(a2, root_seed(a2), [0, k])
+        with pytest.raises(InvalidWalk, match="direction %r out of range at step 1" % (k,)):
+            crossing_sequence(a2, [(root_seed(a2), 0), (mutate_seed(a2, root_seed(a2), 0), k)])
 
     def test_exponents_follow_delta(self, g2):
         steps = walk(g2, root_seed(g2), [0, 1, 0])
@@ -851,6 +882,22 @@ class TestRankTwoCompletion:
         assert central == [{(k, k): Fraction(2, k * k) for k in range(1, 11)}]
         assert verify_rank2_consistency(kronecker, diagram)
 
+    @pytest.mark.parametrize("m, level", [(2, 40), (3, 30), (4, 14), (5, 10)])
+    def test_central_wall_function_is_the_closed_form(self, m, level):
+        """Reineke's theorem, conjectured by Gross-Pandharipande-Siebert, at
+        levels no golden reaches: see ``support.central_wall_closed_form``."""
+        fd = validate_fixed_data([[0, m], [-m, 0]], [1, 1])
+        (central,) = [w for w in complete_rank2(fd, level).walls if w.normal == (1, 1)]
+        function = wall_function((1, 1), central.element.log_terms(), level // 2)
+        assert function == central_wall_closed_form(m, level // 2)
+
+    def test_read_back_central_wall_is_the_closed_form(self, kronecker):
+        text = json.dumps(diagram_to_json(kronecker, complete_rank2(kronecker, 20)))
+        back = diagram_from_json(json.loads(text), kronecker)
+        (central,) = [w for w in back.walls if w.normal == (1, 1)]
+        function = wall_function((1, 1), central.element.log_terms(), 10)
+        assert function == central_wall_closed_form(2, 10) == [k + 1 for k in range(11)]
+
     def test_level_refinement_stability(self, b2, kronecker):
         for fd in (b2, kronecker):
             fine = complete_rank2(fd, 6)
@@ -1220,6 +1267,21 @@ class TestLogWrittenWalls:
             assert p.carrier == alg.project(wall.element.carrier, 4), wall.normal
 
 
+# hand-built one-wall A2 diagrams at level 3 that the reader refuses:
+# (normal, rays, element level, the writer's message)
+MALFORMED_WALLS = pytest.mark.parametrize(
+    "normal, rays, level, message",
+    [
+        ((1, 1), ((1, 0),), 3, r"ray \(1, 0\) is not orthogonal to \(1, 1\)"),
+        ((1, 1), ((0, 0),), 3, "ray must be a nonzero 2-vector"),
+        ((2, 2), ((1, -1),), 3, "wall normal must be primitive"),
+        ((1, 1), (), 3, "rays must not be empty"),
+        ((1, 1), ((1, -1),), 2, "wall element is not at the diagram level 3"),
+    ],
+    ids=["off-wall-ray", "zero-ray", "non-primitive-normal", "no-ray", "element-level"],
+)
+
+
 def edited_terms(terms, edit, j):
     """``terms`` with term ``j`` given twice its coefficient, or dropped."""
     if edit == "coefficient":
@@ -1295,22 +1357,62 @@ class TestLogReadWalls:
         with pytest.raises(ValueError, match="not supported on multiples of"):
             diagram_to_json(a2, ScatteringDiagram(level=3, walls=(wall,)))
 
-    @pytest.mark.parametrize(
-        "normal, rays, level, message",
-        [
-            ((1, 1), ((1, 0),), 3, r"ray \(1, 0\) is not orthogonal to \(1, 1\)"),
-            ((1, 1), ((0, 0),), 3, "ray must be a nonzero 2-vector"),
-            ((2, 2), ((1, -1),), 3, "wall normal must be primitive"),
-            ((1, 1), (), 3, "rays must not be empty"),
-            ((1, 1), ((1, -1),), 2, "wall element is not at the diagram level 3"),
-        ],
-        ids=["off-wall-ray", "zero-ray", "non-primitive-normal", "no-ray", "element-level"],
-    )
+    @MALFORMED_WALLS
     def test_writer_refuses_each_wall_the_reader_refuses(self, a2, normal, rays, level, message):
         alg = PbwAlgebra(a2.omega, level)
         wall = Wall(normal=normal, rays=rays, element=alg.dilog((1, 1), 1))
         with pytest.raises(ValueError, match=message):
             diagram_to_json(a2, ScatteringDiagram(level=3, walls=(wall,)))
+
+    @staticmethod
+    def refusals(fd, diagram) -> list:
+        """The error of the writer and of the re-check on one diagram."""
+        errors = []
+        for check in (diagram_to_json, verify_rank2_consistency):
+            with pytest.raises(ValueError) as info:
+                check(fd, diagram)
+            errors.append((type(info.value), str(info.value)))
+        return errors
+
+    @MALFORMED_WALLS
+    def test_verify_refuses_what_the_writer_refuses(self, a2, normal, rays, level, message):
+        alg = PbwAlgebra(a2.omega, level)
+        wall = Wall(normal=normal, rays=rays, element=alg.dilog((1, 1), 1))
+        writer, verify = self.refusals(a2, ScatteringDiagram(level=3, walls=(wall,)))
+        assert writer == verify
+        assert writer[0] is ValueError and re.search(message, writer[1])
+
+    # verify once returned True at levels 5 and 7 and reported an inconsistency at 3
+    @pytest.mark.parametrize("wall_level", [3, 5, 7])
+    def test_wall_off_the_diagram_level_is_refused_alike(self, a2, wall_level):
+        diagram = complete_rank2(a2, 6)
+        first = complete_rank2(a2, wall_level).walls[0]
+        assert first.normal == diagram.walls[0].normal
+        moved = diagram._replace(walls=(first,) + diagram.walls[1:])
+        want = (ValueError, "wall element is not at the diagram level 6")
+        assert self.refusals(a2, moved) == [want, want]
+
+    @pytest.mark.parametrize("name", ["Kronecker", "G2"])
+    def test_verify_reads_each_wall_log_once(self, name, monkeypatch):
+        """The sweep records take the table ``validate_wall`` returns."""
+        fd = rank2_order(name, False)
+        diagram = complete_rank2(fd, 10)
+        tables, logs = [], []
+        coefficients, log_terms = scattering_module.ray_coefficients, GroupElement.log_terms
+
+        def counted_table(n, log):
+            tables.append(n)
+            return coefficients(n, log)
+
+        def counted_log(self):
+            logs.append(self)
+            return log_terms(self)
+
+        monkeypatch.setattr(scattering_module, "ray_coefficients", counted_table)
+        monkeypatch.setattr(GroupElement, "log_terms", counted_log)
+        assert verify_rank2_consistency(fd, diagram)
+        assert tables == [wall.normal for wall in diagram.walls]
+        assert list(map(id, logs)) == [id(wall.element) for wall in diagram.walls]
 
     @pytest.mark.parametrize("matrix", ["[[0,2],[-2,0]]", "[[0,3],[-3,0]]"])
     def test_scatter2_and_read_back_run_no_pbw_engine(self, matrix, monkeypatch, capsys):
