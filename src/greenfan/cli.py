@@ -147,11 +147,12 @@ def _certify(job: argparse.Namespace, doc) -> dict:
     else:
         graph = _explored(job, _fixed_data(doc))
     order = exchange.certify_acyclic(graph)  # raises CycleFound on failure
+    name = exchange._KeyNamer()
     out = {
         "status": graph.status,
         "vertex_count": len(graph.vertices),
-        "root": key_to_str(graph.root),
-        "topological_order": [key_to_str(k) for k in order],
+        "root": name(graph.root),
+        "topological_order": list(map(name, order)),
     }
     return {"json": lambda: _json_batches(out)}
 

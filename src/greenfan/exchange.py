@@ -404,10 +404,28 @@ def _extract_cycle(arcs, remaining):
 
 
 _KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))  # writes tuples as lists
+_KEY_TEMPLATE = '{"g":[%s],"B":[%s]}'  # a key's text, given each matrix's rows
 
 
 def key_to_str(key: SeedKey) -> str:
-    return _KEY_ENCODER.encode({"g": key.g_columns, "B": key.b})
+    # one key shares few parts: one encode per matrix, its brackets cut off
+    return _KEY_TEMPLATE % (_KEY_ENCODER.encode(key.g_columns)[1:-1],
+                            _KEY_ENCODER.encode(key.b)[1:-1])
+
+
+class _KeyNamer(dict):
+    """``key_to_str`` for the keys of one document, which share most g-columns
+    and B rows: each distinct vector is encoded once and kept as long as the
+    namer, which lasts one call.  Entries must be ints, as in every key
+    greenfan builds: a bool would take the text of an equal int."""
+
+    def __missing__(self, vector):
+        text = self[vector] = _KEY_ENCODER.encode(vector)
+        return text
+
+    def __call__(self, key: SeedKey) -> str:
+        part = self.__getitem__
+        return _KEY_TEMPLATE % (",".join(map(part, key.g_columns)), ",".join(map(part, key.b)))
 
 
 def _seed_to_json(seed: TropicalSeed) -> dict:
@@ -435,7 +453,10 @@ def _seed_from_json(doc) -> TropicalSeed:
 
 
 def graph_to_json(graph: OrientedExchangeGraph, topological_order=None) -> dict:
-    names = {k: key_to_str(k) for k in graph.vertices}  # the topological order names keys
+    """The graph document; its key names are built from shared parts by one
+    ``_KeyNamer``, which lasts this call."""
+    key_name = _KeyNamer()
+    names = {k: key_name(k) for k in graph.vertices}  # the topological order names keys
     by_id = list(names.values())
     return {
         "rank": graph.rank,
@@ -462,16 +483,20 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
     and path entry lies in ``range(rank)``, ``depth_reached`` is the longest
     path, and the status is ``"complete"`` or ``"truncated"``.  The root gets
     id 0 and the others follow in listed order.  No edge may be repeated.
+    Names are built from shared parts by one ``_KeyNamer``, which lasts this
+    call; every seed entry is still type-checked.
     """
     try:
+        key_name = _KeyNamer()
         seeds = {}  # name -> (key, seed), in listed order
         for name, record in doc["vertices"].items():
             seed = _seed_from_json(record)
             if len(set(zip(*seed.g))) != len(seed.g):  # so _seed_key's cols.index is exact
                 raise BadInput("vertex %s has a repeated g-column" % name)
             key = canonical_key(seed)
-            if key_to_str(key) != name:
-                raise BadInput("vertex %s holds the seed of %s" % (name, key_to_str(key)))
+            rendered = key_name(key)
+            if rendered != name:
+                raise BadInput("vertex %s holds the seed of %s" % (name, rendered))
             seeds[name] = key, seed
         if doc["root"] not in seeds:
             raise BadInput("root %s is not a vertex" % doc["root"])

@@ -36,6 +36,7 @@ from .exchange import (
     SeedKey,
     TropicalSeed,
     _column_sign,
+    _KeyNamer,
     _svg_document,
     _svg_label,
     _svg_ray,
@@ -492,13 +493,15 @@ def diagram_from_json(doc, fd: FixedData) -> ScatteringDiagram:
 
 
 def report_to_json(report: ConsistencyReport) -> dict:
-    # loops share most key objects: each is named once, through its id, as a
-    # key tuple does not cache its hash
+    """The report document; its key names are built from shared parts by one
+    ``_KeyNamer``, which lasts this call.  Loops share most key objects: each
+    is named once, through its id, as a key tuple does not cache its hash."""
+    name = _KeyNamer()
     names = {}
     for loop in report.loops:
         for k in loop.vertices:
             if id(k) not in names:
-                names[id(k)] = key_to_str(k)
+                names[id(k)] = name(k)
     return {
         "level": report.level,
         "loop_count": len(report.loops),

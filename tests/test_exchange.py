@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from operator import mul
 
 import pytest
@@ -227,6 +228,140 @@ class TestCanonicalKey:
         graph = enumerate_graph(a3)
         for key in graph.vertices:
             assert key_from_str(key_to_str(key)) == key
+
+
+def json_key(key):
+    """The definition of a key string: the compact JSON of ``{"g", "B"}``."""
+    return json.dumps({"g": key.g_columns, "B": key.b}, separators=(",", ":"))
+
+
+# rank-4 wild: a path of double edges
+WILD_4 = ([[0, 2, 0, 0], [-2, 0, 2, 0], [0, -2, 0, 2], [0, 0, -2, 0]], [1, 1, 1, 1])
+
+# name -> (B, delta, enumerate_graph keyword arguments) of the graphs named by one namer
+NAMED_GRAPHS = {
+    **{
+        "FZ-" + name: (b, delta, {"max_depth": 64})
+        for name, (b, delta, _) in FINITE_TYPES.items()
+        if name != "E7"
+    },
+    **{
+        "loop-" + name: (b, delta, {"max_depth": 64})
+        for name, (b, delta) in LOOP_PATTERNS.items()
+    },
+    "Kronecker-22": ([[0, 2], [-2, 0]], [1, 1], {}),
+    "Markov": MARKOV + ({"max_depth": 5},),
+    "wild-4": WILD_4 + ({"max_depth": 4},),
+    "rank-1": ([[0]], [1], {}),
+}
+
+
+class TestKeyNames:
+    """``exchange._KeyNamer`` names a document's keys from shared parts."""
+
+    @pytest.mark.parametrize("name", list(NAMED_GRAPHS))
+    def test_namer_writes_key_to_str(self, name):
+        b, delta, budget = NAMED_GRAPHS[name]
+        graph = enumerate_graph(validate_fixed_data(b, delta), **budget)
+        namer = exchange._KeyNamer()  # one memo for the whole graph, as a document has
+        for key in graph.vertices:
+            assert namer(key) == key_to_str(key) == json_key(key)
+        doc = graph_to_json(graph, certify_acyclic(graph))
+        assert list(doc["vertices"]) == [json_key(k) for k in graph.vertices]
+
+    def test_overlong_int_raises_as_key_to_str_does(self):
+        """``main`` maps this ValueError to ``bad_input``; see the
+        ``overlong-result-*`` cases of ``tests/test_cli.py``."""
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("the int-string limit is off")
+        big = int("7" * (limit * 2 // 3))  # its square passes the limit
+        graph = enumerate_graph(validate_fixed_data([[0, big], [-1, 0]], [big, 1]), max_depth=4)
+        want = None
+        for key in graph.vertices:  # the first key that cannot be written
+            try:
+                key_to_str(key)
+            except ValueError as exc:
+                want = exc
+                break
+        assert want is not None and "integer string conversion" in str(want)
+        with pytest.raises(ValueError) as oracle:
+            json_key(key)
+        with pytest.raises(ValueError) as got:
+            graph_to_json(graph)
+        assert str(got.value) == str(want) == str(oracle.value)
+
+    def test_each_part_is_encoded_once(self, monkeypatch):
+        """Less work: at most one encode per distinct g-column and B row."""
+        b, delta, _ = FINITE_TYPES["E6"]
+        graph = enumerate_graph(validate_fixed_data(b, delta))
+        g_columns = {col for key in graph.vertices for col in key.g_columns}
+        b_rows = {row for key in graph.vertices for row in key.b}
+        assert len(g_columns) == 42  # 36 positive roots and 6 negative simple roots
+        doc = json.loads(json.dumps(graph_to_json(graph, certify_acyclic(graph))))
+        calls = []
+        encode = exchange._KEY_ENCODER.encode
+        monkeypatch.setattr(exchange._KEY_ENCODER, "encode", lambda o: calls.append(o) or encode(o))
+        graph_to_json(graph, certify_acyclic(graph))
+        assert 0 < len(calls) <= len(g_columns) + len(b_rows)
+        calls.clear()
+        assert graph_from_json(doc) == graph
+        assert 0 < len(calls) <= len(g_columns) + len(b_rows)
+
+
+def _seen_row(doc, matrix):
+    """The first (name, row index) of a ``matrix`` row holding a 1 whose value
+    an earlier record of ``doc`` already held."""
+    seen = set()
+    for name, record in doc["vertices"].items():
+        for i, row in enumerate(record[matrix]):
+            if 1 in row and tuple(row) in seen:
+                return name, i
+        seen.update(tuple(row) for m in ("B", "C", "G") for row in record[m])
+    raise AssertionError("no %s row repeats an earlier one" % matrix)
+
+
+class TestReaderSoundness:
+    """The reader's memo of key parts must not excuse an entry or a name."""
+
+    @pytest.mark.parametrize("matrix", ["B", "C", "G"])
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+    def test_value_equal_row_is_still_type_checked(self, a3, matrix, value):
+        doc = json.loads(json.dumps(graph_to_json(enumerate_graph(a3))))
+        name, i = _seen_row(doc, matrix)
+        row = doc["vertices"][name][matrix][i]
+        row[row.index(1)] = value
+        text = json.dumps(doc)
+        assert json.dumps(value) in text
+        with pytest.raises(BadInput, match="must be integers, got %r" % value):
+            graph_from_json(json.loads(text))
+
+    @pytest.mark.parametrize(
+        "render",
+        [
+            lambda key: json.dumps({"g": key.g_columns, "B": key.b}),
+            lambda key: json.dumps({"B": key.b, "g": key.g_columns}, separators=(",", ":")),
+        ],
+        ids=["spaced", "B-first"],
+    )
+    def test_misrendered_name_is_refused_after_its_parts(self, a3, render):
+        graph = enumerate_graph(a3)
+        keys = list(graph.vertices)
+        parts = set()
+        for n, key in enumerate(keys):  # the first key whose parts all came before
+            mine = {*key.g_columns, *key.b}
+            if n and mine <= parts:
+                break
+            parts |= mine
+        else:
+            raise AssertionError("every key has a part of its own")
+        doc = graph_to_json(graph)
+        old, new = key_to_str(key), render(key)
+        assert old != new
+        doc["vertices"] = {new if k == old else k: v for k, v in doc["vertices"].items()}
+        with pytest.raises(BadInput, match="vertex %s holds the seed of %s"
+                           % (re.escape(new), re.escape(old))):
+            graph_from_json(json.loads(json.dumps(doc)))
 
 
 class TestEnumeration:

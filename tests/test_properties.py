@@ -16,6 +16,7 @@ from greenfan import (
     GreenfanError,
     PbwAlgebra,
     ScatteringDiagram,
+    SeedKey,
     Wall,
     cli,
     complete_rank2,
@@ -24,6 +25,7 @@ from greenfan import (
     element_from_json,
     element_to_json,
     enumerate_graph,
+    exchange,
     graph_from_json,
     graph_to_json,
     group_from_json,
@@ -355,3 +357,23 @@ def test_diagram_writer_refuses_what_the_reader_refuses(case):
     except ValueError:
         return
     assert diagram_from_json(json.loads(json.dumps(doc)), fd) == diagram
+
+
+@st.composite
+def seed_keys(draw):
+    """Keys of one rank from 1 to 8 whose g-columns and B rows come from a
+    small pool of vectors, so that parts repeat within and across keys."""
+    r = draw(st.integers(1, 8))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+    pool = draw(st.lists(st.tuples(*[entry] * r), min_size=1, max_size=6))
+    vectors = st.lists(st.sampled_from(pool), min_size=r, max_size=r).map(tuple)
+    return draw(st.lists(st.builds(SeedKey, vectors, vectors), min_size=1, max_size=5))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(keys=seed_keys())
+def test_namer_writes_key_to_str(keys):
+    namer = exchange._KeyNamer()  # one memo shared by all the keys
+    for key in keys:
+        want = json.dumps({"g": key.g_columns, "B": key.b}, separators=(",", ":"))
+        assert namer(key) == key_to_str(key) == want
