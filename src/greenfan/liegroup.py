@@ -562,13 +562,14 @@ class TorusAction:
     their series' difference the same way: h moves each y^n only by higher terms.
 
     ``steps[n]`` is ``(row, chains)``: ``row`` is omega(n, -), and ``chains[m]``
-    holds what an apply along ``n`` needs of the exponent ``m`` and nothing
-    else: psi = deg(n) + omega(n, m) and the chain ``m, m + n, m + 2n, ...`` of
-    targets of degree <= level.  ``binomials[x, length]`` is the
-    ``_binomial_series`` of a dilog apply with x = c * psi.  The tables are
-    filled on first use and belong to this action and its copies, so they hold
-    one row per normal applied, at most one chain per normal and monomial of
-    degree <= level, and one series per distinct (x, length).
+    holds what an apply along ``n`` needs of the exponent ``m``: psi = deg(n) +
+    omega(n, m), deg(m), and the chain tail ``m + n, m + 2n, ...``, extended on
+    demand and cut to each apply's level; F(0) = 1 leaves y^m itself in place.
+    ``binomials[x, length]`` is the ``_binomial_series`` of a dilog apply with
+    x = c * psi.  The tables are filled on first use and shared by copies and
+    by ``identity_at``, so one check or completion builds them once for all its
+    levels: one row per normal applied, at most one entry per normal and
+    monomial up to the top level, and one series per distinct (x, length).
     """
 
     __slots__ = ("omega", "level", "series", "steps", "binomials")
@@ -584,11 +585,18 @@ class TorusAction:
         """An independent action for the same element.
 
         The series dict is shared: ``apply_ray`` replaces it and never mutates
-        it.  So are the tables, whose entries never change once made.
+        it.  So are the tables, whose entries serve every level.
         """
         other = TorusAction.__new__(TorusAction)
         other.omega, other.level, other.series = self.omega, self.level, self.series
         other.steps, other.binomials = self.steps, self.binomials
+        return other
+
+    def identity_at(self, level: int) -> "TorusAction":
+        """The identity at ``level``, sharing this action's tables."""
+        _check_level(level)
+        other = self.copy()
+        other.level, other.series = level, {(0,) * len(self.omega): 1}
         return other
 
     def apply_dilog(self, n: Vector, c) -> None:
@@ -619,9 +627,11 @@ class TorusAction:
         """y^m -> y^m * F(y^n), F's coefficients from ``series(psi, length)``,
         a wall's ``RaySeries`` or a dilog's binomial series.
 
-        psi and the chain of m come from ``steps``; psi is shared by many m,
-        so each F is fetched once per call.  F may stop short of the chain or
-        run past it.  A bad ``n`` is NotLieElement, checked while it has no table.
+        The output starts as the series it maps, F(0) being 1 (else
+        ValueError), and each m adds F(j) y^(m + jn), j >= 1, along its tail
+        in ``steps``; psi is shared by many m, so each F is fetched and checked
+        once per call.  F may stop short of the tail or run past it.  A bad
+        ``n`` is NotLieElement, checked while it has no table.
         """
         dn = degree(n)
         level = self.level
@@ -633,21 +643,27 @@ class TorusAction:
             entry = self.steps[n] = (_omega_row(self.omega, n), {})
         w, table = entry
         factors_by_psi = {}
-        out: dict[Vector, object] = {}
+        out = dict(self.series)
         for m, coeff in self.series.items():
             step = table.get(m)
             if step is None:
-                chain = [m]
-                for _ in range((level - degree(m)) // dn):
-                    chain.append(tuple(map(add, chain[-1], n)))
-                step = table[m] = (dn + sum(map(mul, w, m)), chain)
-            psi, chain = step
+                step = table[m] = (dn + sum(map(mul, w, m)), degree(m), [])
+            psi, dm, tail = step
             factors = factors_by_psi.get(psi)
             if factors is None:
-                factors = factors_by_psi[psi] = series(psi, level // dn)
-            for f, target in zip(factors, chain):
-                if f:
-                    out[target] = out.get(target, 0) + coeff * f
+                factors = series(psi, level // dn)
+                if factors[0] != 1:
+                    raise ValueError("F(0) is %r, not 1, at psi = %r" % (factors[0], psi))
+                factors = factors_by_psi[psi] = factors[1:]
+            count = (level - dm) // dn
+            if count:
+                if len(tail) != count:
+                    while len(tail) < count:
+                        tail.append(tuple(map(add, tail[-1] if tail else m, n)))
+                    tail = tail[:count]
+                for f, target in zip(factors, tail):
+                    if f:
+                        out[target] = out.get(target, 0) + coeff * f
         self.series = {m: c for m, c in out.items() if c}
 
     def is_identity(self) -> bool:

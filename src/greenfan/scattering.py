@@ -348,19 +348,20 @@ def _crossing_record(fd, ray, normal, table, clockwise=False):
     return key, normal, RaySeries({j: eps * c for j, c in table.items()})
 
 
-def _sweep_defect(fd, records, level) -> dict:
+def _sweep_defect(tables: TorusAction, records, level) -> dict:
     """Lowest-degree log terms of the sweep's product at ``level``, first
-    crossed rightmost, read off its torus action; empty when it is 1."""
-    action = TorusAction(fd.omega, level)
+    crossed rightmost, read off ``tables.identity_at(level)``; empty when it
+    is 1.  Sweeps on one ``tables`` at any levels build each step entry once."""
+    action = tables.identity_at(level)
     for _, n, series in sorted(records, key=itemgetter(0)):
         action.apply_ray(n, series)
     return action.lowest_log_terms()
 
 
-def _require_trivial_sweep(fd, records, level, *message) -> None:
+def _require_trivial_sweep(tables, records, level, *message) -> None:
     """Raise InconsistencyFound, which carries the sweep's defect, unless its
     product is 1 at ``level``; no PBW product is built."""
-    defect = _sweep_defect(fd, records, level)
+    defect = _sweep_defect(tables, records, level)
     if defect:
         raise InconsistencyFound((), defect, *message)
 
@@ -377,8 +378,9 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     its terms and each sweep crosses every ray once.  Completion and its
     closing self-check run on logs alone.  A crossing record keeps its factor
     series from stage to stage and is rebuilt only when its wall gains a
-    term.  Each emitted wall element is a one-ray ``exp``, which holds its log
-    and builds no PBW carrier until one is read.
+    term.  Every stage and the closing check sweep on one action's tables,
+    built once per completion.  Each emitted wall element is a one-ray
+    ``exp``, which holds its log and builds no PBW carrier until one is read.
     """
     if fd.rank != 2:
         raise NotRankTwo("completion is implemented for rank 2 only")
@@ -393,8 +395,9 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     records = {(ray, n): _crossing_record(fd, ray, n, ray_coefficients(n, log))
                for rays, n, log in initial for ray in rays}
     scattered: dict[tuple, dict] = {}  # (ray, normal) -> log of the wall there
+    tables = TorusAction(fd.omega, level)
     for d in range(2, level + 1):
-        defect = _sweep_defect(fd, records.values(), d)
+        defect = _sweep_defect(tables, records.values(), d)
         for n in sorted(defect, key=letter_key):
             if degree(n) != d:
                 raise InternalError(
@@ -405,7 +408,7 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
             log = scattered.setdefault((ray, n_pr), {})
             log[n] = -_crossing_sign(fd.delta, ray, n_pr) * defect[n]
             records[ray, n_pr] = _crossing_record(fd, ray, n_pr, ray_coefficients(n_pr, log))
-    _require_trivial_sweep(fd, records.values(), level, "completion failed to cancel all defects")
+    _require_trivial_sweep(tables, records.values(), level, "completion failed to cancel all defects")
     order = sorted(scattered, key=lambda key: (records[key][0][0],) + key)
     alg = PbwAlgebra(fd.omega, level)
     walls = [
@@ -427,7 +430,7 @@ def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
     records = []
     for wall, table in _checked_walls(fd, diagram):
         records += [_crossing_record(fd, ray, wall.normal, table, clockwise=True) for ray in wall.rays]
-    _require_trivial_sweep(fd, records, diagram.level)
+    _require_trivial_sweep(TorusAction(fd.omega, diagram.level), records, diagram.level)
     return True
 
 

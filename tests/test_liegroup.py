@@ -493,6 +493,9 @@ class TestRaySeries:
 
 class TestTorusSteps:
     def test_warm_shared_table_gives_the_fresh_series(self):
+        """An action on tables warmed at its own level, or at a higher or a
+        lower one, gives the series a fresh action gives: a tail built past
+        the level is cut, and one built short of it is extended."""
         rng = random.Random("torus-steps")
         for trial in range(20):
             fd = random_fixed_data(rng)
@@ -500,27 +503,47 @@ class TestTorusSteps:
             seed = rng.random()
             fresh = TorusAction(fd.omega, level)
             apply_sequence(fresh, random.Random(seed), level)
-            root = TorusAction(fd.omega, level)
-            apply_sequence(root.copy(), random.Random(seed), level)  # warms root.steps
-            warm = root.copy()
-            assert warm.steps is root.steps and warm.steps
-            apply_sequence(warm, random.Random(seed), level)
-            assert warm.series == fresh.series, trial
-            assert root.series == {(0,) * fd.rank: 1}
+            for warm_level in (level, level + 2, max(1, level - 2)):
+                root = TorusAction(fd.omega, warm_level)
+                apply_sequence(root.copy(), random.Random(seed), level)  # warms root.steps
+                warm = root.copy() if warm_level == level else root.identity_at(level)
+                assert warm.steps is root.steps and warm.level == level
+                assert warm.steps or warm_level < level
+                apply_sequence(warm, random.Random(seed), level)
+                assert warm.series == fresh.series, (trial, warm_level)
+                assert root.series == {(0,) * fd.rank: 1}
+
+    @pytest.mark.parametrize("first", [0, 2, Fraction(1, 2)])
+    def test_series_must_start_at_one(self, first):
+        """Every apply starts from the series it maps, so an F with F(0) != 1
+        raises instead of giving a wrong product."""
+        action = TorusAction(A2_OMEGA, 4)
+        action.apply_dilog((0, 1), 1)
+        before = dict(action.series)
+        with pytest.raises(ValueError, match="not 1"):
+            action.apply_ray((1, 0), lambda psi, length: [first] + [1] * length)
+        assert action.series == before
 
     def test_table_is_bounded_by_normals_and_monomials(self):
         rng = random.Random("torus-steps-bound")
         fd = random_fixed_data(rng, rank=3)
         action = TorusAction(fd.omega, 5)
         apply_sequence(action, rng, 5)
+        lengths = {}
         for n, (row, table) in action.steps.items():
             assert row == _omega_row(fd.omega, n)
-            for m, (psi, chain) in table.items():
-                assert degree(m) <= 5
-                assert chain[0] == m and all(degree(t) <= 5 for t in chain)
-                assert degree(m) + len(chain) * degree(n) > 5  # the chain is complete
+            for m, (psi, dm, tail) in table.items():
+                assert dm == degree(m) <= 5
+                assert tail == [tuple(a + j * b for a, b in zip(m, n)) for j in range(1, len(tail) + 1)]
+                assert all(degree(t) <= 5 for t in tail)
+                assert dm + (len(tail) + 1) * degree(n) > 5  # the tail reaches the level
                 omega_nm = sum(n[i] * fd.omega[i][j] * m[j] for i in range(3) for j in range(3))
                 assert psi == degree(n) + omega_nm
+                lengths[n, m] = len(tail)
+        apply_sequence(action.identity_at(3), rng, 3)  # a lower level cuts, and extends no tail
+        for n, (_, table) in action.steps.items():
+            for m, (_, dm, tail) in table.items():
+                assert len(tail) == lengths.get((n, m), len(tail)) and dm + len(tail) * degree(n) <= 5
 
     def test_shared_tables_hold_what_they_name(self):
         rng = random.Random("torus-tables")

@@ -146,6 +146,24 @@ def scattered(diagram):
     return [w for w in diagram.walls if len(w.rays) == 1]
 
 
+def kronecker_closed_form(level):
+    """Every wall of the Kronecker completion (B = [[0, 2], [-2, 0]], delta
+    (1, 1)) up to ``level``, as ``{normal: log}``.  The central wall (1, 1)
+    is (1 - t)^-2 on t = y^(1,1), log sum_k 2/k^2 X_(k,k); every other is
+    Psi[v]^1 for v = (n + 1, n) or (n, n + 1), n >= 0, log
+    sum_j (-1)^(j+1)/j^2 X_(jv): the (2, 2) example of Gross-Pandharipande-
+    Siebert ("The tropical vertex", arXiv:0902.0779), in their
+    (1 + tx)^2, (1 + ty)^2 normalization."""
+    walls = {(1, 1): {(k, k): Fraction(2, k * k) for k in range(1, level // 2 + 1)}}
+    for n in range((level + 1) // 2):
+        for v in ((n + 1, n), (n, n + 1)):
+            walls[v] = {
+                (j * v[0], j * v[1]): Fraction((-1) ** (j + 1), j * j)
+                for j in range(1, level // (2 * n + 1) + 1)
+            }
+    return walls
+
+
 def rank2_order(name, swapped):
     """The fixed data of a rank-2 pattern, indices swapped or not."""
     b, delta = {**RANK2_PATTERNS, **MORE_RANK2_PATTERNS}[name]
@@ -898,6 +916,18 @@ class TestRankTwoCompletion:
         function = wall_function((1, 1), central.element.log_terms(), 10)
         assert function == central_wall_closed_form(2, 10) == [k + 1 for k in range(11)]
 
+    @pytest.mark.parametrize("level, read_back", [(20, True), (40, False), (60, False)])
+    def test_kronecker_walls_are_the_closed_form(self, kronecker, level, read_back):
+        """The whole Kronecker diagram, non-central walls included, at levels
+        no golden reaches and on a document read back: see
+        ``kronecker_closed_form``."""
+        diagram = complete_rank2(kronecker, level)
+        if read_back:
+            diagram = diagram_from_json(json.loads(json.dumps(diagram_to_json(kronecker, diagram))), kronecker)
+        expected = kronecker_closed_form(level)
+        assert len(diagram.walls) == len(expected)
+        assert {w.normal: w.element.log_terms() for w in diagram.walls} == expected
+
     def test_level_refinement_stability(self, b2, kronecker):
         for fd in (b2, kronecker):
             fine = complete_rank2(fd, 6)
@@ -1030,6 +1060,35 @@ class TestRankTwoCompletion:
             product = pbw_sweep_product(fd, signed_log_sweep(fd, walls), d)
             assert defect == ({} if product.is_identity() else lowest_log_part(product)), d
         assert seen[-1][1] == {}
+
+    def test_each_step_entry_is_built_once(self, kronecker, monkeypatch):
+        """Every stage and the closing check sweep on one action's tables, so
+        a completion builds one omega row per normal and each (n, m) step
+        entry once, whatever the stage level that first meets it."""
+        roots, rows, entries = [], [], {}
+        init, apply_ray, omega_row = TorusAction.__init__, TorusAction.apply_ray, liegroup._omega_row
+
+        def tracked_init(self, omega, level):
+            init(self, omega, level)
+            roots.append(self)
+
+        def counted_row(omega, n):
+            rows.append(n)
+            return omega_row(omega, n)
+
+        def tracked_apply(self, n, series):
+            apply_ray(self, n, series)
+            for m, entry in self.steps.get(n, (None, {}))[1].items():
+                entries.setdefault((n, m), {})[id(entry)] = entry  # held, so ids stay distinct
+
+        monkeypatch.setattr(TorusAction, "__init__", tracked_init)
+        monkeypatch.setattr(TorusAction, "apply_ray", tracked_apply)
+        monkeypatch.setattr(liegroup, "_omega_row", counted_row)
+        complete_rank2(kronecker, 12)
+        (root,) = roots
+        assert len(rows) == len(set(rows)) == len(root.steps)
+        assert all(len(built) == 1 for built in entries.values())
+        assert len(entries) == sum(len(chains) for _, chains in root.steps.values())
 
     @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
     @pytest.mark.parametrize("name", sorted({**RANK2_PATTERNS, **MORE_RANK2_PATTERNS}))
