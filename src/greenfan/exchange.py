@@ -384,19 +384,12 @@ def _extract_cycle(arcs, remaining):
         if src in stuck and dst in stuck and dst not in preds:
             preds[dst] = src
     # every stuck vertex has a stuck predecessor, so the walk back from the
-    # first stuck vertex by id closes up
-    start = min(stuck)
-    trail = [start]
-    seen = {start: 0}
-    cur = start
-    while True:
+    # first stuck vertex by id closes up; ``seen`` holds the walk in order
+    cur, seen = min(stuck), {}
+    while cur not in seen:
+        seen[cur] = len(seen)
         cur = preds[cur]
-        if cur in seen:
-            cycle = trail[seen[cur]:]
-            cycle.reverse()
-            return cycle
-        seen[cur] = len(trail)
-        trail.append(cur)
+    return list(seen)[seen[cur]:][::-1]
 
 
 # ---------------------------------------------------------------------------

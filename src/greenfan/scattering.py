@@ -200,9 +200,9 @@ def verify_loop_consistency(
     it loses across the edge: the arc's direction at its source, and the one
     label of its target whose g-vector the source lacks.  Duality pairs that
     g-vector with one c-vector whatever the labels, so the stored seed of a
-    vertex stands for every seed with its key.  The cycles come from a
-    BFS tree: each non-tree edge (u, v), u before v, closes the cycle from u
-    up to the meeting vertex and down to v.
+    vertex stands for every seed with its key.  Each non-tree edge (u, v) of
+    a BFS tree, u before v, closes the cycle read off the root paths of its
+    two ends: from u up to the last vertex they share, then down to v.
 
     Products are checked through their faithful torus action, with one apply
     per edge.  T_x, the product along the BFS-tree path from the root to x,
@@ -248,29 +248,25 @@ def verify_loop_consistency(
         action.apply_dilog(normal, sign * exponent)
         return action
 
-    parent, depth = [None] * len(keys), [None] * len(keys)
+    path = [None] * len(keys)  # x -> the BFS-tree path from the root to x
     tree = [None] * len(keys)  # x -> T_x
-    depth[0], tree[0] = 0, TorusAction(fd.omega, level)
+    path[0], tree[0] = (0,), TorusAction(fd.omega, level)
     order = [0]  # breadth-first from the root; the loop visits what it appends
     for p in order:
         for x in adj[p]:
-            if depth[x] is None:
-                parent[x], depth[x] = p, depth[p] + 1
+            if path[x] is None:
+                path[x] = path[p] + (x,)
                 tree[x] = cross(tree[p].copy(), p, x)
                 order.append(x)
     reports = []
     for u, v in pairs:
-        if parent[v] == u or parent[u] == v:
+        pu, pv = path[u], path[v]
+        i = min(len(pu), len(pv)) - 1  # adjacent ends are at most one BFS level apart
+        while pu[i] != pv[i]:
+            i -= 1
+        cycle = pu[i:][::-1] + pv[i + 1:]  # u up to the meeting vertex, then down to v
+        if len(cycle) == 2:  # a tree edge closes no cycle
             continue
-        up, down = [u], [v]
-        while depth[up[-1]] > depth[down[-1]]:
-            up.append(parent[up[-1]])
-        while depth[down[-1]] > depth[up[-1]]:
-            down.append(parent[down[-1]])
-        while up[-1] != down[-1]:
-            up.append(parent[up[-1]])
-            down.append(parent[down[-1]])
-        cycle = up + down[-2::-1]  # u up to the meeting vertex, then down to v
         closed = cross(tree[v].copy(), v, u)
         if closed.series != tree[u].series:
             raise InconsistencyFound([keys[i] for i in cycle], closed.lowest_log_terms(tree[u]))
@@ -358,14 +354,6 @@ def _sweep_defect(tables: TorusAction, records, level) -> dict:
     return action.lowest_log_terms()
 
 
-def _require_trivial_sweep(tables, records, level, *message) -> None:
-    """Raise InconsistencyFound, which carries the sweep's defect, unless its
-    product is 1 at ``level``; no PBW product is built."""
-    defect = _sweep_defect(tables, records, level)
-    if defect:
-        raise InconsistencyFound((), defect, *message)
-
-
 def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
     """Consistent completion of the two initial walls up to ``level``.
 
@@ -408,7 +396,9 @@ def complete_rank2(fd: FixedData, level: int) -> ScatteringDiagram:
             log = scattered.setdefault((ray, n_pr), {})
             log[n] = -_crossing_sign(fd.delta, ray, n_pr) * defect[n]
             records[ray, n_pr] = _crossing_record(fd, ray, n_pr, ray_coefficients(n_pr, log))
-    _require_trivial_sweep(tables, records.values(), level, "completion failed to cancel all defects")
+    defect = _sweep_defect(tables, records.values(), level)
+    if defect:
+        raise InconsistencyFound((), defect, "completion failed to cancel all defects")
     order = sorted(scattered, key=lambda key: (records[key][0][0],) + key)
     alg = PbwAlgebra(fd.omega, level)
     walls = [
@@ -430,7 +420,9 @@ def verify_rank2_consistency(fd: FixedData, diagram: ScatteringDiagram) -> bool:
     records = []
     for wall, table in _checked_walls(fd, diagram):
         records += [_crossing_record(fd, ray, wall.normal, table, clockwise=True) for ray in wall.rays]
-    _require_trivial_sweep(TorusAction(fd.omega, diagram.level), records, diagram.level)
+    defect = _sweep_defect(TorusAction(fd.omega, diagram.level), records, diagram.level)
+    if defect:
+        raise InconsistencyFound((), defect)
     return True
 
 

@@ -513,8 +513,8 @@ def signed_log_sweep(fd, walls, clockwise=False):
 def pbw_sweep_product(fd, factors, level):
     """The PBW product of a sweep's signed wall logs, first crossed rightmost.
 
-    ``scattering._require_trivial_sweep`` checks the same product through
-    its torus action; this builds it in PBW and is kept as its oracle.
+    ``scattering._sweep_defect`` reads the same product's defect off its
+    torus action; this builds it in PBW and is kept as its oracle.
     """
     alg = PbwAlgebra(fd.omega, level)
     product = alg.identity()
@@ -699,6 +699,73 @@ LOOP_PATTERNS = {
 }
 
 
+# |Phi+| of each type above: n h / 2, h the Coxeter number
+POSITIVE_ROOTS = {
+    "A2": 3, "A3": 6, "A4": 10, "A5": 15, "A6": 21, "B2": 4, "B3": 9, "B4": 16, "C3": 9,
+    "C4": 16, "D4": 12, "D5": 20, "E6": 36, "E7": 63, "E8": 120, "F4": 24, "G2": 6,
+}
+
+
+def check_finite_type_graph(graph: OrientedExchangeGraph, order, positive_roots):
+    """Check a complete finite-type oriented exchange graph against closed forms.
+
+    Reads only ``graph`` and ``order``, the topological order of
+    ``certify_acyclic``, so it shares no code with mutation.  The checks, by name:
+
+    * ``order``: ``order`` lists every vertex once, and each arc runs forward in it;
+    * ``regular``: every vertex has ``graph.rank`` arcs, as every seed has rank neighbours;
+    * ``source``: the root is the only vertex with no incoming arc;
+    * ``sink``: exactly one vertex has no outgoing arc, and each c-vector of its
+      seed is red (Keller, arXiv:1102.4148; Brüstle-Dupont-Pérotin, arXiv:1205.2050);
+    * ``shortest`` and ``longest``: a green path from the root to the sink has
+      at least ``graph.rank`` steps and at most ``positive_roots``, and both
+      lengths occur (Brüstle-Dupont-Pérotin).
+
+    A failure raises AssertionError naming the check and a vertex id.
+    """
+    keys = list(graph.vertices)
+    ids = {key: i for i, key in enumerate(keys)}
+    if len(order) != len(ids) or set(order) != set(ids):
+        raise AssertionError("order: %d entries do not list the %d vertices" % (len(order), len(ids)))
+
+    def fail(check, vertex, detail):
+        raise AssertionError("%s: vertex %d %s" % (check, vertex, detail))
+
+    at = [0] * len(ids)
+    for position, key in enumerate(order):
+        at[ids[key]] = position
+    out, into = [[] for _ in ids], [[] for _ in ids]
+    for src, dst, _ in graph.arcs:
+        if at[src] >= at[dst]:
+            fail("order", dst, "comes before %d, the source of an arc into it" % src)
+        out[src].append(dst)
+        into[dst].append(src)
+    for v, (succ, pred) in enumerate(zip(out, into)):
+        if len(succ) + len(pred) != graph.rank:
+            fail("regular", v, "has %d arcs, not %d" % (len(succ) + len(pred), graph.rank))
+    if into[0]:
+        fail("source", 0, "is the root, yet an arc from %d points into it" % into[0][0])
+    for v, pred in enumerate(into[1:], 1):
+        if not pred:
+            fail("source", v, "has no incoming arc, and it is not the root")
+    sink, *others = [v for v, succ in enumerate(out) if not succ]
+    if others:
+        fail("sink", others[0], "has no outgoing arc, and neither has %d" % sink)
+    for col in zip(*graph.vertices[keys[sink]].c):
+        if max(col) > 0 or not any(col):
+            fail("sink", sink, "has the c-vector %s, which is not red" % list(col))
+    fewest, most = [0] * len(ids), [0] * len(ids)  # green steps from the root
+    for v in map(ids.get, order[1:]):  # the root comes first: it is the one source
+        fewest[v] = 1 + min(fewest[u] for u in into[v])
+        most[v] = 1 + max(most[u] for u in into[v])
+    if fewest[sink] != graph.rank:
+        fail("shortest", sink, "ends green paths from the root of at least %d steps, not %d"
+             % (fewest[sink], graph.rank))
+    if most[sink] != positive_roots:
+        fail("longest", sink, "ends green paths from the root of at most %d steps, not %d"
+             % (most[sink], positive_roots))
+
+
 def d4_cycle_graph_doc():
     """Exported D4 graph with a reversed copy of edge 16 (vertex 5 -> 8) added.
 
@@ -709,6 +776,29 @@ def d4_cycle_graph_doc():
     edge = doc["edges"][16]
     doc["edges"].append(dict(edge, source=edge["target"], target=edge["source"]))
     return doc
+
+
+def d4_long_cycle_doc():
+    """Exported D4 graph turned to hold two directed 4-cycles, and its export names by id.
+
+    Reversing the arcs 1 -> 7 and 7 -> 17 of the face 1, 6, 17, 7 (export
+    ids) closes the cycle 1 -> 6 -> 17 -> 7 -> 1, and reversing two arcs of
+    the face 25, 26, 28, 36 closes a second one on larger ids.  Vertex 8,
+    reached from the first cycle along 1 -> 5 -> 8, is listed right after
+    the root: it is the first stuck vertex, and the walk back from it
+    crosses that two-arc tail before it meets the first cycle at 1.
+    """
+    doc = graph_to_json(enumerate_graph(validate_fixed_data(*LOOP_PATTERNS["D4"])))
+    names = list(doc["vertices"])
+    for cycle in ((1, 6, 17, 7), (25, 26, 28, 36)):
+        steps = {(names[a], names[b]) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+        for edge in doc["edges"]:
+            if (edge["target"], edge["source"]) in steps:
+                edge["source"], edge["target"] = edge["target"], edge["source"]
+    vertices = doc["vertices"]
+    doc["vertices"] = {name: vertices.pop(name) for name in names[:1] + names[8:9]}
+    doc["vertices"].update(vertices)
+    return doc, names
 
 
 def random_fixed_data(rng, rank=None):

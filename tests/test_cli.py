@@ -17,7 +17,7 @@ import greenfan
 from greenfan import GreenfanError, cli, enumerate_graph, graph_to_json, validate_fixed_data
 from greenfan import exchange, scattering
 
-from support import d4_cycle_graph_doc
+from support import d4_cycle_graph_doc, d4_long_cycle_doc
 
 CMD = [sys.executable, "-m", "greenfan"]
 
@@ -375,6 +375,14 @@ class TestCertify:
         assert err["error"] == "cycle_found"
         assert err["cycle"] == [added["source"], added["target"]]
         assert proc.stdout == ""
+
+    def test_longer_cycle_is_reported(self, tmp_path):
+        doc, names = d4_long_cycle_doc()
+        path = tmp_path / "long-cycle.json"
+        path.write_text(json.dumps(doc))
+        err = json.loads(run_cli("certify", str(path), expect=1).stderr)
+        assert err["error"] == "cycle_found"
+        assert err["cycle"] == [names[i] for i in (6, 17, 7, 1)]
 
 
 class TestConsistency:

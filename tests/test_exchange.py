@@ -31,8 +31,11 @@ from greenfan.linalg import as_int_matrix
 from support import (
     FINITE_TYPES,
     LOOP_PATTERNS,
+    POSITIVE_ROOTS,
     brute_force_symmetrizer,
+    check_finite_type_graph,
     d4_cycle_graph_doc,
+    d4_long_cycle_doc,
     dense_mutate_seed,
     det,
     full_mutation_enumerate_graph,
@@ -556,6 +559,85 @@ class TestAcyclicityCertificate:
         # vertex 5 is the first stuck one; walking back from it closes 8 -> 5
         added = doc["edges"][-1]
         assert [key_to_str(k) for k in info.value.cycle] == [added["source"], added["target"]]
+
+
+    def test_longer_cycle_reached_along_a_tail(self):
+        """The walk back from the first stuck vertex crosses a two-arc tail and
+        names the 4-cycle it meets, in arc order from the successor of the
+        vertex where it entered; the cycle on larger ids is not reported."""
+        doc, names = d4_long_cycle_doc()
+        with pytest.raises(CycleFound) as info:
+            certify_acyclic(graph_from_json(doc))
+        cycle = [key_to_str(k) for k in info.value.cycle]
+        assert cycle == [names[i] for i in (6, 17, 7, 1)]
+        arcs = {(e["source"], e["target"]) for e in doc["edges"]}
+        assert set(zip(cycle, cycle[1:] + cycle[:1])) <= arcs
+
+
+# every finite type through E6; complete E7 and E8 run in CI's console-script step
+CLOSED_FORM_CASES = {
+    **{"loop-" + name: (b, delta, name) for name, (b, delta) in LOOP_PATTERNS.items()},
+    **{
+        "FZ-" + name: (b, delta, name)
+        for name, (b, delta, _) in FINITE_TYPES.items()
+        if name != "E7"
+    },
+}
+
+
+def _faulty(graph, arc, fault):
+    """``graph`` with its arc number ``arc`` dropped or reversed."""
+    src, dst, k = graph.arcs[arc]
+    kept = [] if fault == "drop" else [(dst, src, k)]
+    return graph._replace(arcs=graph.arcs[:arc] + tuple(kept) + graph.arcs[arc + 1:])
+
+
+class TestFiniteTypeClosedForms:
+    """``check_finite_type_graph`` reads only a graph and its certificate."""
+
+    @pytest.mark.parametrize("name", list(CLOSED_FORM_CASES))
+    def test_enumerated_graph_meets_the_closed_forms(self, name):
+        b, delta, kind = CLOSED_FORM_CASES[name]
+        graph = enumerate_graph(validate_fixed_data(b, delta), max_depth=64)
+        assert graph.status == "complete"
+        check_finite_type_graph(graph, certify_acyclic(graph), POSITIVE_ROOTS[kind])
+
+    @pytest.mark.parametrize(
+        "name, arc, message",
+        [
+            ("A3", 10, "source: vertex 9 has no incoming arc, and it is not the root"),
+            ("B3", 15, "sink: vertex 8 has the c-vector [1, 0, 0], which is not red"),
+            ("D4", 99,
+             "longest: vertex 40 ends green paths from the root of at most 14 steps, not 12"),
+        ],
+    )
+    def test_reversed_arc_names_check_and_vertex(self, name, arc, message):
+        """Reversing a cover arc leaves the graph acyclic, so ``certify_acyclic``
+        still gives an order; some reversals pass every check here."""
+        graph = enumerate_graph(validate_fixed_data(*LOOP_PATTERNS[name]))
+        faulty = _faulty(graph, arc, "reverse")
+        with pytest.raises(AssertionError) as info:
+            check_finite_type_graph(faulty, certify_acyclic(faulty), POSITIVE_ROOTS[name])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "D4"])
+    def test_every_dropped_arc_breaks_regularity(self, name):
+        fd = validate_fixed_data(*LOOP_PATTERNS[name])
+        graph = enumerate_graph(fd)
+        for arc, (src, dst, _) in enumerate(graph.arcs):
+            faulty = _faulty(graph, arc, "drop")
+            end, rank = min(src, dst), fd.rank
+            message = "regular: vertex %d has %d arcs, not %d" % (end, rank - 1, rank)
+            with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+                check_finite_type_graph(faulty, certify_acyclic(faulty), POSITIVE_ROOTS[name])
+
+    def test_order_must_be_the_graphs_certificate(self, a3):
+        graph = enumerate_graph(a3)
+        order = certify_acyclic(graph)
+        with pytest.raises(AssertionError, match="^order: vertex 1 comes before 0,"):
+            check_finite_type_graph(graph, order[::-1], POSITIVE_ROOTS["A3"])
+        with pytest.raises(AssertionError, match="^order: 13 entries do not list the 14 vertices$"):
+            check_finite_type_graph(graph, order[1:], POSITIVE_ROOTS["A3"])
 
 
 class TestIntMatrix:

@@ -1061,6 +1061,30 @@ class TestRankTwoCompletion:
             assert defect == ({} if product.is_identity() else lowest_log_part(product)), d
         assert seen[-1][1] == {}
 
+    @pytest.mark.parametrize("name, level", [("a2", 2), ("kronecker", 6)])
+    def test_closing_check_names_a_skipped_stage(self, name, level, request, monkeypatch):
+        """A top stage that inserts nothing leaves its defect to the closing
+        sweep, which raises it as the witness of the whole completion."""
+        fd = request.getfixturevalue(name)
+        sweep_defect = scattering_module._sweep_defect
+        skipped = []
+
+        def skip_top_stage(tables, records, d):
+            defect = sweep_defect(tables, records, d)
+            if d < level or skipped:
+                return defect
+            skipped.append(defect)
+            return {}
+
+        monkeypatch.setattr(scattering_module, "_sweep_defect", skip_top_stage)
+        with pytest.raises(InconsistencyFound) as info:
+            complete_rank2(fd, level)
+        (defect,) = skipped
+        assert defect and {degree(n) for n in defect} == {level}
+        assert info.value.loop == ()
+        assert info.value.lowest == defect
+        assert str(info.value) == "completion failed to cancel all defects"
+
     def test_each_step_entry_is_built_once(self, kronecker, monkeypatch):
         """Every stage and the closing check sweep on one action's tables, so
         a completion builds one omega row per normal and each (n, m) step
