@@ -478,17 +478,18 @@ def per_cycle_loop_consistency(fd, graph, level):
     return ConsistencyReport(level=level, loops=tuple(reports))
 
 
-def signed_log_sweep(fd, walls, clockwise=False):
-    """Signed logs of the crossings of a full sweep around the origin,
-    counterclockwise from (1, 1) or clockwise from (-1, -1), first crossed first.
+def signed_log_sweep(fd, walls, start, clockwise=False):
+    """Signed logs of the crossings of a full sweep around the origin from
+    the basepoint ``start``, counterclockwise or clockwise, first crossed first.
 
-    ``walls`` holds ``(rays, normal, log)``.  Rays are ordered by exact angle
-    comparisons from the basepoint, and a crossing's log is negated unless the
-    sweep tangent leaves the side ``{m : <n, m> > 0}``.  It shares nothing
-    with the crossing records of ``scattering`` and is kept as their oracle.
+    ``walls`` holds ``(rays, normal, log)``, no ray a multiple of ``start``.
+    Rays are ordered by exact angle comparisons from the basepoint, and a
+    crossing's log is negated unless the sweep tangent leaves the side
+    ``{m : <n, m> > 0}``.  It shares nothing with the crossing records of
+    ``scattering`` and is kept as their oracle.  Sweeps of one loop from two
+    basepoints give conjugate products, with equal lowest log parts.
     """
     turn = -1 if clockwise else 1  # the sweep's sense of rotation
-    start = (-turn, -turn)
 
     def cross(u, v):
         return turn * (u[0] * v[1] - u[1] * v[0])

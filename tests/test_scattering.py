@@ -142,6 +142,11 @@ def with_minimal_delta(b):
                 pass
 
 
+def step_entries(action):
+    """The (n, m) step entries a torus action's tables hold."""
+    return sum(len(chains) for _, chains in action.steps.values())
+
+
 def scattered(diagram):
     return [w for w in diagram.walls if len(w.rays) == 1]
 
@@ -803,6 +808,19 @@ class TestLoopConsistency:
         with pytest.raises(InvalidWalk):
             verify_loop_consistency(a3, graph._replace(vertices=vertices), 2)
 
+    def test_vertex_cut_off_from_the_root_is_invalid_walk(self, a3):
+        """A read "complete" document whose edges leave vertices 12 and 13
+        apart from the root: the check names the first unreached vertex."""
+        doc = graph_to_json(enumerate_graph(a3))
+        names = list(doc["vertices"])
+        cut = {names[12], names[13]}
+        kept = [e for e in doc["edges"] if (e["source"] in cut) == (e["target"] in cut)]
+        assert len(doc["edges"]) - len(kept) == 4
+        graph = graph_from_json({**doc, "edges": kept})
+        assert graph.status == "complete"
+        with pytest.raises(InvalidWalk, match="does not reach vertex 12, %s" % re.escape(names[12])):
+            verify_loop_consistency(a3, graph, 2)
+
     def test_graph_of_another_pattern_is_invalid_walk(self, a2, b2, a3, monkeypatch):
         """Loops of another pattern's graph certify nothing about ``fd``: the
         check refuses them before it applies a single crossing."""
@@ -998,6 +1016,31 @@ class TestRankTwoCompletion:
         with pytest.raises(InconsistencyFound):
             verify_rank2_consistency(a2, broken)
 
+    @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
+    @pytest.mark.parametrize("name", sorted(RANK2_PATTERNS))
+    def test_broken_diagram_defect_is_that_of_either_basepoint(self, name, swapped):
+        """Each wall dropped, and each wall's lowest log coefficient shifted
+        by 1/3: the re-check's witness is the lowest log part of the PBW
+        clockwise sweep from (1, 1), the loop it checks, and from (-1, -1),
+        whose product is conjugate to it.  Both oracles run at the witness's
+        degree, where the product's lowest part first shows."""
+        fd = rank2_order(name, swapped)
+        for level in (4, 6):
+            diagram = complete_rank2(fd, level)
+            alg = PbwAlgebra(fd.omega, level)
+            for i, wall in enumerate(diagram.walls):
+                log = dict(wall.element.log_terms())
+                log[min(log, key=degree)] += Fraction(1, 3)
+                shifted = wall._replace(element=alg.exp(alg.lie_element(log)))
+                for edit, kept in (("dropped", ()), ("shifted", (shifted,))):
+                    broken = diagram._replace(walls=diagram.walls[:i] + kept + diagram.walls[i + 1:])
+                    with pytest.raises(InconsistencyFound) as info:
+                        verify_rank2_consistency(fd, broken)
+                    lowest = info.value.lowest
+                    low = degree(next(iter(lowest)))
+                    for start in ((1, 1), (-1, -1)):
+                        product = recheck_product(fd, broken, low, start)
+                        assert lowest == lowest_log_part(product), (level, wall.normal, edit, start)
 
     # neither ray lies in (1, 1)-perp; unvalidated, the sweep reports an inconsistency
     @pytest.mark.parametrize("ray", [(1, 0), (2, -1)], ids=["(1,0)", "(2,-1)"])
@@ -1037,7 +1080,9 @@ class TestRankTwoCompletion:
         """Stage d's defect is the lowest log part of the PBW sweep at level d.
 
         The walls at stage d are the initial lines and the scattered terms
-        of degree < d, since each stage settles its own degree for good.
+        of degree < d, since each stage settles its own degree for good.  The
+        oracle sweeps from (-1, -1), not from the completion's (1, 1): the
+        two products are conjugate, so their lowest log parts agree.
         """
         fd = rank2_order(name, swapped)
         seen = []  # (level, defect) of every record sweep
@@ -1057,7 +1102,7 @@ class TestRankTwoCompletion:
                 if len(wall.rays) == 1:  # scattered: only its terms settled before stage d
                     log = {v: c for v, c in log.items() if degree(v) < d}
                 walls.append((wall.rays, wall.normal, log))
-            product = pbw_sweep_product(fd, signed_log_sweep(fd, walls), d)
+            product = pbw_sweep_product(fd, signed_log_sweep(fd, walls, (-1, -1)), d)
             assert defect == ({} if product.is_identity() else lowest_log_part(product)), d
         assert seen[-1][1] == {}
 
@@ -1112,7 +1157,35 @@ class TestRankTwoCompletion:
         (root,) = roots
         assert len(rows) == len(set(rows)) == len(root.steps)
         assert all(len(built) == 1 for built in entries.values())
-        assert len(entries) == sum(len(chains) for _, chains in root.steps.values())
+        assert len(entries) == step_entries(root)
+
+    @pytest.mark.parametrize("level", [20, 40])
+    @pytest.mark.parametrize("name", ["Kronecker", "(3,3)"])
+    def test_recheck_builds_no_more_entries_than_a_ccw_sweep(self, name, level, monkeypatch):
+        """The re-check sweeps clockwise from the completion's basepoint
+        (1, 1), so its partial products stay as small as those of a fresh
+        counterclockwise sweep of the same walls from there.  A clockwise
+        sweep from (-1, -1) builds 17,167 entries on Kronecker at l=40."""
+        fd = rank2_order(name, False)
+        diagram = complete_rank2(fd, level)
+        ccw = TorusAction(fd.omega, level)
+        records = [
+            scattering_module._crossing_record(fd, ray, wall.normal, validate_wall(fd, wall))
+            for wall in diagram.walls for ray in wall.rays
+        ]
+        assert scattering_module._sweep_defect(ccw, records, level) == {}
+        roots, init = [], TorusAction.__init__
+
+        def tracked_init(self, omega, level):
+            init(self, omega, level)
+            roots.append(self)
+
+        monkeypatch.setattr(TorusAction, "__init__", tracked_init)
+        assert verify_rank2_consistency(fd, diagram)
+        (root,) = roots
+        assert step_entries(root) <= step_entries(ccw)
+        if (name, level) == ("Kronecker", 40):
+            assert step_entries(root) == 1468
 
     @pytest.mark.parametrize("swapped", [False, True], ids=["order-01", "order-10"])
     @pytest.mark.parametrize("name", sorted({**RANK2_PATTERNS, **MORE_RANK2_PATTERNS}))
@@ -1536,10 +1609,11 @@ def loop_product(fd, graph, loop, level):
     return path_ordered_product(fd, cs, level)
 
 
-def recheck_product(fd, diagram, level):
-    """The PBW product of the sweep ``verify_rank2_consistency`` checks."""
+def recheck_product(fd, diagram, level, start=(1, 1)):
+    """The PBW product of the clockwise sweep from ``start``: from (1, 1) by
+    default, the loop ``verify_rank2_consistency`` checks."""
     walls = [(w.rays, w.normal, w.element.log_terms()) for w in diagram.walls]
-    return pbw_sweep_product(fd, signed_log_sweep(fd, walls, clockwise=True), level)
+    return pbw_sweep_product(fd, signed_log_sweep(fd, walls, start, clockwise=True), level)
 
 
 def witness_terms(terms):
