@@ -400,17 +400,11 @@ _KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))  # writes tuples as lists
 _KEY_TEMPLATE = '{"g":[%s],"B":[%s]}'  # a key's text, given each matrix's rows
 
 
-def key_to_str(key: SeedKey) -> str:
-    # one key shares few parts: one encode per matrix, its brackets cut off
-    return _KEY_TEMPLATE % (_KEY_ENCODER.encode(key.g_columns)[1:-1],
-                            _KEY_ENCODER.encode(key.b)[1:-1])
-
-
 class _KeyNamer(dict):
-    """``key_to_str`` for the keys of one document, which share most g-columns
-    and B rows: each distinct vector is encoded once and kept as long as the
-    namer, which lasts one call.  Entries must be ints, as in every key
-    greenfan builds: a bool would take the text of an equal int."""
+    """The one renderer of key names, for the keys of one document, which
+    share most g-columns and B rows: each distinct vector is encoded once and
+    kept as long as the namer, which lasts one call.  Entries must be ints, as
+    in every key greenfan builds: a bool would take the text of an equal int."""
 
     def __missing__(self, vector):
         text = self[vector] = _KEY_ENCODER.encode(vector)
@@ -419,6 +413,11 @@ class _KeyNamer(dict):
     def __call__(self, key: SeedKey) -> str:
         part = self.__getitem__
         return _KEY_TEMPLATE % (",".join(map(part, key.g_columns)), ",".join(map(part, key.b)))
+
+
+def key_to_str(key: SeedKey) -> str:
+    """A key's compact JSON name, a document's vertex name; entries must be ints."""
+    return _KeyNamer()(key)
 
 
 def _seed_to_json(seed: TropicalSeed) -> dict:
@@ -469,38 +468,36 @@ def graph_to_json(graph: OrientedExchangeGraph, topological_order=None) -> dict:
 def graph_from_json(doc) -> OrientedExchangeGraph:
     """Parse a graph document; edges and root must name listed vertices.
 
-    Each vertex's key is derived from its seed and must render to the name
-    the vertex is listed under, so a seed record cannot stand under another
-    vertex's name.  Root and edges are looked up among those names, no edge
-    may point into the root, ``rank`` is every seed's size, every direction
-    and path entry lies in ``range(rank)``, ``depth_reached`` is the longest
-    path, and the status is ``"complete"`` or ``"truncated"``.  The root gets
-    id 0 and the others follow in listed order.  No edge may be repeated.
-    Names are built from shared parts by one ``_KeyNamer``, which lasts this
-    call; every seed entry is still type-checked.
+    Each vertex record is read once: the root's first, since its size must
+    be ``rank``, then the rest in listed order, their ids after the root's
+    0.  A seed's g-columns must differ, the key derived from them must render
+    to the name it is listed under, and it must be rank x rank with its path
+    in ``range(rank)``.  No edge may point into the root or repeat, its
+    direction lies in ``range(rank)``, ``depth_reached`` is the longest path
+    and the status is ``"complete"`` or ``"truncated"``.  One ``_KeyNamer``,
+    lasting this call, builds names from shared parts; every seed entry is
+    still type-checked.
     """
     try:
-        key_name = _KeyNamer()
-        seeds = {}  # name -> (key, seed), in listed order
-        for name, record in doc["vertices"].items():
+        key_name, vertices, root, rank = _KeyNamer(), {}, doc["root"], doc["rank"]
+        records = sorted(doc["vertices"].items(), key=lambda item: item[0] != root)  # root first
+        if root not in doc["vertices"]:
+            raise BadInput("root %s is not a vertex" % root)
+        for name, record in records:
             seed = _seed_from_json(record)
-            if len(set(zip(*seed.g))) != len(seed.g):  # so _seed_key's cols.index is exact
+            cols = tuple(zip(*seed.g))
+            if len(set(cols)) != len(cols):  # so _seed_key's cols.index is exact
                 raise BadInput("vertex %s has a repeated g-column" % name)
-            key = canonical_key(seed)
-            rendered = key_name(key)
-            if rendered != name:
+            key = _seed_key(cols, tuple(sorted(cols)), seed.b)
+            if (rendered := key_name(key)) != name:
                 raise BadInput("vertex %s holds the seed of %s" % (name, rendered))
-            seeds[name] = key, seed
-        if doc["root"] not in seeds:
-            raise BadInput("root %s is not a vertex" % doc["root"])
-        ids = {name: i for i, name in enumerate(dict.fromkeys([doc["root"], *seeds]))}
-        rank = len(seeds[doc["root"]][0].b)
-        if not linalg.is_int(doc["rank"]) or doc["rank"] != rank:
-            raise BadInput("rank must be the root's size %d, got %r" % (rank, doc["rank"]))
-        for name, (_, seed) in seeds.items():
+            if not vertices and (not linalg.is_int(rank) or rank != len(seed.b)):
+                raise BadInput("rank must be the root's size %d, got %r" % (len(seed.b), rank))
             if len(seed.b) != rank or not all(0 <= k < rank for k in seed.path):
                 raise BadInput("vertex %s: a %d x %d seed with path %s does not fit rank %d"
                                % (name, len(seed.b), len(seed.b), [*seed.path], rank))
+            vertices[key] = seed
+        ids = {name: i for i, (name, _) in enumerate(records)}
         arcs: dict[tuple[int, int, int], None] = {}  # an ordered set of (src, dst, k)
         for e in linalg.require_list(doc["edges"], "edges"):
             k = e["direction"]
@@ -522,14 +519,14 @@ def graph_from_json(doc) -> OrientedExchangeGraph:
                 )
             arcs[arc] = None
         depth = doc["depth_reached"]
-        longest = max(len(seed.path) for _, seed in seeds.values())
+        longest = max(len(seed.path) for seed in vertices.values())
         if not linalg.is_int(depth) or depth != longest:
             raise BadInput("depth_reached must be the longest path %d, got %r" % (longest, depth))
         status = doc["status"]
         if status not in ("complete", "truncated"):
             raise BadInput('status must be "complete" or "truncated", got %r' % (status,))
         return OrientedExchangeGraph(
-            vertices=dict(seeds[name] for name in ids),
+            vertices=vertices,
             arcs=tuple(arcs),
             status=status,
             depth_reached=depth,

@@ -523,20 +523,17 @@ def report_to_json(report: ConsistencyReport) -> dict:
 
 
 def diagram_to_svg(fd: FixedData, diagram: ScatteringDiagram) -> str:
-    """Static picture of a rank-2 diagram, chambers labeled when finite; deterministic bytes."""
+    """Static picture of a rank-2 diagram, chambers labeled when finite; deterministic bytes.
+
+    A diagram that ``diagram_to_json`` refuses raises its ValueError."""
     if fd.rank != 2:
         raise NotRankTwo("SVG output is rank-2 only")
-    parts = []
-    for wall in diagram.walls:
+    rays, labels = [], []  # every wall's rays are drawn before any label
+    for wall, _ in _checked_walls(fd, diagram):
         full_line = len(wall.rays) == 2
-        for ray in wall.rays:
-            parts.append(
-                _svg_ray(ray, "#111111" if full_line else "#1f6fb4", 2.0 if full_line else 1.5)
-            )
-    for wall in diagram.walls:
-        label = factor_dilog_power(fd, wall) or "n=(%s)" % ",".join(
-            str(x) for x in wall.normal
-        )
-        parts.append(_svg_label(wall.rays[0], label))
+        color, width = ("#111111", 2.0) if full_line else ("#1f6fb4", 1.5)
+        rays += [_svg_ray(ray, color, width) for ray in wall.rays]
+        label = factor_dilog_power(fd, wall) or "n=(%s)" % ",".join(str(x) for x in wall.normal)
+        labels.append(_svg_label(wall.rays[0], label))
     # the default budgets enumerate every finite rank-2 type (at most 8 seeds)
-    return _svg_document(parts, exchange.enumerate_graph(fd))
+    return _svg_document(rays + labels, exchange.enumerate_graph(fd))

@@ -133,6 +133,29 @@ class TestValidation:
             b = [list(entries[i * rank:(i + 1) * rank]) for i in range(rank)]
             assert exchange._minimal_skew_symmetrizer(b) == brute_force_symmetrizer(b), b
 
+    @pytest.mark.parametrize(
+        "b, delta, error, detail",
+        [
+            ([[0, 1]], [1], BadInput, "B: matrix must be square"),
+            ([[0, 1.5], [-1, 0]], [1, 1], BadInput, "B: matrix entries must be integers, got 1.5"),
+            ({"B": 1}, [1], BadInput, "B: matrix must be a list, got dict"),
+            ([[0, 1], [-1, 0]], 5, BadInput, "delta must be a list of integers, got 5"),
+            ([[0, 1], [-1, 0]], "11", BadInput, "delta must be a list of integers, got '11'"),
+            ([[0, 1], [-1, 0]], [1], BadDecomposition, "delta must consist of 2 positive integers"),
+            ([[0, 1], [-1, 0]], [1, 0], BadDecomposition,
+             "delta must consist of 2 positive integers"),
+            ([[0, 1], [-1, 0]], [1, True], BadDecomposition,
+             "delta must consist of 2 positive integers"),
+        ],
+        ids=["non-square-B", "fractional-B", "object-B", "int-delta", "string-delta",
+             "short-delta", "zero-delta", "bool-delta"],
+    )
+    def test_malformed_root_data(self, b, delta, error, detail):
+        with pytest.raises(error) as info:
+            validate_fixed_data(b, delta)
+        assert info.value.code == ("bad_input" if error is BadInput else "bad_decomposition")
+        assert str(info.value) == detail
+
     def test_rejects_bad_symmetrizer(self):
         # B determines D, so a pattern document that states one is refused
         with pytest.raises(BadInput, match='"D"'):
@@ -365,6 +388,63 @@ class TestReaderSoundness:
         with pytest.raises(BadInput, match="vertex %s holds the seed of %s"
                            % (re.escape(new), re.escape(old))):
             graph_from_json(json.loads(json.dumps(doc)))
+
+
+def _a3_document(a3):
+    """An A3 export as ``json.loads`` gives it back."""
+    graph = enumerate_graph(a3)
+    return json.loads(json.dumps(graph_to_json(graph, certify_acyclic(graph))))
+
+
+class TestReaderRefusals:
+    """``graph_from_json`` refusals on an A3 export, each with a detail that
+    names the vertex, root or value at fault."""
+
+    def refusal(self, doc) -> str:
+        with pytest.raises(BadInput) as info:
+            graph_from_json(doc)
+        assert info.value.code == "bad_input"
+        return str(info.value)
+
+    @pytest.mark.parametrize("position", [0, 7, -1], ids=["root", "middle", "last"])
+    def test_repeated_g_column_names_the_vertex(self, a3, position):
+        doc = _a3_document(a3)
+        name = list(doc["vertices"])[position]
+        for row in doc["vertices"][name]["G"]:
+            row[1] = row[0]
+        assert self.refusal(doc) == "vertex %s has a repeated g-column" % name
+
+    def test_root_naming_no_vertex_is_named(self, a3, a2):
+        doc = _a3_document(a3)
+        doc["root"] = graph_to_json(enumerate_graph(a2))["root"]
+        assert self.refusal(doc) == "root %s is not a vertex" % doc["root"]
+
+    @pytest.mark.parametrize("value", ["1", 1.5, True, None, [0]])
+    def test_direction_that_is_not_an_int_is_named(self, a3, value):
+        doc = _a3_document(a3)
+        doc["edges"][4]["direction"] = value
+        assert self.refusal(doc) == "edge direction must be an integer, got %r" % (value,)
+
+    @pytest.mark.parametrize("value", [3, -1, 10**30])
+    def test_direction_outside_the_rank_is_named(self, a3, value):
+        doc = _a3_document(a3)
+        doc["edges"][4]["direction"] = value
+        assert self.refusal(doc) == "edge direction %d is outside range(3)" % value
+
+    def test_each_record_is_read_once_root_first(self, a3, monkeypatch):
+        """The root's record fixes the rank, so it is read first wherever it
+        is listed; the others follow once each, in listed order."""
+        graph = enumerate_graph(a3)
+        doc = _a3_document(a3)
+        records = doc["vertices"]
+        root = records.pop(doc["root"])
+        others = list(records.values())
+        records[doc["root"]] = root  # listed last
+        read, seed_from_json = [], exchange._seed_from_json
+        monkeypatch.setattr(exchange, "_seed_from_json", lambda r: read.append(r) or seed_from_json(r))
+        back = graph_from_json(doc)
+        assert read == [root, *others]
+        assert back == graph and list(back.vertices) == list(graph.vertices)
 
 
 class TestEnumeration:

@@ -400,6 +400,28 @@ class TestCrossingSequences:
         with pytest.raises(InvalidWalk, match="direction %r out of range at step 1" % (k,)):
             crossing_sequence(a2, [(root_seed(a2), 0), (mutate_seed(a2, root_seed(a2), 0), k)])
 
+    @pytest.mark.parametrize(
+        "normal, sign, detail",
+        [
+            ("ab", 1, "crossing normal must be a list of integers, got 'ab'"),
+            ([1.5, 0], 1, "crossing normal must be a list of integers, got [1.5, 0]"),
+            ([1, 0], 1.7, "crossing sign must be the integer 1 or -1, got 1.7"),
+            ([1, 0], True, "crossing sign must be the integer 1 or -1, got True"),
+            ([1, 0], 0, "crossing sign must be the integer 1 or -1, got 0"),
+            ([1, 0, 0], 1, "crossing normal must have 2 entries (the rank), got (1, 0, 0)"),
+            ([0, 0], 1, "crossing normal must be positive, got (0, 0)"),
+            ([-1, 1], -1, "crossing normal must be positive, got (-1, 1)"),
+        ],
+        ids=["string-normal", "fractional-normal", "fractional-sign", "bool-sign", "zero-sign",
+             "long-normal", "zero-normal", "mixed-normal"],
+    )
+    def test_malformed_pair_is_bad_input(self, a2, normal, sign, detail):
+        """Each pair after a good one is refused with a detail naming its value."""
+        with pytest.raises(BadInput) as info:
+            crossing_sequence_from_normals(a2, [([1, 1], 1), (normal, sign)])
+        assert info.value.code == "bad_input"
+        assert str(info.value) == detail
+
     def test_exponents_follow_delta(self, g2):
         steps = walk(g2, root_seed(g2), [0, 1, 0])
         for crossing in crossing_sequence(g2, steps).crossings:
@@ -1522,9 +1544,9 @@ class TestLogReadWalls:
 
     @staticmethod
     def refusals(fd, diagram) -> list:
-        """The error of the writer and of the re-check on one diagram."""
+        """The error of the writer, of the re-check and of the SVG on one diagram."""
         errors = []
-        for check in (diagram_to_json, verify_rank2_consistency):
+        for check in (diagram_to_json, verify_rank2_consistency, diagram_to_svg):
             with pytest.raises(ValueError) as info:
                 check(fd, diagram)
             errors.append((type(info.value), str(info.value)))
@@ -1534,8 +1556,8 @@ class TestLogReadWalls:
     def test_verify_refuses_what_the_writer_refuses(self, a2, normal, rays, level, message):
         alg = PbwAlgebra(a2.omega, level)
         wall = Wall(normal=normal, rays=rays, element=alg.dilog((1, 1), 1))
-        writer, verify = self.refusals(a2, ScatteringDiagram(level=3, walls=(wall,)))
-        assert writer == verify
+        writer, verify, svg = self.refusals(a2, ScatteringDiagram(level=3, walls=(wall,)))
+        assert writer == verify == svg
         assert writer[0] is ValueError and re.search(message, writer[1])
 
     # verify once returned True at levels 5 and 7 and reported an inconsistency at 3
@@ -1546,7 +1568,7 @@ class TestLogReadWalls:
         assert first.normal == diagram.walls[0].normal
         moved = diagram._replace(walls=(first,) + diagram.walls[1:])
         want = (ValueError, "wall element is not at the diagram level 6")
-        assert self.refusals(a2, moved) == [want, want]
+        assert self.refusals(a2, moved) == [want, want, want]
 
     @pytest.mark.parametrize("name", ["Kronecker", "G2"])
     def test_verify_reads_each_wall_log_once(self, name, monkeypatch):
